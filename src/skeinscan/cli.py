@@ -28,7 +28,7 @@ from .matchings import catalan, format_matching
 from .oracle import BRACKET_CAP, brute_force_bracket
 from .oracle import TooLarge as OracleTooLarge
 from .planar import ArcMultiplicityError, ColoringError, MissingOrientation, NonPlanarError, ParseError, parse_pd
-from .skein import BRACKET, PKBP, InvariantViolation
+from .skein import BRACKET, PKBP, EmptyFrontier, FrontierTooSmall, InvariantViolation
 from .verify import render_report, run_verify
 
 EXIT_OK = 0
@@ -39,7 +39,9 @@ EXIT_INTERNAL = 3
 INPUT_ERRORS = (ParseError, ArcMultiplicityError, NonPlanarError, ColoringError,
                 MissingOrientation, NotClosed, EmptyDiagram, InvalidOrder,
                 InvalidCutting, TooLarge, OracleTooLarge, ValueError, OSError)
-INTERNAL_ERRORS = (NotDivisible, InvariantViolation)
+# checked first: FrontierTooSmall and EmptyFrontier are ValueErrors, but a
+# cutting that reaches the fold has been validated, so they are engine faults
+INTERNAL_ERRORS = (NotDivisible, InvariantViolation, FrontierTooSmall, EmptyFrontier)
 
 
 def _read_pd(value: str):

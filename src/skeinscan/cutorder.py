@@ -73,19 +73,35 @@ class Cutting:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cutting":
+        """Load a cutting, rejecting events that do not fit the frontier
+        they meet (frontier sizes follow from the events alone)."""
         events: list[Event] = []
-        for ev in data["events"]:
-            if ev["type"] == "birth":
-                events.append(Birth(ev["at"]))
-            elif ev["type"] == "cap":
-                events.append(Cap(ev["at"]))
-            elif ev["type"] == "cross":
-                events.append(Cross(ev["at"], ev["absorb"], ev["over_first"],
-                                    ev.get("crossing"), ev.get("rot")))
-            else:
-                raise InvalidCutting(f"unknown event type {ev['type']!r}")
-        return cls(events, data["girth"], list(data["source_order"]),
-                   data.get("final_rotation", 0))
+        g = 0
+        try:
+            for ev in data["events"]:
+                if ev["type"] == "birth":
+                    if not 0 <= ev["at"] <= g:
+                        raise InvalidCutting(f"birth at {ev['at']} on a frontier of {g}")
+                    events.append(Birth(ev["at"]))
+                    g += 2
+                elif ev["type"] == "cap":
+                    if g < 2:
+                        raise InvalidCutting(f"cap on a frontier of {g}")
+                    events.append(Cap(ev["at"]))
+                    g -= 2
+                elif ev["type"] == "cross":
+                    k = ev["absorb"]
+                    if not 0 <= k <= min(4, g):
+                        raise InvalidCutting(f"crossing absorbs {k} points of a frontier of {g}")
+                    events.append(Cross(ev["at"], k, ev["over_first"],
+                                        ev.get("crossing"), ev.get("rot")))
+                    g += 4 - 2 * k
+                else:
+                    raise InvalidCutting(f"unknown event type {ev['type']!r}")
+            return cls(events, data["girth"], list(data["source_order"]),
+                       data.get("final_rotation", 0))
+        except (KeyError, TypeError) as exc:
+            raise InvalidCutting(f"malformed cutting: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

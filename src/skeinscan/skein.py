@@ -20,14 +20,29 @@ Positions are circular.  An event whose span would cross the seam between
 position g-1 and 0 first rotates the labelling so its run starts at 0; the
 rotation is part of the event's defined semantics, so any replayer tracking
 frontier tokens stays aligned by applying the same rule.
+
+Crossing surgery is compiled into transition tables.  What a crossing does
+to one matching depends only on the event signature (g, at, absorb, class of
+the A-smoothing) and the matching, so each signature gets one process-wide
+``array('q')`` of 2 * Catalan(g/2) entries, 16 * Catalan(g/2) bytes: slots
+2i and 2i + 1 hold the two outputs of basis matching i as
+``index << 3 | (shift == +1) << 2 | loops`` (output basis index, the sign of
+the A^+-1 factor, the number of closed loops), and -1 until first needed.
+An entry is built the first time a fold meets its matching, and is written
+only after both outputs have passed ``is_noncrossing``, so the check runs
+once per table entry rather than once per fold step, and a failed check
+leaves nothing behind.  Tables hold loop counts, not loop values, so every
+mode shares them; a fold step then costs a shift by A^+-1, a multiplication
+by a power of the loop value when a loop closed, and a merge.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import A, A_INV, DELTA, DELTA_PLUS, ONE, LaurentPoly
+from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly
 from .matchings import Matching, basis, is_noncrossing
 
 BRACKET = "bracket"
@@ -100,6 +115,95 @@ def a_smoothing_class(absorb: int, over_first: bool) -> int:
 
 
 _PAIRING = {0: (1, 0, 3, 2), 1: (3, 2, 1, 0)}
+
+
+def _surgery(g: int, at: int, k: int, cls_a: int, mu: Matching) -> list[tuple[int, int, int]]:
+    """Glue a crossing onto one matching: absorb the k points at..at+k-1 of
+    mu and emit 4 - k new ones at `at`.
+
+    Returns one (output basis index, shift, loops) triple per smoothing: the
+    class-cls_a pairing with shift +1 (weight A), then the other with shift
+    -1 (weight A^-1).  Every output is checked with is_noncrossing before
+    anything is returned.
+    """
+    d = 4 - 2 * k
+    end = at + k
+    b2 = basis(g + d)
+    outputs = []
+    for pairing_cls, shift in ((cls_a, 1), (1 - cls_a, -1)):
+        pair_m = _PAIRING[pairing_cls]
+        used = [False] * k  # absorbed ends consumed by walks
+
+        def walk(m: int) -> int:
+            """New position reached from crossing end m: alternate pairing
+            and old matching edges until leaving the absorbed block."""
+            while True:
+                e = pair_m[m]
+                if e >= k:
+                    return at + 3 - e
+                used[e] = True
+                q = mu[at + e]
+                if not at <= q < end:
+                    return q if q < at else q + d
+                m = q - at
+                used[m] = True
+
+        # old points keep their partners, shifted past the emitted ones;
+        # entries that pointed into the absorbed block are rewritten below
+        new = ([q if q < at else q + d for q in mu[:at]] + [-1] * (4 - k)
+               + [q if q < at else q + d for q in mu[end:]])
+        for m in range(k):
+            p = mu[at + m]
+            if used[m] or at <= p < end:
+                continue
+            used[m] = True
+            p = p if p < at else p + d
+            t = walk(m)
+            new[p], new[t] = t, p
+        for m in range(k, 4):
+            pos = at + 3 - m
+            if new[pos] < 0:
+                t = walk(m)
+                new[pos], new[t] = t, pos
+        # leftover absorbed ends close up into loops
+        loops = 0
+        for m in range(k):
+            if not used[m]:
+                loops += 1
+                while not used[m]:
+                    used[m] = True
+                    e = pair_m[m]
+                    used[e] = True
+                    m = mu[at + e] - at
+
+        new = tuple(new)
+        if not is_noncrossing(new):
+            raise InvariantViolation(
+                f"surgery produced a crossing matching {new} (engine bug)"
+            )
+        outputs.append((b2.index_of(new), shift, loops))
+    return outputs
+
+
+# Transition tables, one per event signature (g, at, absorb, A-smoothing
+# class), shared by every mode and every fold in the process.  Slots 2i and
+# 2i + 1 hold the two outputs of basis matching i, packed by _pack; -1 marks
+# an entry not built yet.
+_TABLES: dict[tuple[int, int, int, int], array] = {}
+
+
+def _transition_table(g: int, at: int, k: int, cls_a: int) -> array:
+    key = (g, at, k, cls_a)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = array("q", [-1]) * (2 * len(basis(g)))
+    return table
+
+
+def _pack(index: int, shift: int, loops: int) -> int:
+    """index << 3 | (shift == +1) << 2 | loops; a crossing closes at most
+    two loops, so two bits hold the count."""
+    return index << 3 | (shift > 0) << 2 | loops
 
 
 class SkeinState:
@@ -227,93 +331,32 @@ class SkeinState:
         if k > 0 and at + k > g:  # run wraps the seam: rotate it to 0
             return self.rotated(at).cross(Cross(0, k, ev.over_first, ev.crossing, ev.rot))
 
-        g2 = g + 4 - 2 * k
-        b2 = basis(g2)
-        bold = basis(g)
-        delta = LOOP_VALUES[self.mode]
         cls_a = a_smoothing_class(k, ev.over_first)
+        table = _transition_table(g, at, k, cls_a)
+        bold = basis(g)
+        mode = self.mode
         out: dict[int, LaurentPoly] = {}
-
-        def relabel_old(q: int) -> int:
-            return q if q < at else q + 4 - 2 * k
-
         for idx, poly in self.coeffs.items():
-            mu = bold.matching(idx)
-            for pairing_cls, weight in ((cls_a, A), (1 - cls_a, A_INV)):
-                pair_m = _PAIRING[pairing_cls]
-                new_pair: dict[int, int] = {}
-                used: set[int] = set()  # absorbed points consumed by walks
-
-                def terminal_of(q: int) -> tuple[str, int]:
-                    """Terminal reached from old point q (arrived via an edge):
-                    alternate pairing and matching edges until leaving the
-                    absorbed block."""
-                    while at <= q < at + k:
-                        used.add(q)
-                        m2 = pair_m[q - at]
-                        if m2 >= k:
-                            return ("new", at + (3 - m2))
-                        q2 = at + m2
-                        used.add(q2)
-                        q = mu[q2]
-                    return ("old", q)
-
-                # walks from surviving old points
-                for q0 in range(g):
-                    if at <= q0 < at + k or relabel_old(q0) in new_pair:
-                        continue
-                    kind, val = terminal_of(mu[q0])
-                    tgt = relabel_old(val) if kind == "old" else val
-                    new_pair[relabel_old(q0)] = tgt
-                    new_pair[tgt] = relabel_old(q0)
-                # walks from emitted points
-                for j in range(4 - k):
-                    pos = at + j
-                    if pos in new_pair:
-                        continue
-                    m2 = pair_m[3 - j]
-                    if m2 >= k:
-                        tgt = at + (3 - m2)
-                        new_pair[pos] = tgt
-                        new_pair[tgt] = pos
-                    else:
-                        q2 = at + m2
-                        used.add(q2)
-                        kind, val = terminal_of(mu[q2])
-                        tgt = relabel_old(val) if kind == "old" else val
-                        new_pair[pos] = tgt
-                        new_pair[tgt] = pos
-                # leftover absorbed points close up into loops
-                loops = 0
-                for q in range(at, at + k):
-                    if q in used:
-                        continue
-                    loops += 1
-                    cur = q
-                    while True:
-                        used.add(cur)
-                        nxt = at + pair_m[cur - at]
-                        used.add(nxt)
-                        cur = mu[nxt]
-                        if cur == q:
-                            break
-
-                new = tuple(new_pair[i] for i in range(g2))
-                if not is_noncrossing(new):
-                    raise InvariantViolation(
-                        f"surgery produced a crossing matching {new} (engine bug)"
-                    )
-                contrib = poly * weight
+            slot = 2 * idx
+            if table[slot] < 0:
+                # a raise leaves the entry unbuilt: both slots are written
+                # only once both outputs passed the noncrossing check
+                table[slot], table[slot + 1] = [
+                    _pack(*output) for output in _surgery(g, at, k, cls_a, bold.matching(idx))
+                ]
+            for packed in (table[slot], table[slot + 1]):
+                contrib = poly.shifted(1 if packed & 4 else -1)
+                loops = packed & 3
                 if loops:
-                    contrib = contrib * _loop_power(self.mode, loops)
-                key = b2.index_of(new)
+                    contrib = contrib * _loop_power(mode, loops)
+                key = packed >> 3
                 acc = out.get(key)
                 merged = contrib if acc is None else acc + contrib
                 if merged.is_zero():
                     out.pop(key, None)
                 else:
                     out[key] = merged
-        return SkeinState(self.mode, g2, out)
+        return SkeinState(self.mode, g + 4 - 2 * k, out)
 
     def apply(self, ev: Event) -> "SkeinState":
         if isinstance(ev, Birth):

@@ -3,6 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import skeinscan.cli as cli
+import skeinscan.engine as engine
+from skeinscan.cutorder import Cutting
+from skeinscan.skein import Cap
+
 PKG = Path(__file__).resolve().parents[1]
 HOPF = "X[1,3,2,4] X[3,1,4,2]"
 
@@ -93,6 +100,28 @@ def test_explicit_cutting_roundtrip(tmp_path):
     path.write_text(json.dumps(cutting))
     proc = run_cli("compute", "--pd", HOPF, "--order", f"@{path}")
     assert proc.stdout.strip() == "-A^4 - A^-4"
+
+
+@pytest.mark.parametrize("events", [
+    [{"type": "cross", "at": 0, "absorb": 5, "over_first": True}],
+    [{"type": "cross", "at": 0, "absorb": 2, "over_first": True}],
+    [{"type": "cap", "at": 0}],
+    [{"type": "birth", "at": 1}],
+])
+def test_cutting_that_does_not_fit_the_frontier_exits_one(tmp_path, events):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"girth": 4, "source_order": [0, 1], "events": events}))
+    proc = run_cli("compute", "--pd", HOPF, "--order", f"@{path}", expect=1)
+    assert "frontier" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_engine_frontier_fault_exits_three(monkeypatch, capsys):
+    # an engine-made cutting skips load-time validation, so a cap on an
+    # empty frontier is an engine fault, not an input error
+    monkeypatch.setattr(engine, "make_cutting", lambda *args: Cutting([Cap(0)], 2, []))
+    assert cli.main(["compute", "--pd", HOPF]) == cli.EXIT_INTERNAL
+    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_pd_from_file(tmp_path):

@@ -105,6 +105,17 @@ def test_cutting_json_roundtrip_and_replay(corpus):
         verify_cutting(d, back)
 
 
+@pytest.mark.parametrize("data", [
+    [],
+    {"events": [{"type": "cross", "at": 0}], "girth": 4, "source_order": [0]},
+    {"events": [{"type": "birth", "at": "0"}], "girth": 2, "source_order": []},
+    {"events": [], "source_order": []},
+])
+def test_from_json_rejects_malformed_cuttings(data):
+    with pytest.raises(InvalidCutting):
+        Cutting.from_json(data)
+
+
 def test_replay_rejects_wrong_diagram():
     c = greedy_cutting(TREFOIL)
     with pytest.raises(InvalidCutting):

@@ -2,10 +2,15 @@ import random
 
 import pytest
 
+import skeinscan.skein as skein
+from skeinscan.construct import braid_closure
+from skeinscan.cutorder import greedy_cutting
+from skeinscan.engine import fold_cutting
 from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly
 from skeinscan.matchings import catalan, is_noncrossing
 from skeinscan.skein import (
-    BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, SkeinState, fold_events,
+    BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, InvariantViolation, SkeinState,
+    fold_events,
 )
 
 
@@ -173,3 +178,33 @@ def test_random_event_sequences_keep_invariants(seed):
                     assert sg.span % 4 == 0
                     if mode == PKBP:
                         assert all(c > 0 for _, c in p)
+
+
+@pytest.mark.parametrize("s", range(4, 8))
+def test_transition_tables_cold_warm_and_cross_mode_agree(s):
+    # T(s, s+1): girth 2s, every fold step goes through the tables
+    d = braid_closure(list(range(1, s)) * (s + 1), s)
+    cutting = greedy_cutting(d)
+    for mode, other in ((BRACKET, PKBP), (PKBP, BRACKET)):
+        skein._TABLES.clear()
+        cold = fold_cutting(d, cutting, mode)
+        warm = fold_cutting(d, cutting, mode)
+        skein._TABLES.clear()
+        fold_cutting(d, cutting, other)
+        shared = fold_cutting(d, cutting, mode)
+        assert all(check["ok"] for check in cold[1].values())
+        assert warm == cold
+        assert shared == cold
+
+
+def test_failed_surgery_check_leaves_no_table_entry(monkeypatch):
+    skein._TABLES.clear()
+    state = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
+    monkeypatch.setattr(skein, "is_noncrossing", lambda m: False)
+    with pytest.raises(InvariantViolation):
+        state.cross(Cross(1, 2, True))
+    monkeypatch.undo()
+    assert all(slot == -1 for key, t in skein._TABLES.items() if key[0] == 4 for slot in t)
+    after = state.cross(Cross(1, 2, True))
+    skein._TABLES.clear()
+    assert after == state.cross(Cross(1, 2, True))

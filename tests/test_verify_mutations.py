@@ -1,9 +1,14 @@
 """The verification suites must detect deliberately broken builds: flipping
 the loop value's sign, the smoothing weight assignment, or the state-size
-cap each has to turn at least one suite red."""
+cap each has to turn at least one suite red, and so must a transition table
+that answers for the wrong smoothing class or holds a corrupted entry."""
+
+import pytest
 
 import skeinscan.engine as engine
 import skeinscan.skein as skein
+from skeinscan.construct import braid_closure
+from skeinscan.engine import compute_bracket
 from skeinscan.laurent import DELTA_PLUS
 from skeinscan.verify import run_verify
 
@@ -37,3 +42,32 @@ def test_broken_state_cap_detected(monkeypatch):
     report = run_verify(max_n=6)
     assert not report["ok"]
     assert not report["suites"]["invariants"]["ok"]
+
+
+@pytest.fixture
+def fresh_tables():
+    skein._TABLES.clear()
+    yield skein._TABLES
+    skein._TABLES.clear()
+
+
+def test_flipped_smoothing_convention_detected_with_warm_tables(monkeypatch, fresh_tables):
+    # warm every table the suites use under the true convention; they must
+    # not answer for the flipped one, so the cache is keyed on the
+    # smoothing class, not on the crossing's over_first flag
+    assert run_verify(max_n=6)["ok"]
+    original = skein.a_smoothing_class
+    monkeypatch.setattr(skein, "a_smoothing_class", lambda k, f: 1 - original(k, f))
+    report = run_verify(max_n=6)
+    assert not report["ok"]
+    assert not report["suites"]["oracle_equivalence"]["ok"]
+
+
+def test_corrupted_table_entry_detected(fresh_tables):
+    compute_bracket(braid_closure([1, 1, 1], 2))
+    # the first crossing of a fold meets the empty frontier; point the
+    # entry's A-smoothing at the other matching of four points
+    table = next(t for key, t in fresh_tables.items() if key[0] == 0)
+    table[0] ^= 1 << 3
+    report = run_verify(max_n=6)
+    assert not report["ok"]
