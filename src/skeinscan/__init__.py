@@ -28,7 +28,7 @@ from .engine import (
     expand_tangle,
 )
 from .laurent import DELTA, DELTA_PLUS, LaurentPoly
-from .matchings import Matching, catalan, enumerate_matchings, glue_loop_count
+from .matchings import Matching, catalan, glue_loop_count
 from .oracle import brute_force_bracket, brute_force_tangle_expansion
 from .planar import Checkerboarding, Diagram, DiagramStats, checkerboard, parse_pd, stats, trace_faces, writhe
 from .skein import BRACKET, PKBP, Birth, Cap, Cross, SkeinState
@@ -66,7 +66,6 @@ __all__ = [
     "compute_pkbp",
     "connected_sum",
     "disjoint_union",
-    "enumerate_matchings",
     "exact_min_girth",
     "expand_tangle",
     "glue_loop_count",

@@ -4,6 +4,13 @@ These are the basis objects of the state space: a matching stands for the
 crossingless, loopless way the scanned part of a diagram can connect its
 frontier points.  There are Catalan(g/2) of them; each is represented by its
 involution array ``pair_of`` where ``pair_of[i] == j`` iff i and j are joined.
+
+States key their coefficients by small integer ids.  ``basis(g)`` is an
+intern table that issues the next id the first time it sees a matching, so
+no frontier's matchings are enumerated before the fold reaches them; ids are
+not ranks, and canonical order is the lexicographic order of the matchings
+themselves.  ``noncrossing_matchings`` enumerates them all, in that order,
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -79,29 +86,31 @@ def noncrossing_matchings(g: int) -> tuple[Matching, ...]:
     return tuple(out)
 
 
-def enumerate_matchings(g: int) -> list[Matching]:
-    return list(noncrossing_matchings(g))
-
-
 class Basis:
-    """Interning table for the matchings on g points.
+    """Intern table for the matchings on g points.
 
-    Maps each matching to its dense rank in the canonical enumeration so
-    state maps can be keyed by small integers.
+    Starts empty; ``index_of`` issues ids 0, 1, 2, ... in order of first
+    sight, so state maps and transition tables can be keyed by small
+    integers.  Callers intern only checked noncrossing matchings, so ids stay
+    below Catalan(g/2).
     """
 
     __slots__ = ("g", "matchings", "_index")
 
     def __init__(self, g: int):
         self.g = g
-        self.matchings = noncrossing_matchings(g)
-        self._index = {m: i for i, m in enumerate(self.matchings)}
+        self.matchings: list[Matching] = []
+        self._index: dict[Matching, int] = {}
 
     def __len__(self) -> int:
         return len(self.matchings)
 
     def index_of(self, m: Matching) -> int:
-        return self._index[m]
+        idx = self._index.get(m)
+        if idx is None:
+            idx = self._index[m] = len(self.matchings)
+            self.matchings.append(m)
+        return idx
 
     def matching(self, idx: int) -> Matching:
         return self.matchings[idx]
@@ -141,26 +150,3 @@ def format_matching(m: Matching) -> str:
     if not m:
         return "()"
     return "".join(f"({i} {j})" for i, j in enumerate(m) if i < j)
-
-
-def parse_matching(text: str) -> Matching:
-    text = text.strip()
-    if text in ("()", ""):
-        return ()
-    pairs = []
-    for chunk in text.replace(")(", ")|(").split("|"):
-        chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"bad matching chunk {chunk!r}")
-        i, j = chunk[1:-1].split()
-        pairs.append((int(i), int(j)))
-    g = 2 * len(pairs)
-    pair_of = [-1] * g
-    for i, j in pairs:
-        if not (0 <= i < g and 0 <= j < g) or pair_of[i] != -1 or pair_of[j] != -1:
-            raise ValueError(f"invalid pairing in {text!r}")
-        pair_of[i], pair_of[j] = j, i
-    m = tuple(pair_of)
-    if not is_noncrossing(m):
-        raise ValueError(f"{text!r} is not a noncrossing matching")
-    return m

@@ -236,9 +236,6 @@ class FaceTrace:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def interior_count(self) -> int:
-        return sum(1 for f in self.faces if not f.touches_boundary)
-
 
 def _crossing_pieces(d: Diagram) -> list[int]:
     """Union-find over crossings joined by shared arcs; returns piece id per crossing."""

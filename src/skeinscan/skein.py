@@ -16,24 +16,37 @@ In ``bracket`` mode a closed loop contributes -A^2 - A^-2; ``pkbp`` mode uses
 A^2 + A^-2 instead (identical otherwise), which keeps every coefficient
 positive because nothing can cancel.
 
-Positions are circular.  An event whose span would cross the seam between
-position g-1 and 0 first rotates the labelling so its run starts at 0; the
-rotation is part of the event's defined semantics, so any replayer tracking
-frontier tokens stays aligned by applying the same rule.
+All three events are one operation: a small piece is glued onto the
+frontier, absorbing k consecutive points and emitting the rest of its ends,
+and the result is expanded over the piece's smoothings.  A birth (k = 0) and
+a cap (k = 2) glue an arc, whose two ends are joined with weight 1; a
+crossing glues four ends, joined one way with weight A and the other way
+with weight A^-1.  ``SkeinState._glue`` does this for every event.
 
-Crossing surgery is compiled into transition tables.  What a crossing does
-to one matching depends only on the event signature (g, at, absorb, class of
-the A-smoothing) and the matching, so each signature gets one process-wide
-``array('q')`` of 2 * Catalan(g/2) entries, 16 * Catalan(g/2) bytes: slots
-2i and 2i + 1 hold the two outputs of basis matching i as
-``index << 3 | (shift == +1) << 2 | loops`` (output basis index, the sign of
-the A^+-1 factor, the number of closed loops), and -1 until first needed.
-An entry is built the first time a fold meets its matching, and is written
-only after both outputs have passed ``is_noncrossing``, so the check runs
-once per table entry rather than once per fold step, and a failed check
+Positions are circular.  A piece that absorbs nothing is inserted at one of
+the g + 1 gaps 0..g.  A piece that absorbs k > 0 points takes its position
+mod g, and a run that would cross the seam between position g-1 and 0 first
+rotates the labelling so it starts at 0; the rotation is part of the event's
+defined semantics, so any replayer tracking frontier tokens stays aligned by
+applying the same rule.
+
+Surgery is compiled into transition tables.  What a piece does to one
+matching depends only on the event signature (g, at, k, smoothings) and the
+matching, so each signature gets one process-wide ``array('q')`` of
+width * Catalan(g/2) entries, where width is the number of smoothings:
+slot width * i + j holds the output of smoothing j on the matching with id
+i as ``index << 3 | loops`` (the output's id and the number of closed
+loops), and -1 until first needed.  Ids come from ``matchings.basis``, which
+interns each matching the first time it is seen, so the tables and the
+state maps share one id space and no frontier's matchings are enumerated up
+front.  An entry is built the first time a fold meets its matching, and is
+written only after every output has passed ``is_noncrossing``, so the check
+runs once per table entry rather than once per fold step, and a failed check
 leaves nothing behind.  Tables hold loop counts, not loop values, so every
-mode shares them; a fold step then costs a shift by A^+-1, a multiplication
-by a power of the loop value when a loop closed, and a merge.
+mode shares them; a fold step then costs a shift by the smoothing's power of
+A, a multiplication by a power of the loop value when a loop closed, and a
+merge.  Canonical order is the lexicographic order of the matchings
+themselves, restored by sorting whenever a state is listed.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly
-from .matchings import Matching, basis, is_noncrossing
+from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
 BRACKET = "bracket"
 PKBP = "pkbp"
@@ -56,7 +69,8 @@ class EmptyFrontier(ValueError):
 
 
 class FrontierTooSmall(ValueError):
-    """Raised when a crossing tries to absorb more points than exist."""
+    """Raised when an event does not fit the frontier: it absorbs more points
+    than exist or than its piece has ends, or inserts outside gaps 0..g."""
 
 
 class InvariantViolation(RuntimeError):
@@ -114,33 +128,39 @@ def a_smoothing_class(absorb: int, over_first: bool) -> int:
     return 1 if over_first else 0
 
 
-_PAIRING = {0: (1, 0, 3, 2), 1: (3, 2, 1, 0)}
+# The pieces the events glue on: per smoothing, the pairing of the piece's
+# ends (indexed as in a_smoothing_class) and the exponent of A it carries.
+# Built once here, so an event only picks one.
+_ARC = (((1, 0), 0),)
+_CROSSINGS = {
+    0: (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1)),
+    1: (((3, 2, 1, 0), 1), ((1, 0, 3, 2), -1)),
+}
 
 
-def _surgery(g: int, at: int, k: int, cls_a: int, mu: Matching) -> list[tuple[int, int, int]]:
-    """Glue a crossing onto one matching: absorb the k points at..at+k-1 of
-    mu and emit 4 - k new ones at `at`.
+def _surgery(g: int, at: int, k: int, smoothings, mu: Matching) -> list[int]:
+    """Glue a piece onto one matching: absorb the k points at..at+k-1 of mu
+    and emit the piece's other ends at `at`.
 
-    Returns one (output basis index, shift, loops) triple per smoothing: the
-    class-cls_a pairing with shift +1 (weight A), then the other with shift
-    -1 (weight A^-1).  Every output is checked with is_noncrossing before
-    anything is returned.
+    Returns one packed table entry, output id << 3 | closed loops, per
+    smoothing, in the order of `smoothings`.  Every output is checked with
+    is_noncrossing before it is interned or anything is returned.
     """
-    d = 4 - 2 * k
+    ends = len(smoothings[0][0])
+    d = ends - 2 * k
     end = at + k
     b2 = basis(g + d)
     outputs = []
-    for pairing_cls, shift in ((cls_a, 1), (1 - cls_a, -1)):
-        pair_m = _PAIRING[pairing_cls]
+    for pair_m, _ in smoothings:
         used = [False] * k  # absorbed ends consumed by walks
 
         def walk(m: int) -> int:
-            """New position reached from crossing end m: alternate pairing
-            and old matching edges until leaving the absorbed block."""
+            """New position reached from piece end m: alternate pairing and
+            old matching edges until leaving the absorbed block."""
             while True:
                 e = pair_m[m]
                 if e >= k:
-                    return at + 3 - e
+                    return at + ends - 1 - e
                 used[e] = True
                 q = mu[at + e]
                 if not at <= q < end:
@@ -150,7 +170,7 @@ def _surgery(g: int, at: int, k: int, cls_a: int, mu: Matching) -> list[tuple[in
 
         # old points keep their partners, shifted past the emitted ones;
         # entries that pointed into the absorbed block are rewritten below
-        new = ([q if q < at else q + d for q in mu[:at]] + [-1] * (4 - k)
+        new = ([q if q < at else q + d for q in mu[:at]] + [-1] * (ends - k)
                + [q if q < at else q + d for q in mu[end:]])
         for m in range(k):
             p = mu[at + m]
@@ -160,8 +180,8 @@ def _surgery(g: int, at: int, k: int, cls_a: int, mu: Matching) -> list[tuple[in
             p = p if p < at else p + d
             t = walk(m)
             new[p], new[t] = t, p
-        for m in range(k, 4):
-            pos = at + 3 - m
+        for m in range(k, ends):
+            pos = at + ends - 1 - m
             if new[pos] < 0:
                 t = walk(m)
                 new[pos], new[t] = t, pos
@@ -181,29 +201,25 @@ def _surgery(g: int, at: int, k: int, cls_a: int, mu: Matching) -> list[tuple[in
             raise InvariantViolation(
                 f"surgery produced a crossing matching {new} (engine bug)"
             )
-        outputs.append((b2.index_of(new), shift, loops))
+        # a piece closes at most ends // 2 <= 2 loops, so three bits hold them
+        outputs.append(b2.index_of(new) << 3 | loops)
     return outputs
 
 
-# Transition tables, one per event signature (g, at, absorb, A-smoothing
-# class), shared by every mode and every fold in the process.  Slots 2i and
-# 2i + 1 hold the two outputs of basis matching i, packed by _pack; -1 marks
-# an entry not built yet.
-_TABLES: dict[tuple[int, int, int, int], array] = {}
+# Transition tables, one per event signature (g, at, k, smoothings), shared
+# by every mode and every fold in the process.  Slot width * i + j holds the
+# output of smoothing j on the matching with id i, as packed by _surgery; -1
+# marks an entry not built yet.  Entries hold ids of ``basis``, so the tables
+# are only valid together with the intern tables that issued them.
+_TABLES: dict[tuple, array] = {}
 
 
-def _transition_table(g: int, at: int, k: int, cls_a: int) -> array:
-    key = (g, at, k, cls_a)
+def _transition_table(g: int, at: int, k: int, smoothings) -> array:
+    key = (g, at, k, smoothings)
     table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[key] = array("q", [-1]) * (2 * len(basis(g)))
+        table = _TABLES[key] = array("q", [-1]) * (len(smoothings) * catalan(g // 2))
     return table
-
-
-def _pack(index: int, shift: int, loops: int) -> int:
-    """index << 3 | (shift == +1) << 2 | loops; a crossing closes at most
-    two loops, so two bits hold the count."""
-    return index << 3 | (shift > 0) << 2 | loops
 
 
 class SkeinState:
@@ -220,13 +236,14 @@ class SkeinState:
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
-        return cls(mode, 0, {0: ONE})
+        return cls(mode, 0, {basis(0).index_of(()): ONE})
 
-    def items(self):
-        """(matching, coefficient) pairs in canonical basis order."""
+    def items(self) -> list[tuple[Matching, LaurentPoly]]:
+        """(matching, coefficient) pairs in canonical order: the matchings
+        sorted lexicographically, whatever order their ids were issued in."""
         b = basis(self.g)
-        for idx in sorted(self.coeffs):
-            yield b.matching(idx), self.coeffs[idx]
+        return sorted(((b.matching(idx), poly) for idx, poly in self.coeffs.items()),
+                      key=lambda item: item[0])
 
     def matching_dict(self) -> dict[Matching, LaurentPoly]:
         return dict(self.items())
@@ -235,8 +252,6 @@ class SkeinState:
         return len(self.coeffs)
 
     def dump_lines(self) -> list[str]:
-        from .matchings import format_matching
-
         return [f"{format_matching(m)} : {p}" for m, p in self.items()]
 
     def __eq__(self, other: object) -> bool:
@@ -264,89 +279,44 @@ class SkeinState:
         return SkeinState(self.mode, g, out)
 
     def birth(self, at: int) -> "SkeinState":
-        if not 0 <= at <= self.g:
-            raise FrontierTooSmall(f"birth at {at} on frontier of {self.g}")
-        g2 = self.g + 2
-        b2 = basis(g2)
-        out: dict[int, LaurentPoly] = {}
-        bold = basis(self.g)
-        for idx, poly in self.coeffs.items():
-            mu = bold.matching(idx)
-
-            def shift(x: int) -> int:
-                return x if x < at else x + 2
-
-            new = [0] * g2
-            for i, j in enumerate(mu):
-                new[shift(i)] = shift(j)
-            new[at], new[at + 1] = at + 1, at
-            out[b2.index_of(tuple(new))] = poly
-        return SkeinState(self.mode, g2, out)
+        return self._glue(at, 0, _ARC)
 
     def cap(self, at: int) -> "SkeinState":
         if self.g < 2:
             raise EmptyFrontier("cap needs at least two frontier points")
-        at %= self.g
-        if at == self.g - 1:  # wraps the seam: rotate so the pair sits at 0,1
-            return self.rotated(at).cap(0)
-        g2 = self.g - 2
-        b2 = basis(g2)
-        bold = basis(self.g)
-        delta = LOOP_VALUES[self.mode]
-        out: dict[int, LaurentPoly] = {}
-        for idx, poly in self.coeffs.items():
-            mu = bold.matching(idx)
-
-            def shift(x: int) -> int:
-                return x if x < at else x - 2
-
-            if mu[at] == at + 1:
-                new = tuple(shift(mu[shift_inv]) for shift_inv in
-                            [i for i in range(self.g) if i not in (at, at + 1)])
-                poly = poly * delta
-            else:
-                a, b = mu[at], mu[at + 1]
-                pair = dict(enumerate(mu))
-                pair[a], pair[b] = b, a
-                del pair[at], pair[at + 1]
-                new = tuple(shift(pair[i]) for i in sorted(pair))
-            key = b2.index_of(new)
-            acc = out.get(key)
-            merged = poly if acc is None else acc + poly
-            if merged.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = merged
-        return SkeinState(self.mode, g2, out)
+        return self._glue(at, 2, _ARC)
 
     def cross(self, ev: Cross) -> "SkeinState":
-        g, k = self.g, ev.absorb
-        if not 0 <= k <= 4:
-            raise ValueError(f"absorb must be 0..4, got {k}")
-        if k > g:
-            raise FrontierTooSmall(f"absorb {k} from frontier of {g}")
-        at = ev.at % g if g else 0
-        if k == 0 and ev.at == g:
-            at = g  # insertion at the seam
-        if k > 0 and at + k > g:  # run wraps the seam: rotate it to 0
-            return self.rotated(at).cross(Cross(0, k, ev.over_first, ev.crossing, ev.rot))
+        return self._glue(ev.at, ev.absorb, _CROSSINGS[a_smoothing_class(ev.absorb, ev.over_first)])
 
-        cls_a = a_smoothing_class(k, ev.over_first)
-        table = _transition_table(g, at, k, cls_a)
+    def _glue(self, at: int, k: int, smoothings) -> "SkeinState":
+        """Glue a piece absorbing the k points from `at` on, and expand the
+        result over its smoothings (see the module docstring)."""
+        g, ends = self.g, len(smoothings[0][0])
+        if not 0 <= k <= min(ends, g):
+            raise FrontierTooSmall(f"piece absorbing {k} points on frontier of {g}")
+        if k == 0:
+            if not 0 <= at <= g:
+                raise FrontierTooSmall(f"insertion at {at} on frontier of {g}")
+        else:
+            at %= g
+            if at + k > g:  # run wraps the seam: rotate it to 0
+                return self.rotated(at)._glue(0, k, smoothings)
+
+        table = _transition_table(g, at, k, smoothings)
+        width = len(smoothings)
         bold = basis(g)
         mode = self.mode
         out: dict[int, LaurentPoly] = {}
         for idx, poly in self.coeffs.items():
-            slot = 2 * idx
+            slot = width * idx
             if table[slot] < 0:
-                # a raise leaves the entry unbuilt: both slots are written
-                # only once both outputs passed the noncrossing check
-                table[slot], table[slot + 1] = [
-                    _pack(*output) for output in _surgery(g, at, k, cls_a, bold.matching(idx))
-                ]
-            for packed in (table[slot], table[slot + 1]):
-                contrib = poly.shifted(1 if packed & 4 else -1)
-                loops = packed & 3
+                # a raise leaves the entry unbuilt: its slots are written
+                # only once every output passed the noncrossing check
+                table[slot:slot + width] = array("q", _surgery(g, at, k, smoothings, bold.matching(idx)))
+            for (_, shift), packed in zip(smoothings, table[slot:slot + width]):
+                contrib = poly.shifted(shift) if shift else poly
+                loops = packed & 7
                 if loops:
                     contrib = contrib * _loop_power(mode, loops)
                 key = packed >> 3
@@ -356,7 +326,7 @@ class SkeinState:
                     out.pop(key, None)
                 else:
                     out[key] = merged
-        return SkeinState(self.mode, g + 4 - 2 * k, out)
+        return SkeinState(self.mode, g + ends - 2 * k, out)
 
     def apply(self, ev: Event) -> "SkeinState":
         if isinstance(ev, Birth):

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+import skeinscan.matchings as matchings
 import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import fold_cutting
 from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly
-from skeinscan.matchings import catalan, is_noncrossing
+from skeinscan.matchings import basis, catalan, is_noncrossing, noncrossing_matchings
 from skeinscan.skein import (
-    BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, InvariantViolation, SkeinState,
-    fold_events,
+    BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, FrontierTooSmall, InvariantViolation,
+    SkeinState, fold_events,
 )
 
 
@@ -38,7 +39,7 @@ def test_double_birth_at_zero_nests():
 
 
 def test_birth_never_touches_coefficients():
-    s = SkeinState(BRACKET, 2, {0: LaurentPoly({3: 7})})
+    s = SkeinState(BRACKET, 2, {basis(2).index_of((1, 0)): LaurentPoly({3: 7})})
     s2 = s.birth(1)
     assert list(s2.coeffs.values()) == [LaurentPoly({3: 7})]
 
@@ -56,8 +57,9 @@ def test_cap_positive_mode():
 
 def test_cap_reconnects_partners():
     # (0 1)(2 3) capped at position 1 joins the partners 0 and 3
-    s = SkeinState(BRACKET, 4, {0: LaurentPoly.one()})
-    assert SkeinState(BRACKET, 4, {0: LaurentPoly.one()}).g == 4
+    idx = basis(4).index_of((1, 0, 3, 2))
+    s = SkeinState(BRACKET, 4, {idx: LaurentPoly.one()})
+    assert SkeinState(BRACKET, 4, {idx: LaurentPoly.one()}).g == 4
     s2 = s.cap(1)
     assert coeffs_of(s2) == {(1, 0): LaurentPoly.one()}
 
@@ -74,6 +76,25 @@ def test_cap_wraps_seam():
 def test_cap_empty_frontier():
     with pytest.raises(EmptyFrontier):
         SkeinState.initial(BRACKET).cap(0)
+
+
+def test_absorb_outside_piece_is_typed():
+    s = fold_events(BRACKET, [Cross(0, 0, True), Birth(0)])  # g = 6
+    for absorb in (-1, 5):
+        with pytest.raises(FrontierTooSmall):
+            s.cross(Cross(0, absorb, True))
+
+
+def test_insertion_outside_gaps_is_typed():
+    # a piece absorbing nothing goes into one of the gaps 0..g; it is not
+    # wrapped mod g
+    s = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))  # g = 4
+    assert s.cross(Cross(4, 0, True)).g == 8
+    for at in (-1, 5):
+        with pytest.raises(FrontierTooSmall):
+            s.cross(Cross(at, 0, True))
+        with pytest.raises(FrontierTooSmall):
+            s.birth(at)
 
 
 def test_single_crossing_expansion():
@@ -200,11 +221,53 @@ def test_transition_tables_cold_warm_and_cross_mode_agree(s):
 def test_failed_surgery_check_leaves_no_table_entry(monkeypatch):
     skein._TABLES.clear()
     state = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
+    events = (Cross(1, 2, True), Birth(1), Cap(1))
     monkeypatch.setattr(skein, "is_noncrossing", lambda m: False)
-    with pytest.raises(InvariantViolation):
-        state.cross(Cross(1, 2, True))
+    for ev in events:
+        with pytest.raises(InvariantViolation):
+            state.apply(ev)
     monkeypatch.undo()
     assert all(slot == -1 for key, t in skein._TABLES.items() if key[0] == 4 for slot in t)
-    after = state.cross(Cross(1, 2, True))
+    for ev in events:
+        after = state.apply(ev)
+        skein._TABLES.clear()
+        assert after == state.apply(ev)
+
+
+@pytest.fixture
+def fresh_ids():
+    """Empty intern tables; transition tables hold interned ids, so both are
+    cleared together."""
     skein._TABLES.clear()
-    assert after == state.cross(Cross(1, 2, True))
+    matchings.basis.cache_clear()
+    yield
+    skein._TABLES.clear()
+    matchings.basis.cache_clear()
+
+
+@pytest.mark.parametrize("s", range(4, 7))
+def test_fold_interns_without_enumerating(monkeypatch, fresh_ids, s):
+    def no_enumeration(g):
+        raise AssertionError(f"enumerated all matchings on {g} points")
+
+    monkeypatch.setattr(matchings, "noncrossing_matchings", no_enumeration)
+    d = braid_closure(list(range(1, s)) * (s + 1), s)
+    cutting = greedy_cutting(d)
+    state, report, peak = fold_cutting(d, cutting, BRACKET)
+    assert all(check["ok"] for check in report.values())
+    assert state.g == 0 and peak == catalan(s)
+    for g in range(0, cutting.girth + 1, 2):
+        assert len(basis(g)) <= catalan(g // 2)
+
+
+def test_dump_lines_sorted_when_ids_issued_in_reverse(fresh_ids):
+    for g in (4, 6):
+        for m in reversed(noncrossing_matchings(g)):
+            basis(g).index_of(m)
+    s = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
+    assert sorted(s.coeffs) == [basis(4).index_of((3, 2, 1, 0)), basis(4).index_of((1, 0, 3, 2))]
+    assert s.dump_lines() == ["(0 1)(2 3) : A^-1", "(0 3)(1 2) : A"]
+    s6 = s.cross(Cross(1, 1, False))
+    ms = [m for m, _ in s6.items()]
+    assert len(ms) > 2 and ms == sorted(ms)
+    assert [basis(6).matching(idx) for idx in sorted(s6.coeffs)] == sorted(ms, reverse=True)
