@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from .construct import braid_closure, torus_link
-from .cutorder import Cutting, InvalidCutting, InvalidOrder, TooLarge, sqrt_bound_check, verify_cutting
+from .cutorder import Cutting, InvalidCutting, InvalidOrder, TooLarge, sqrt_bound_check
 from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle, fold_cutting, make_cutting
 from .laurent import NotDivisible
 from .matchings import catalan, format_matching
@@ -74,8 +74,6 @@ def _parse_orientation(text: str | None):
 def cmd_compute(args) -> int:
     d = _read_pd(args.pd)
     order = _read_order(args.order)
-    if isinstance(order, Cutting):
-        verify_cutting(d, order)
     if args.trace:
         cutting = make_cutting(d, order, args.seed)
 

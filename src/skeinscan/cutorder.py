@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .planar import Diagram
+from .planar import Diagram, crossing_pieces
 from .skein import Birth, Cap, Cross, Event
 
 # Cutwidth of a 4-valent planar graph is at most this constant times sqrt(n).
@@ -137,8 +137,7 @@ class _Scan:
             for s, a in enumerate(c.arcs):
                 self.arc_slots.setdefault(a, []).append((ci, s))
         self.bdy = set(d.boundary_arcs)
-        from .planar import _crossing_pieces
-        self.piece = _crossing_pieces(d)
+        self.piece = crossing_pieces(d)
         self.piece_members: dict[int, list[int]] = {}
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
@@ -187,39 +186,32 @@ class _Scan:
             best = ()
         return (frozenset(self.processed), best)
 
-    def _bump(self) -> None:
-        self.girth = max(self.girth, len(self.frontier))
-
-    def _rotate(self, r: int) -> None:
-        self.frontier = self.frontier[r:] + self.frontier[:r]
-        self.targets = self.targets[r:] + self.targets[:r]
-
     # -- elementary steps ----------------------------------------------------
 
+    def _splice(self, at: int, k: int, tokens: list[int], targets: list[int | None]) -> None:
+        """Replace the k tokens from position `at` on by `tokens`.  A run
+        that wraps the seam is first rotated to start at 0, the rule
+        SkeinState._glue applies to the matchings."""
+        if k and at + k > len(self.frontier):
+            self.frontier = self.frontier[at:] + self.frontier[:at]
+            self.targets = self.targets[at:] + self.targets[:at]
+            at = 0
+        self.frontier[at:at + k] = tokens
+        self.targets[at:at + k] = targets
+        self.girth = max(self.girth, len(self.frontier))
+
     def emit_birth(self, arc: int, at: int, tgt: tuple[int | None, int | None] = (None, None)) -> None:
-        self.frontier[at:at] = [arc, arc]
-        self.targets[at:at] = list(tgt)
         self.events.append(Birth(at))
-        self._bump()
+        self._splice(at, 0, [arc, arc], list(tgt))
 
     def emit_cap(self, at: int) -> None:
-        g = len(self.frontier)
         self.events.append(Cap(at))
-        if at == g - 1 and g >= 2:
-            self._rotate(at)
-            at = 0
-        del self.frontier[at:at + 2]
-        del self.targets[at:at + 2]
+        self._splice(at, 2, [], [])
 
     def free_loop_events(self) -> None:
         for _ in range(self.d.free_loops):
-            self.frontier[0:0] = [0, 0]  # throwaway token label
-            self.targets[0:0] = [None, None]
-            self.events.append(Birth(0))
-            self._bump()
-            self.events.append(Cap(0))
-            del self.frontier[0:2]
-            del self.targets[0:2]
+            self.emit_birth(0, 0)  # throwaway token label
+            self.emit_cap(0)
 
     def plain_chord_events(self) -> None:
         """Birth every crossingless boundary chord, outermost first.
@@ -380,7 +372,6 @@ class _Scan:
         return g
 
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
-        g = len(self.frontier)
         c = self.d.crossings[ci]
         if k > 0:
             over_first = (rot % 2) == c.over
@@ -389,15 +380,10 @@ class _Scan:
             if self.piece[ci] in self.piece_on_boundary:
                 self.fresh_starts.append(self.piece[ci])
         self.events.append(Cross(at, k, over_first, ci, rot))
-        if k > 0 and at + k > g:  # wraps: rotate so the run starts at 0
-            self._rotate(at)
-            at = 0
         emitted = [c.arcs[(rot + 1 + j) % 4] for j in range(4 - k)]
-        self.frontier[at:at + k] = emitted
-        self.targets[at:at + k] = [self.target_index.get(a) for a in emitted]
+        self._splice(at, k, emitted, [self.target_index.get(a) for a in emitted])
         self.processed.add(ci)
         self.started_pieces.add(self.piece[ci])
-        self._bump()
         self.cascade_caps()
 
     def fresh_rot(self, ci: int) -> int:
@@ -610,11 +596,12 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
     base.prologue()
     counter = 0
     heap: list[tuple[int, int]] = []  # (peak, entry id)
-    entries: dict[int, tuple[_Scan, list[int], bool]] = {}
+    # entry id -> (scan, order, final rotation once the scan is complete)
+    entries: dict[int, tuple[_Scan, list[int], int | None]] = {}
 
-    def push(scan: _Scan, order: list[int], peak: int, done: bool = False):
+    def push(scan: _Scan, order: list[int], peak: int, rot: int | None = None):
         nonlocal counter
-        entries[counter] = (scan, order, done)
+        entries[counter] = (scan, order, rot)
         heapq.heappush(heap, (peak, counter))
         counter += 1
 
@@ -622,19 +609,21 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
     push(base, [], base.girth)
     while heap:
         peak, eid = heapq.heappop(heap)
-        scan, order, done = entries.pop(eid)
-        if done:
-            probe = scan.clone()
-            rot = probe.finish()
-            return Cutting(probe.events, probe.girth, order, rot)
+        scan, order, rot = entries.pop(eid)
+        if rot is not None:
+            return Cutting(scan.events, scan.girth, order, rot)
         key = scan.state_key()
         if settled.get(key, 1 << 30) <= peak:
             continue
         settled[key] = peak
         if len(scan.processed) == d.n:
-            probe = scan.clone()
-            probe.finish()  # finishing births can raise the peak
-            push(scan, order, max(peak, probe.girth), done=True)
+            try:
+                rot = scan.finish()
+            except InvalidOrder:
+                continue  # complete, but not onto the declared boundary
+            # queued rather than returned, so entries of equal peak pushed
+            # earlier keep their turn
+            push(scan, order, peak, rot)
             continue
         for ci, mv in _available_moves(scan, all_fresh=True):
             child = scan.clone()
@@ -695,7 +684,10 @@ def sqrt_bound_check(d: Diagram, cutting: Cutting) -> dict:
 def verify_cutting(d: Diagram, cutting: Cutting) -> None:
     """Replay an explicit cutting against the diagram, checking that every
     event is a legal disk step and the replay reconstructs the diagram,
-    the recorded girth, and the recorded cap/birth bookkeeping exactly."""
+    the recorded girth, and the recorded cap/birth bookkeeping exactly.
+    Like the searches, it starts each piece of the diagram (a connected
+    set of crossings) fresh only once; the fold's component count relies
+    on that."""
     scan = _Scan(d)
     scan.prologue()
     events = cutting.events
@@ -706,13 +698,15 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
     while pos < len(events):
         ev = events[pos]
         if not isinstance(ev, Cross):
-            break  # trailing births of crossingless chords belong to finish()
+            break  # births and caps come from the replay; the final comparison rejects this
         ci = ev.crossing
         if ci is None or not 0 <= ci < d.n or ci in scan.processed:
             raise InvalidCutting(f"bad crossing reference in {ev}")
         if ev.absorb == 0:
             if scan.token_runs(ci):
                 raise InvalidCutting(f"{ev} ignores frontier arcs of crossing {ci}")
+            if scan.piece[ci] in scan.started_pieces:
+                raise InvalidCutting(f"{ev} starts crossing {ci}'s piece a second time")
             over = d.crossings[ci].over
             rot = ev.rot if ev.rot is not None else (3 if ev.over_first == (over == 0) else 2)
             if ev.over_first != (((rot + 1) % 2) == over):
@@ -729,8 +723,9 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
             if mv is None:
                 raise InvalidCutting(f"{ev} is not a legal gluing here")
             scan.apply_cross(ci, *mv)
-        pos = len(scan.events)
-        if events[:pos] != scan.events:
+        # the prefix before this crossing already matched
+        start, pos = pos, len(scan.events)
+        if events[start:pos] != scan.events[start:pos]:
             raise InvalidCutting("recorded events diverge from the replay")
     try:
         rot = scan.finish()

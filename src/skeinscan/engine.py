@@ -1,12 +1,11 @@
 """Top-level computations: bracket, positive variant, tangle expansion, and
 the writhe-normalized Jones polynomial.
 
-The fold replays a cutting's events through the skein state machine while a
-tracker maintains the partial tangle's crossing count n, component count c,
-and frontier size g.  After every event the structural invariants are
-checked and any violation is recorded in the diagnostics (they all encode
-theorems, so a violation means an engine bug or a deliberately mutated
-build):
+The fold replays a cutting's events through the skein state machine.  After
+every event the structural invariants are checked against the partial
+tangle's crossing count n, component count c and frontier size g, and any
+violation is recorded in the diagnostics (they all encode theorems, so a
+violation means an engine bug or a deliberately mutated build):
 
 * every coefficient's exponents agree mod 4, and its span is a multiple of 4;
 * every coefficient's span is at most 4(n + c) - 2g;
@@ -15,6 +14,18 @@ build):
 * the state holds at most Catalan(g/2) matchings, and each coefficient has
   at most n + c - g/2 + 1 terms;
 * in positive mode every integer coefficient is strictly positive.
+
+n counts the Cross events so far.  c is the number of pieces of the diagram
+(connected sets of crossings, ``crossing_pieces``) that some Cross event so
+far belongs to, plus the births so far.  This holds because every cutting
+starts a piece fresh (absorbing nothing) only while none of its crossings is
+processed -- the searches offer fresh starts of unstarted pieces only, and
+``compile_order`` and ``verify_cutting`` reject the rest -- and from then on
+every crossing of the piece absorbs ends of that piece's one partial
+component, so components never merge: each started piece is one component,
+and so is each birth (a free loop or a crossingless boundary chord).  A
+cutting that broke the rule would make c too small, which only tightens the
+bounds: it can raise a false alarm, never hide a violation.
 
 The raw fold closes every loop with the loop value, so a closed diagram
 yields loop_value * result; one exact division restores the normalization
@@ -26,11 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check
+from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check, verify_cutting
 from .laurent import MIXED, LaurentPoly
 from .matchings import Matching, catalan
-from .planar import DARK, LIGHT, Diagram, checkerboard, trace_faces, writhe
-from .skein import BRACKET, PKBP, Birth, Cap, Cross, SkeinState, loop_value
+from .planar import DARK, LIGHT, Diagram, checkerboard, crossing_pieces, trace_faces, writhe
+from .skein import BRACKET, PKBP, Birth, Cross, SkeinState, loop_value
 
 
 class NotClosed(ValueError):
@@ -77,65 +88,8 @@ class TangleExpansion:
     mode: str = BRACKET
 
 
-class _TangleTracker:
-    """Crossing and component counts of the partial tangle along the fold.
-
-    Components are tracked by a label per frontier position: a birth opens a
-    new component, a crossing merges everything it touches, and a cap either
-    fuses two components or closes one off.
-    """
-
-    def __init__(self):
-        self.labels: list[int] = []
-        self.next = 0
-        self.closed = 0
-        self.crossings = 0
-
-    def _rotate(self, r: int) -> None:
-        self.labels = self.labels[r:] + self.labels[:r]
-
-    def component_count(self) -> int:
-        return len(set(self.labels)) + self.closed
-
-    def apply(self, ev) -> None:
-        g = len(self.labels)
-        if isinstance(ev, Birth):
-            self.labels[ev.at:ev.at] = [self.next, self.next]
-            self.next += 1
-        elif isinstance(ev, Cap):
-            at = ev.at
-            if at == g - 1 and g >= 2:
-                self._rotate(at)
-                at = 0
-            a, b = self.labels[at], self.labels[at + 1]
-            del self.labels[at:at + 2]
-            if a != b:
-                self.labels = [a if x == b else x for x in self.labels]
-            elif a not in self.labels:
-                self.closed += 1
-        elif isinstance(ev, Cross):
-            self.crossings += 1
-            at, k = ev.at, ev.absorb
-            if k > 0 and at + k > g:
-                self._rotate(at)
-                at = 0
-            absorbed = self.labels[at:at + k]
-            label = min(absorbed) if absorbed else self.next
-            if not absorbed:
-                self.next += 1
-            self.labels[at:at + k] = [label] * (4 - k)
-            keep = set(absorbed) - {label}
-            if keep:
-                self.labels = [label if x in keep else x for x in self.labels]
-            if k == 4 and label not in self.labels:
-                self.closed += 1
-        else:
-            raise TypeError(f"unknown event {ev!r}")
-
-
-def _check_state(state: SkeinState, tracker: _TangleTracker, report: dict) -> None:
-    n, g = tracker.crossings, state.g
-    c = tracker.component_count()
+def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
+    g = state.g
     span_bound = 4 * (n + c) - 2 * g
     term_bound = n + c - g // 2 + 1
     cat = catalan(g // 2)
@@ -189,15 +143,21 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
     """Replay a cutting's events, checking invariants after every event.
     Returns the final state, the diagnostics report, and the peak number of
     matchings held at once."""
+    piece = crossing_pieces(d)
     state = SkeinState.initial(mode)
-    tracker = _TangleTracker()
     report = _new_report()
     peak = state.size()
+    n = births = 0
+    started: set[int] = set()  # pieces some crossing so far belongs to
     for ev in cutting.events:
         state = state.apply(ev)
-        tracker.apply(ev)
+        if isinstance(ev, Cross):
+            n += 1
+            started.add(piece[ev.crossing])
+        elif isinstance(ev, Birth):
+            births += 1
         peak = max(peak, state.size())
-        _check_state(state, tracker, report)
+        _check_state(state, n, len(started) + births, report)
         if trace_fn is not None:
             trace_fn(ev, state)
     if cutting.final_rotation:
@@ -211,6 +171,7 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
 
 def make_cutting(d: Diagram, order="greedy", seed: int = 0, exact_cap: int = 20) -> Cutting:
     if isinstance(order, Cutting):
+        verify_cutting(d, order)
         return order
     if order == "greedy":
         return greedy_cutting(d)

@@ -237,7 +237,7 @@ class FaceTrace:
         return len(self.faces)
 
 
-def _crossing_pieces(d: Diagram) -> list[int]:
+def crossing_pieces(d: Diagram) -> list[int]:
     """Union-find over crossings joined by shared arcs; returns piece id per crossing."""
     parent = list(range(d.n))
 
@@ -582,7 +582,7 @@ def graph_components(d: Diagram) -> tuple[int, int]:
     avoid the boundary.  Strands joined at a crossing count as connected;
     every crossingless boundary chord and every free loop is its own
     component."""
-    piece_ids = _crossing_pieces(d)
+    piece_ids = crossing_pieces(d)
     bdy = set(d.boundary_arcs)
     touching: set[int] = set()
     for ci, c in enumerate(d.crossings):

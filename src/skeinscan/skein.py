@@ -336,10 +336,3 @@ class SkeinState:
         if isinstance(ev, Cross):
             return self.cross(ev)
         raise TypeError(f"unknown event {ev!r}")
-
-
-def fold_events(mode: str, events) -> SkeinState:
-    state = SkeinState.initial(mode)
-    for ev in events:
-        state = state.apply(ev)
-    return state

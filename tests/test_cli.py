@@ -116,6 +116,21 @@ def test_cutting_that_does_not_fit_the_frontier_exits_one(tmp_path, events):
     assert "Traceback" not in proc.stderr
 
 
+def test_cutting_restarting_a_started_piece_exits_one(tmp_path):
+    # T(2,5) is one piece; its second fresh start (crossing 2) would split
+    # one component into two partial ones
+    crosses = [(0, 0, False, 0, 0), (1, 0, True, 2, 1), (3, 4, False, 1, 3),
+               (1, 2, False, 3, 1), (0, 4, True, 4, 2)]
+    events = [{"type": "cross", "at": at, "absorb": k, "over_first": f, "crossing": ci, "rot": rot}
+              for at, k, f, ci, rot in crosses]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"girth": 8, "source_order": [0, 2, 1, 3, 4], "events": events}))
+    t25 = "X[1,2,4,3]o0 X[3,4,6,5]o0 X[5,6,8,7]o0 X[7,8,10,9]o0 X[9,10,2,1]o0"
+    proc = run_cli("compute", "--pd", t25, "--order", f"@{path}", expect=1)
+    assert "second time" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_engine_frontier_fault_exits_three(monkeypatch, capsys):
     # an engine-made cutting skips load-time validation, so a cap on an
     # empty frontier is an engine fault, not an input error

@@ -8,6 +8,8 @@ from skeinscan.cutorder import (
     exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check,
     verify_cutting,
 )
+from skeinscan.engine import compute_bracket, expand_tangle
+from skeinscan.oracle import brute_force_tangle_expansion
 from skeinscan.planar import parse_pd
 from skeinscan.skein import Birth, Cap
 
@@ -122,11 +124,38 @@ def test_replay_rejects_wrong_diagram():
         verify_cutting(TREFOIL.mirrored(), c)
 
 
+def test_explicit_cutting_of_another_diagram_is_rejected():
+    # the cutting is checked against the diagram it is folded over, not
+    # only by the mod-4 check after the fold
+    with pytest.raises(InvalidCutting):
+        compute_bracket(TREFOIL.mirrored(), order=greedy_cutting(TREFOIL))
+
+
+def test_exact_search_skips_scans_that_miss_the_boundary():
+    # the first completed scan this search pops ends on a frontier that is
+    # no rotation of the declared boundary; it is a dead end, not an error
+    d = parse_pd("X[2,3,6,5]o1 X[6,4,8,7]o0 X[5,7,10,9]o1 B[1,2,3,4,8,10,9,1]")
+    exact = exact_min_girth(d)
+    verify_cutting(d, exact)
+    assert exact.girth <= greedy_cutting(d).girth
+    assert expand_tangle(d, order=exact).coeffs == brute_force_tangle_expansion(d)
+
+
 def test_replay_rejects_tampered_girth():
     c = greedy_cutting(TREFOIL)
     tampered = Cutting(c.events, c.girth + 2, c.source_order, c.final_rotation)
     with pytest.raises(InvalidCutting):
         verify_cutting(TREFOIL, tampered)
+
+
+def test_replay_rejects_a_dropped_cap():
+    d = parse_pd("X[2,3,6,5]o1 X[5,6,8,7]o0 X[1,7,2,1]o0 X[8,4,4,3]o1")
+    c = greedy_cutting(d)
+    i = c.events.index(Cap(4))  # emitted between two crossings
+    assert 0 < i < len(c.events) - 2
+    dropped = Cutting(c.events[:i] + c.events[i + 1:], c.girth, c.source_order, c.final_rotation)
+    with pytest.raises(InvalidCutting, match="diverge"):
+        verify_cutting(d, dropped)
 
 
 def test_compile_explicit_orders():

@@ -11,8 +11,15 @@ from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly
 from skeinscan.matchings import basis, catalan, is_noncrossing, noncrossing_matchings
 from skeinscan.skein import (
     BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, FrontierTooSmall, InvariantViolation,
-    SkeinState, fold_events,
+    SkeinState,
 )
+
+
+def fold_events(mode, events):
+    state = SkeinState.initial(mode)
+    for ev in events:
+        state = state.apply(ev)
+    return state
 
 
 def coeffs_of(state):

@@ -1,7 +1,8 @@
 """The verification suites must detect deliberately broken builds: flipping
-the loop value's sign, the smoothing weight assignment, or the state-size
-cap each has to turn at least one suite red, and so must a transition table
-that answers for the wrong smoothing class or holds a corrupted entry."""
+the loop value's sign, the smoothing weight assignment, the state-size cap
+or the component count each has to turn at least one suite red, and so must
+a transition table that answers for the wrong smoothing class or holds a
+corrupted entry."""
 
 import pytest
 
@@ -39,6 +40,15 @@ def test_flipped_smoothing_convention_detected(monkeypatch):
 
 def test_broken_state_cap_detected(monkeypatch):
     monkeypatch.setattr(engine, "catalan", lambda m: 0 if m else 1)
+    report = run_verify(max_n=6)
+    assert not report["ok"]
+    assert not report["suites"]["invariants"]["ok"]
+
+
+def test_merged_components_detected(monkeypatch):
+    # one piece for every crossing undercounts the components of split
+    # diagrams, which tightens the span and term bounds past what holds
+    monkeypatch.setattr(engine, "crossing_pieces", lambda d: [0] * d.n)
     report = run_verify(max_n=6)
     assert not report["ok"]
     assert not report["suites"]["invariants"]["ok"]
