@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .construct import braid_closure, torus_link
 from .cutorder import Cutting, InvalidCutting, InvalidOrder, TooLarge, sqrt_bound_check
-from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle, fold_cutting, make_cutting
+from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle, make_cutting
 from .laurent import NotDivisible
 from .matchings import catalan, format_matching
 from .oracle import BRACKET_CAP, brute_force_bracket
@@ -74,18 +74,16 @@ def _parse_orientation(text: str | None):
 def cmd_compute(args) -> int:
     d = _read_pd(args.pd)
     order = _read_order(args.order)
+    tracer = None
     if args.trace:
-        cutting = make_cutting(d, order, args.seed)
-
         def tracer(ev, state):
             print(f"-- {ev}", file=sys.stderr)
             for line in state.dump_lines():
                 print("   " + line, file=sys.stderr)
 
-        fold_cutting(d, cutting, BRACKET if args.mode != "pkbp" else PKBP, trace_fn=tracer)
     if not d.is_closed:
         expansion = expand_tangle(d, order=order, seed=args.seed,
-                                  mode=PKBP if args.mode == "pkbp" else BRACKET)
+                                  mode=PKBP if args.mode == "pkbp" else BRACKET, trace_fn=tracer)
         if args.json:
             payload = {
                 "mode": expansion.mode,
@@ -103,12 +101,12 @@ def cmd_compute(args) -> int:
         return EXIT_STRICT if args.strict and bad else EXIT_OK
 
     if args.mode == "bracket":
-        result = compute_bracket(d, order=order, seed=args.seed)
+        result = compute_bracket(d, order=order, seed=args.seed, trace_fn=tracer)
     elif args.mode == "pkbp":
-        result = compute_pkbp(d, order=order, seed=args.seed)
+        result = compute_pkbp(d, order=order, seed=args.seed, trace_fn=tracer)
     elif args.mode == "jones":
         result = compute_jones(d, orientation=_parse_orientation(args.oriented),
-                               order=order, seed=args.seed)
+                               order=order, seed=args.seed, trace_fn=tracer)
     else:
         raise ParseError(f"unknown mode {args.mode!r}")
     if args.json:

@@ -5,10 +5,12 @@ A cutting processes the diagram one crossing at a time.  Gluing a crossing
 absorbs a contiguous run of frontier tokens (the arcs joining it to the
 scanned region) and emits its remaining arcs as new tokens; completed arcs
 whose two stubs become adjacent are capped immediately; crossingless circles
-are a birth/cap pair.  The searches cover exactly the disk gluings that
-absorb one contiguous token run per step (a crossing whose frontier arcs sit
-in several separated runs can be glued along one run, leaving the other arcs
-as stubs to cap later).
+are a birth/cap pair.  Only the crossing pieces and the free loops are
+scanned: a crossingless boundary chord is left out, and
+``engine.expand_tangle`` adds it to the folded expansion.  The searches
+cover exactly the disk gluings that absorb one contiguous token run per step
+(a crossing whose frontier arcs sit in several separated runs can be glued
+along one run, leaving the other arcs as stubs to cap later).
 
 The frontier is a circular token list.  Events that would wrap the seam
 between positions g-1 and 0 first rotate the labelling so their run starts
@@ -30,6 +32,10 @@ from .skein import Birth, Cap, Cross, Event
 SQRT_BOUND_CONST = 6 * math.sqrt(2) + 5 * math.sqrt(3)
 
 DEFAULT_EXACT_CAP = 20
+# greedy tie-break depth, and how many pocket-phase combinations a failed
+# boundary alignment retries
+LOOKAHEAD = 2
+PHASE_RETRY_CAP = 512
 
 
 class TooLarge(ValueError):
@@ -109,20 +115,13 @@ class Cutting:
 # ---------------------------------------------------------------------------
 
 
-def _cyclically_sorted(seq: list[int]) -> bool:
-    """True when seq is a rotation of its sorted self (no duplicates)."""
-    n = len(seq)
-    if n <= 1:
-        return True
-    if len(set(seq)) != n:
-        return False
-    lo = seq.index(min(seq))
-    rotated = seq[lo:] + seq[:lo]
-    return all(rotated[i] < rotated[i + 1] for i in range(n - 1))
-
-
 class _Scan:
-    """Frontier-token simulation shared by the compiler and the searches."""
+    """Frontier-token simulation shared by the compiler and the searches.
+
+    It scans the crossing pieces and the free loops only.  A crossingless
+    boundary chord pairs the same two boundary points in every term, so the
+    scan leaves it out and ``engine.expand_tangle`` adds it to the folded
+    expansion."""
 
     def __init__(self, d: Diagram):
         self.d = d
@@ -136,24 +135,19 @@ class _Scan:
         for ci, c in enumerate(d.crossings):
             for s, a in enumerate(c.arcs):
                 self.arc_slots.setdefault(a, []).append((ci, s))
-        self.bdy = set(d.boundary_arcs)
+        # target position of each crossing-attached boundary arc (unique)
+        self.target_index: dict[int, int] = {
+            a: i for i, a in enumerate(d.boundary_arcs) if a in self.arc_slots}
         self.piece = crossing_pieces(d)
         self.piece_members: dict[int, list[int]] = {}
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
         self.piece_on_boundary: set[int] = {
-            self.piece[ci] for ci, c in enumerate(d.crossings)
-            if any(a in self.bdy for a in c.arcs)
-        }
+            self.piece[self.arc_slots[a][0][0]] for a in self.target_index}
         self.started_pieces: set[int] = set()
         self.fresh_starts: list[int] = []  # boundary pieces begun with k = 0
         self.rot_pref: dict[int, int] = {}
         self.start_pref: dict[int, int] = {}
-        # target position of each crossing-attached boundary arc (unique)
-        self.target_index: dict[int, int] = {}
-        for i, a in enumerate(d.boundary_arcs):
-            if a in self.arc_slots:
-                self.target_index[a] = i
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -166,7 +160,6 @@ class _Scan:
         other.processed = set(self.processed)
         other.girth = self.girth
         other.arc_slots = self.arc_slots
-        other.bdy = self.bdy
         other.piece = self.piece
         other.piece_members = self.piece_members
         other.piece_on_boundary = self.piece_on_boundary
@@ -200,9 +193,9 @@ class _Scan:
         self.targets[at:at + k] = targets
         self.girth = max(self.girth, len(self.frontier))
 
-    def emit_birth(self, arc: int, at: int, tgt: tuple[int | None, int | None] = (None, None)) -> None:
+    def emit_birth(self, at: int) -> None:
         self.events.append(Birth(at))
-        self._splice(at, 0, [arc, arc], list(tgt))
+        self._splice(at, 0, [0, 0], [None, None])  # throwaway token label
 
     def emit_cap(self, at: int) -> None:
         self.events.append(Cap(at))
@@ -210,70 +203,19 @@ class _Scan:
 
     def free_loop_events(self) -> None:
         for _ in range(self.d.free_loops):
-            self.emit_birth(0, 0)  # throwaway token label
+            self.emit_birth(0)
             self.emit_cap(0)
-
-    def plain_chord_events(self) -> None:
-        """Birth every crossingless boundary chord, outermost first.
-
-        A chord encloses everything declared between its endpoints, so it
-        must exist before the enclosed strands are scanned; sorting in a
-        frame whose seam lies outside all chords makes the nesting linear.
-        """
-        target = self.d.boundary_arcs
-        g = len(target)
-        chords = []
-        seen: set[int] = set()
-        for i, a in enumerate(target):
-            if a in self.arc_slots or a in seen:
-                continue
-            seen.add(a)
-            j = next(k for k in range(i + 1, g) if target[k] == a)
-            chords.append((a, i, j))
-        if not chords:
-            return
-        # a gap outside all chords: right before the start of some chord that
-        # no other chord strictly encloses
-        outer = [(i, j) for _, i, j in chords]
-        anchor = 0
-        for i, j in outer:
-            if not any(p < i and j < q for p, q in outer):
-                anchor = i
-                break
-
-        def lin(t: int) -> int:
-            return (t - anchor) % g
-
-        chords.sort(key=lambda c: (lin(c[1]), -lin(c[2])))
-        for arc, i, j in chords:
-            placed = False
-            for p in range(len(self.frontier) + 1):
-                trial = self.targets[:p] + [lin(i), lin(j)] + self.targets[p:]
-                if _cyclically_sorted([t for t in trial if t is not None]):
-                    self.emit_birth(arc, p, (lin(i), lin(j)))
-                    placed = True
-                    break
-            if not placed:
-                raise InvalidOrder(f"cannot place crossingless chord {arc}")
-        # store linearized coordinates for every future boundary emission too
-        self.target_index = {a: lin(t) for a, t in self.target_index.items()}
-
-    def prologue(self) -> None:
-        self.free_loop_events()
-        self.plain_chord_events()
 
     def cascade_caps(self) -> None:
         """Cap every adjacent pair of stubs of the same completed interior
-        arc.  Crossingless boundary chords also carry equal adjacent tokens
-        but stay: they are part of the declared boundary."""
+        arc."""
         changed = True
         while changed:
             changed = False
             g = len(self.frontier)
             for i in range(g):
                 j = (i + 1) % g
-                if (g >= 2 and i != j and self.frontier[i] == self.frontier[j]
-                        and len(self.arc_slots.get(self.frontier[i], ())) == 2):
+                if g >= 2 and i != j and self.frontier[i] == self.frontier[j]:
                     self.emit_cap(i)
                     changed = True
                     break
@@ -353,9 +295,8 @@ class _Scan:
         g = len(self.frontier)
         if g == 0 or not self.d.boundary_arcs:
             return g
-        mine = {self.target_index[a] for a in self.d.boundary_arcs
-                if a in self.target_index
-                and self.arc_slots.get(a) and self.piece[self.arc_slots[a][0][0]] == self.piece[ci]}
+        mine = {t for a, t in self.target_index.items()
+                if self.piece[self.arc_slots[a][0][0]] == self.piece[ci]}
         if not mine:
             return g
         gsize = len(self.d.boundary_arcs)
@@ -392,19 +333,19 @@ class _Scan:
     # -- final phase ----------------------------------------------------------
 
     def finish(self) -> int:
-        """Verify the frontier matches the declared boundary and return the
-        rotation aligning position i with boundary_arcs[i]."""
-        d = self.d
-        if len(self.processed) != d.n:
+        """Verify the frontier matches the boundary arcs that meet a
+        crossing, in declared order, and return the rotation aligning
+        position i with the i-th of them."""
+        if len(self.processed) != self.d.n:
             raise InvalidOrder("not every crossing was processed")
-        if not d.boundary_arcs:
+        target = [a for a in self.d.boundary_arcs if a in self.target_index]
+        if not target:
             if self.frontier:
                 raise InvalidOrder(f"leftover frontier tokens {self.frontier}")
             return 0
         g = len(self.frontier)
-        if g != d.g:
-            raise InvalidOrder(f"frontier has {g} points, boundary declares {d.g}")
-        target = list(d.boundary_arcs)
+        if g != len(target):
+            raise InvalidOrder(f"frontier has {g} points, boundary declares {len(target)} crossing ends")
         for r in range(g):
             if self.frontier[r:] + self.frontier[:r] == target:
                 return r
@@ -452,7 +393,7 @@ def _available_moves(scan: _Scan, all_fresh: bool) -> list[tuple[int, tuple[int,
     return moves
 
 
-def _with_phase_retries(d: Diagram, attempt, cap: int = 512) -> Cutting:
+def _with_phase_retries(d: Diagram, attempt) -> Cutting:
     """Run a compile attempt; when the final boundary alignment fails and the
     scan started boundary-attached pieces fresh inside a pinned pocket, retry
     over those pieces' start crossings and stub rotations (the one genuinely
@@ -460,7 +401,7 @@ def _with_phase_retries(d: Diagram, attempt, cap: int = 512) -> Cutting:
     import itertools
 
     scan = _Scan(d)
-    scan.prologue()
+    scan.free_loop_events()
     try:
         return attempt(scan)
     except InvalidOrder as first_err:
@@ -472,14 +413,14 @@ def _with_phase_retries(d: Diagram, attempt, cap: int = 512) -> Cutting:
             [(ci, rot) for ci in scan.piece_members[p] for rot in (3, 2, 1, 0)]
             for p in pieces
         ]
-        for combo in itertools.islice(itertools.product(*options), cap):
+        for combo in itertools.islice(itertools.product(*options), PHASE_RETRY_CAP):
             if all(ci == scan.piece_members[p][0] and rot == 3
                    for p, (ci, rot) in zip(pieces, combo)):
                 continue  # the default already failed
             retry = _Scan(d)
             retry.start_pref = {p: ci for p, (ci, _) in zip(pieces, combo)}
             retry.rot_pref = {p: rot for p, (_, rot) in zip(pieces, combo)}
-            retry.prologue()
+            retry.free_loop_events()
             try:
                 return attempt(retry)
             except InvalidOrder as err:
@@ -511,7 +452,7 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
     return _with_phase_retries(d, attempt)
 
 
-def greedy_cutting(d: Diagram, lookahead: int = 2) -> Cutting:
+def greedy_cutting(d: Diagram) -> Cutting:
     """Deterministic greedy scan: pick, among glueable crossings, the one
     minimizing the post-event frontier, breaking ties by a bounded lookahead
     of the greedy continuation and then by lowest crossing id."""
@@ -534,10 +475,10 @@ def greedy_cutting(d: Diagram, lookahead: int = 2) -> Cutting:
                     posts.append((len(probe.frontier), ci, mv, probe))
                 posts.sort(key=lambda t: (t[0], t[1]))
                 tied = [t for t in posts if t[0] == posts[0][0]]
-                if len(tied) == 1 or not lookahead:
+                if len(tied) == 1:
                     _, ci, mv, _ = tied[0]
                 else:
-                    scored = [(_lookahead_peak(probe, lookahead), ci, mv)
+                    scored = [(_lookahead_peak(probe, LOOKAHEAD), ci, mv)
                               for _, ci, mv, probe in tied]
                     scored.sort(key=lambda t: (t[0], t[1]))
                     _, ci, mv = scored[0]
@@ -593,7 +534,7 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
     if d.n > max_n:
         raise TooLarge(f"{d.n} crossings exceeds the exact-search cap {max_n}")
     base = _Scan(d)
-    base.prologue()
+    base.free_loop_events()
     counter = 0
     heap: list[tuple[int, int]] = []  # (peak, entry id)
     # entry id -> (scan, order, final rotation once the scan is complete)
@@ -689,16 +630,16 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
     set of crossings) fresh only once; the fold's component count relies
     on that."""
     scan = _Scan(d)
-    scan.prologue()
+    scan.free_loop_events()
     events = cutting.events
     pos = len(scan.events)
     if events[:pos] != scan.events:
         raise InvalidCutting(
-            "cutting must open with the canonical free-loop and chord events")
+            "cutting must open with the canonical free-loop events")
     while pos < len(events):
         ev = events[pos]
         if not isinstance(ev, Cross):
-            break  # births and caps come from the replay; the final comparison rejects this
+            raise InvalidCutting(f"replay emits no {ev} here: births and caps follow from the free loops and crossings")
         ci = ev.crossing
         if ci is None or not 0 <= ci < d.n or ci in scan.processed:
             raise InvalidCutting(f"bad crossing reference in {ev}")

@@ -23,7 +23,8 @@ processed -- the searches offer fresh starts of unstarted pieces only, and
 ``compile_order`` and ``verify_cutting`` reject the rest -- and from then on
 every crossing of the piece absorbs ends of that piece's one partial
 component, so components never merge: each started piece is one component,
-and so is each birth (a free loop or a crossingless boundary chord).  A
+and so is each birth (a free loop; crossingless boundary chords are not
+scanned, ``expand_tangle`` adds them after the fold).  A
 cutting that broke the rule would make c too small, which only tightens the
 bounds: it can raise a false alarm, never hide a violation.
 
@@ -41,7 +42,7 @@ from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting,
 from .laurent import MIXED, LaurentPoly
 from .matchings import Matching, catalan
 from .planar import DARK, LIGHT, Diagram, checkerboard, crossing_pieces, trace_faces, writhe
-from .skein import BRACKET, PKBP, Birth, Cross, SkeinState, loop_value
+from .skein import BRACKET, PKBP, Birth, Cross, InvariantViolation, SkeinState, loop_value
 
 
 class NotClosed(ValueError):
@@ -169,7 +170,7 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
     return state, report, peak
 
 
-def make_cutting(d: Diagram, order="greedy", seed: int = 0, exact_cap: int = 20) -> Cutting:
+def make_cutting(d: Diagram, order="greedy", seed: int = 0) -> Cutting:
     if isinstance(order, Cutting):
         verify_cutting(d, order)
         return order
@@ -178,11 +179,11 @@ def make_cutting(d: Diagram, order="greedy", seed: int = 0, exact_cap: int = 20)
     if order == "anneal":
         return improve_cutting(d, greedy_cutting(d), seed=seed)
     if order == "exact":
-        return exact_min_girth(d, max_n=exact_cap)
+        return exact_min_girth(d)
     raise ValueError(f"unknown order strategy {order!r}")
 
 
-def _compute(d: Diagram, mode: str, order, seed: int) -> BracketResult:
+def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult:
     if not d.is_closed:
         raise NotClosed("bracket computation needs a closed diagram; use expand_tangle")
     if d.n == 0 and d.free_loops == 0:
@@ -190,7 +191,7 @@ def _compute(d: Diagram, mode: str, order, seed: int) -> BracketResult:
     t0 = time.perf_counter()
     cutting = make_cutting(d, order, seed)
     t1 = time.perf_counter()
-    state, report, peak = fold_cutting(d, cutting, mode)
+    state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
     t2 = time.perf_counter()
     raw = state.coeffs.get(0, LaurentPoly.zero())
     polynomial = raw.exact_div(loop_value(mode))
@@ -211,33 +212,59 @@ def _compute(d: Diagram, mode: str, order, seed: int) -> BracketResult:
     return BracketResult(polynomial, raw, mode, cutting.girth, peak, report, cutting)
 
 
-def compute_bracket(d: Diagram, order="greedy", seed: int = 0) -> BracketResult:
-    """The bracket of a closed diagram, normalized so the unknot maps to 1."""
-    return _compute(d, BRACKET, order, seed)
+def compute_bracket(d: Diagram, order="greedy", seed: int = 0, trace_fn=None) -> BracketResult:
+    """The bracket of a closed diagram, normalized so the unknot maps to 1.
+    ``trace_fn(event, state)``, if given, sees the state after every event."""
+    return _compute(d, BRACKET, order, seed, trace_fn)
 
 
-def compute_pkbp(d: Diagram, order="greedy", seed: int = 0) -> BracketResult:
+def compute_pkbp(d: Diagram, order="greedy", seed: int = 0, trace_fn=None) -> BracketResult:
     """The positive variant: same fold with loop value A^2 + A^-2; not a link
     invariant, but cancellation-free, which makes the span bounds sharp."""
-    return _compute(d, PKBP, order, seed)
+    return _compute(d, PKBP, order, seed, trace_fn)
 
 
-def expand_tangle(d: Diagram, order="greedy", seed: int = 0, mode: str = BRACKET) -> TangleExpansion:
+def _with_chords(d: Diagram, state: SkeinState) -> dict[Matching, LaurentPoly]:
+    """Map each matching of the folded frontier, whose position i is the
+    i-th boundary point that meets a crossing, onto the whole boundary, and
+    pair the two points of every crossingless chord."""
+    crossing_arcs = {a for c in d.crossings for a in c.arcs}
+    ends = [i for i, a in enumerate(d.boundary_arcs) if a in crossing_arcs]
+    if state.g != len(ends):
+        raise InvariantViolation(f"fold ended with frontier {state.g}, expected {len(ends)}")
+    base = list(range(d.g))  # chord points paired, the rest filled per matching
+    first: dict[int, int] = {}
+    for i, a in enumerate(d.boundary_arcs):
+        if a not in crossing_arcs:
+            j = first.setdefault(a, i)
+            base[i], base[j] = j, i
+    out = {}
+    for m, poly in state.items():
+        full = list(base)
+        for i, j in enumerate(m):
+            full[ends[i]] = ends[j]
+        out[tuple(full)] = poly
+    return out
+
+
+def expand_tangle(d: Diagram, order="greedy", seed: int = 0, mode: str = BRACKET,
+                  trace_fn=None) -> TangleExpansion:
     """Full skein expansion of a tangle over the matchings of its boundary,
-    indexed so position i is boundary_arcs[i]."""
+    indexed so position i is boundary_arcs[i].  The fold (and ``trace_fn``)
+    covers the crossing pieces only; the crossingless chords are added after
+    it, and face tracing rejects a nonplanar chord layout up front."""
     if d.is_closed:
         raise ValueError("expand_tangle needs declared boundary arcs")
+    trace_faces(d)
     cutting = make_cutting(d, order, seed)
-    state, report, peak = fold_cutting(d, cutting, mode)
-    if state.g != d.g:
-        raise RuntimeError(f"fold ended with frontier {state.g}, expected {d.g}")
-    return TangleExpansion(state.matching_dict(), cutting.girth, peak, report, mode)
+    state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
+    return TangleExpansion(_with_chords(d, state), cutting.girth, peak, report, mode)
 
 
-def compute_jones(d: Diagram, orientation=None, order="greedy", seed: int = 0) -> BracketResult:
+def compute_jones(d: Diagram, orientation=None, order="greedy", seed: int = 0, trace_fn=None) -> BracketResult:
     """Writhe-normalized bracket (-A)^(-3w) * <L>, reported in the variable A.
     The usual single-variable form substitutes t = A^-4."""
-    result = compute_bracket(d, order, seed)
+    result = compute_bracket(d, order, seed, trace_fn)
     w = writhe(d, orientation)
     factor = LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w)
     jones = result.polynomial * factor

@@ -55,10 +55,6 @@ class LaurentPoly:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[int, int]:
-        return dict(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -247,7 +243,6 @@ class LaurentPoly:
 
 
 # Ring constants used throughout the skein machinery.
-ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 A = LaurentPoly.monomial(1, 1)
 A_INV = LaurentPoly.monomial(1, -1)

@@ -37,7 +37,7 @@ validated transitively by the mod-4 grading checks on the whole corpus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 DARK = "dark"
@@ -231,10 +231,6 @@ class FaceTrace:
     outer_face: int
     corner_face: dict[tuple[int, int], int]
     arc_faces: dict[int, list[int]]
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
 
 
 def crossing_pieces(d: Diagram) -> list[int]:
@@ -516,8 +512,6 @@ class Checkerboarding:
     face_colors: dict[int, str]
     e: int  # Euler characteristic of the dark surface
     w: int  # positive minus negative crossings relative to the dark surface
-    dark_corner_parity: dict[int, int]  # crossing -> 0 if corners {0,2} dark else 1
-    trace: FaceTrace = field(repr=False, default=None)
 
 
 def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None = None) -> Checkerboarding:
@@ -555,7 +549,6 @@ def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None =
 
     e = sum(f.chi for f in ft.faces if colors[f.ident] == DARK) - d.n
 
-    dark_parity: dict[int, int] = {}
     w = 0
     for ci, c in enumerate(d.crossings):
         c0 = colors[ft.corner_face[(ci, 0)]]
@@ -565,12 +558,11 @@ def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None =
         if c0 != c2 or c1 != c3 or c0 == c1:
             raise ColoringError(f"corners of crossing {ci} are not alternating")
         parity = 0 if c0 == DARK else 1
-        dark_parity[ci] = parity
         # positive iff the dark corners are the ones swept by rotating the
         # over strand counterclockwise (see module docstring diagram)
         w += 1 if parity == c.over else -1
 
-    return Checkerboarding(colors, e, w, dark_parity, ft)
+    return Checkerboarding(colors, e, w)
 
 
 # ---------------------------------------------------------------------------

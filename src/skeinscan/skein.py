@@ -245,9 +245,6 @@ class SkeinState:
         return sorted(((b.matching(idx), poly) for idx, poly in self.coeffs.items()),
                       key=lambda item: item[0])
 
-    def matching_dict(self) -> dict[Matching, LaurentPoly]:
-        return dict(self.items())
-
     def size(self) -> int:
         return len(self.coeffs)
 

@@ -139,6 +139,52 @@ def test_engine_frontier_fault_exits_three(monkeypatch, capsys):
     assert "internal invariant violation" in capsys.readouterr().err
 
 
+def test_tangle_frontier_fault_exits_three(monkeypatch, capsys):
+    # a fold that ends on the wrong frontier size is an engine fault
+    fold = engine.fold_cutting
+
+    def bad_fold(*args):
+        state, report, peak = fold(*args)
+        return state.birth(0), report, peak
+
+    monkeypatch.setattr(engine, "fold_cutting", bad_fold)
+    assert cli.main(["compute", "--pd", "X[1,2,3,4]o1 B[1,2,3,4]"]) == cli.EXIT_INTERNAL
+    assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_trace_cuts_and_folds_once(monkeypatch, capsys):
+    calls = {"make_cutting": 0, "fold_cutting": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # counted wherever it is called from, the CLI included
+        monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    assert cli.main(["compute", "--pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "--trace"]) == cli.EXIT_OK
+    assert calls == {"make_cutting": 1, "fold_cutting": 1}
+    assert "Cross" in capsys.readouterr().err
+
+
+def test_chord_tangle_cutting_roundtrip(tmp_path):
+    # the chord (5 5) sits between two boundary points of the crossing
+    pd = "X[1,2,4,3]o0 B[1,2,5,5,4,3,6,6]"
+    cutting = json.loads(run_cli("girth", "--pd", pd, "--json").stdout)["cutting"]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(cutting))
+    proc = run_cli("compute", "--pd", pd, "--order", f"@{path}")
+    assert proc.stdout.strip().splitlines() == ["(0 1)(2 3)(4 5)(6 7) : A^-1", "(0 5)(1 4)(2 3)(6 7) : A"]
+
+
+@pytest.mark.parametrize("pd", ["B[1,2,1,2]", "X[1,2,4,3]o0 B[1,5,2,4,5,3]"])
+def test_nonplanar_chord_layout_exits_one(pd):
+    proc = run_cli("compute", "--pd", pd, expect=1)
+    assert "Traceback" not in proc.stderr
+
+
 def test_pd_from_file(tmp_path):
     path = tmp_path / "d.pd"
     path.write_text("# a hopf diagram\n" + HOPF + "\n")

@@ -11,7 +11,7 @@ from skeinscan.cutorder import (
 from skeinscan.engine import compute_bracket, expand_tangle
 from skeinscan.oracle import brute_force_tangle_expansion
 from skeinscan.planar import parse_pd
-from skeinscan.skein import Birth, Cap
+from skeinscan.skein import Birth, Cap, Cross
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 FIG8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
@@ -156,6 +156,15 @@ def test_replay_rejects_a_dropped_cap():
     dropped = Cutting(c.events[:i] + c.events[i + 1:], c.girth, c.source_order, c.final_rotation)
     with pytest.raises(InvalidCutting, match="diverge"):
         verify_cutting(d, dropped)
+
+
+def test_replay_rejects_a_chord_birth():
+    # crossingless chords are not scanned, so a cutting that births one
+    # does not replay
+    d = parse_pd("X[1,2,5,4]o0 B[1,2,3,3,5,4]")
+    chord_first = Cutting([Birth(0), Cross(2, 0, True, 0, 1)], 6, [0], 4)
+    with pytest.raises(InvalidCutting, match="Birth"):
+        verify_cutting(d, chord_first)
 
 
 def test_compile_explicit_orders():

@@ -1,16 +1,18 @@
+import random
+
 import pytest
 
-from skeinscan.construct import add_kink, braid_closure
+from skeinscan.construct import add_kink, braid_closure, braid_tangle
 from skeinscan.cutorder import Cutting
 from skeinscan.engine import (
     EmptyDiagram, NotClosed, check_mod4_link, compute_bracket, compute_jones,
-    compute_pkbp, expand_tangle,
+    compute_pkbp, expand_tangle, make_cutting,
 )
 from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly
 from skeinscan.matchings import catalan
 from skeinscan.oracle import brute_force_bracket, brute_force_tangle_expansion
 from skeinscan.planar import Crossing, Diagram, MissingOrientation, parse_pd, validate
-from skeinscan.skein import PKBP
+from skeinscan.skein import PKBP, Birth
 
 UNKNOT = parse_pd("O")
 HOPF = parse_pd("X[1,3,2,4] X[3,1,4,2]")
@@ -212,3 +214,33 @@ def test_tangle_diagnostics_and_oracle(corpus):
     exp = expand_tangle(d)
     assert exp.coeffs == brute_force_tangle_expansion(d)
     assert all(v["ok"] for k, v in exp.diagnostics.items() if isinstance(v, dict) and "ok" in v)
+
+
+# a crossingless chord between two boundary points of one crossing piece;
+# the second is braid_tangle([3], 5), whose strands 1, 2 and 5 are chords
+CHORD_TANGLES = ["X[1,2,4,3]o0 B[1,2,5,5,4,3,6,6]", "X[3,4,7,6]o0 B[1,2,3,4,5,5,7,6,2,1]"]
+
+
+@pytest.mark.parametrize("order", ["greedy", "anneal", "exact"])
+@pytest.mark.parametrize("pd", CHORD_TANGLES)
+def test_chord_inside_a_crossing_piece(pd, order):
+    d = parse_pd(pd)
+    exp = expand_tangle(d, order=order)
+    assert exp.coeffs == brute_force_tangle_expansion(d)
+    assert all(v["ok"] for v in exp.diagnostics.values() if isinstance(v, dict))
+    assert exp.girth_used == 4  # the chords never reach the frontier
+
+
+def test_braid_tangles_with_untouched_strands():
+    rng = random.Random(5)
+    for _ in range(40):
+        strands = rng.randint(3, 6)
+        idle = rng.randint(1, strands)  # generators idle - 1 and idle move it
+        gens = [j for j in range(1, strands) if j not in (idle - 1, idle)]
+        word = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(1, 4))] if gens else []
+        d = braid_tangle(word, strands)
+        oracle = brute_force_tangle_expansion(d)
+        for order in ("greedy", "anneal"):
+            cutting = make_cutting(d, order)
+            assert not any(isinstance(ev, Birth) for ev in cutting.events)
+            assert expand_tangle(d, order=cutting).coeffs == oracle, (word, strands, order)

@@ -58,9 +58,9 @@ def test_json_roundtrip():
 
 
 def test_face_counts():
-    assert trace_faces(parse_pd(HOPF)).face_count == 4  # V=2, E=4, F=4
-    assert trace_faces(parse_pd("O")).face_count == 2   # inside and outside
-    assert trace_faces(parse_pd(KINK)).face_count == 3  # V=1, E=2, F=3
+    assert len(trace_faces(parse_pd(HOPF)).faces) == 4  # V=2, E=4, F=4
+    assert len(trace_faces(parse_pd("O")).faces) == 2   # inside and outside
+    assert len(trace_faces(parse_pd(KINK)).faces) == 3  # V=1, E=2, F=3
 
 
 def test_nonplanar_rotation_rejected():
