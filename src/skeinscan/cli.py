@@ -5,7 +5,6 @@ Subcommands:
 * ``compute`` -- bracket / positive-variant / Jones of one diagram
 * ``girth``   -- cutting analysis: achieved girth, the sqrt bound, state cap
 * ``verify``  -- run the verification suites against the corpus
-* ``bench``   -- scaling table on torus and twist-chain families
 
 Exit codes: 0 success, 1 input error, 2 failed checks under --strict (or a
 failed verify), 3 internal invariant violation.  Environment variables are
@@ -17,15 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-from .construct import braid_closure, torus_link
 from .cutorder import Cutting, InvalidCutting, InvalidOrder, TooLarge, sqrt_bound_check
 from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle, make_cutting
 from .laurent import NotDivisible
 from .matchings import catalan, format_matching
-from .oracle import BRACKET_CAP, brute_force_bracket
 from .oracle import TooLarge as OracleTooLarge
 from .planar import ArcMultiplicityError, ColoringError, MissingOrientation, NonPlanarError, ParseError, parse_pd
 from .skein import BRACKET, PKBP, EmptyFrontier, FrontierTooSmall, InvariantViolation
@@ -149,49 +145,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_STRICT
 
 
-def _bench_families(kmax: int, seed: int):
-    ks = [k for k in (10, 25, 50, 100, 200) if k <= kmax]
-    for k in ks:
-        yield f"torus(2,{k})", torus_link(k)
-    import random
-
-    rng = random.Random(seed)
-    for length in (8, 12, 16, 20):
-        word = []
-        for _ in range(length):
-            gen = rng.randint(1, 2)
-            word.extend([gen if rng.random() < 0.5 else -gen] * rng.randint(1, 3))
-        yield f"twist_chain_{length}", braid_closure(word[:length], 3)
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    for name, d in _bench_families(args.kmax, args.seed):
-        t0 = time.perf_counter()
-        result = compute_bracket(d, order="greedy")
-        engine_ms = (time.perf_counter() - t0) * 1000
-        oracle_ms = None
-        if d.n <= min(args.oracle_max_n, BRACKET_CAP):
-            t0 = time.perf_counter()
-            brute_force_bracket(d)
-            oracle_ms = (time.perf_counter() - t0) * 1000
-        rows.append({
-            "family": name, "n": d.n, "girth": result.girth_used,
-            "peak_state": result.peak_state_size,
-            "engine_ms": round(engine_ms, 3),
-            "oracle_ms": round(oracle_ms, 3) if oracle_ms is not None else None,
-        })
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        print(f"{'family':18s} {'n':>4s} {'girth':>5s} {'peak':>5s} {'engine_ms':>10s} {'oracle_ms':>10s}")
-        for r in rows:
-            o = f"{r['oracle_ms']:.2f}" if r["oracle_ms"] is not None else "-"
-            print(f"{r['family']:18s} {r['n']:4d} {r['girth']:5d} {r['peak_state']:5d} "
-                  f"{r['engine_ms']:10.2f} {o:>10s}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skeinscan",
@@ -224,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("bench", help="scaling benchmarks")
-    p.add_argument("--kmax", type=int, default=200)
-    p.add_argument("--oracle-max-n", type=int, default=18, dest="oracle_max_n")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

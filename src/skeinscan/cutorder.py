@@ -12,6 +12,11 @@ cover exactly the disk gluings that absorb one contiguous token run per step
 (a crossing whose frontier arcs sit in several separated runs can be glued
 along one run, leaving the other arcs as stubs to cap later).
 
+A piece of the diagram (a connected set of crossings) that has no frontier
+tokens yet is a pocket piece: it starts by absorbing nothing, in the face it
+shares with the frontier.  Its gap and its starting corners come from one
+walk of that face (``_Scan.fresh_starts``).
+
 The frontier is a circular token list.  Events that would wrap the seam
 between positions g-1 and 0 first rotate the labelling so their run starts
 at 0; the state machine applies the same rule, keeping both sides aligned.
@@ -32,10 +37,7 @@ from .skein import Birth, Cap, Cross, Event
 SQRT_BOUND_CONST = 6 * math.sqrt(2) + 5 * math.sqrt(3)
 
 DEFAULT_EXACT_CAP = 20
-# greedy tie-break depth, and how many pocket-phase combinations a failed
-# boundary alignment retries
-LOOKAHEAD = 2
-PHASE_RETRY_CAP = 512
+LOOKAHEAD = 2  # greedy tie-break depth
 
 
 class TooLarge(ValueError):
@@ -125,8 +127,7 @@ class _Scan:
 
     def __init__(self, d: Diagram):
         self.d = d
-        self.frontier: list[int] = []        # arc label per frontier position
-        self.targets: list[int | None] = []  # declared boundary position, if any
+        self.frontier: list[int] = []  # arc label per frontier position
         self.events: list[Event] = []
         self.processed: set[int] = set()
         self.girth = 0
@@ -142,12 +143,7 @@ class _Scan:
         self.piece_members: dict[int, list[int]] = {}
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
-        self.piece_on_boundary: set[int] = {
-            self.piece[self.arc_slots[a][0][0]] for a in self.target_index}
         self.started_pieces: set[int] = set()
-        self.fresh_starts: list[int] = []  # boundary pieces begun with k = 0
-        self.rot_pref: dict[int, int] = {}
-        self.start_pref: dict[int, int] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -155,24 +151,19 @@ class _Scan:
         other = _Scan.__new__(_Scan)
         other.d = self.d
         other.frontier = list(self.frontier)
-        other.targets = list(self.targets)
         other.events = list(self.events)
         other.processed = set(self.processed)
         other.girth = self.girth
         other.arc_slots = self.arc_slots
         other.piece = self.piece
         other.piece_members = self.piece_members
-        other.piece_on_boundary = self.piece_on_boundary
         other.started_pieces = set(self.started_pieces)
-        other.fresh_starts = list(self.fresh_starts)
-        other.rot_pref = self.rot_pref
-        other.start_pref = self.start_pref
         other.target_index = self.target_index
         return other
 
     def state_key(self) -> tuple:
         """Canonical (processed, frontier up to rotation) key for memoization."""
-        f = tuple(zip(self.frontier, (t if t is not None else -1 for t in self.targets)))
+        f = tuple(self.frontier)
         if f:
             best = min(f[i:] + f[:i] for i in range(len(f)))
         else:
@@ -181,25 +172,23 @@ class _Scan:
 
     # -- elementary steps ----------------------------------------------------
 
-    def _splice(self, at: int, k: int, tokens: list[int], targets: list[int | None]) -> None:
+    def _splice(self, at: int, k: int, tokens: list[int]) -> None:
         """Replace the k tokens from position `at` on by `tokens`.  A run
         that wraps the seam is first rotated to start at 0, the rule
         SkeinState._glue applies to the matchings."""
         if k and at + k > len(self.frontier):
             self.frontier = self.frontier[at:] + self.frontier[:at]
-            self.targets = self.targets[at:] + self.targets[:at]
             at = 0
         self.frontier[at:at + k] = tokens
-        self.targets[at:at + k] = targets
         self.girth = max(self.girth, len(self.frontier))
 
     def emit_birth(self, at: int) -> None:
         self.events.append(Birth(at))
-        self._splice(at, 0, [0, 0], [None, None])  # throwaway token label
+        self._splice(at, 0, [0, 0])  # throwaway token label
 
     def emit_cap(self, at: int) -> None:
         self.events.append(Cap(at))
-        self._splice(at, 2, [], [])
+        self._splice(at, 2, [])
 
     def free_loop_events(self) -> None:
         for _ in range(self.d.free_loops):
@@ -285,32 +274,63 @@ class _Scan:
                 return (at, k, r)
         return None
 
-    def fresh_insert_position(self, ci: int) -> int:
-        """Gap for gluing a crossing whose piece has no frontier tokens yet.
+    def _other_end(self, arc: int, ci: int, s: int) -> tuple[int, int]:
+        ends = self.arc_slots[arc]
+        return ends[1] if ends[0] == (ci, s) else ends[0]
 
-        The gap must sit between two physically adjacent tokens with known
-        boundary positions straddling the new piece's declared interval; the
-        seam counts as a gap.  Closed diagrams always use the seam (split
-        components commute with everything)."""
-        g = len(self.frontier)
-        if g == 0 or not self.d.boundary_arcs:
-            return g
-        mine = {t for a, t in self.target_index.items()
-                if self.piece[self.arc_slots[a][0][0]] == self.piece[ci]}
-        if not mine:
-            return g
-        gsize = len(self.d.boundary_arcs)
+    def _frontier_token_before(self, i: int, p: int) -> int | None:
+        """Walk the face before boundary point i backwards, around the
+        unprocessed crossings on it (in at slot r, out at slot r + 1), to
+        the first frontier token; None when the walk comes back to piece p
+        (the face is not the one p shares with the frontier)."""
+        bdy = self.d.boundary_arcs
+        while True:
+            i = (i - 1) % len(bdy)
+            arc = bdy[i]
+            if arc not in self.target_index:
+                continue  # a chord, not scanned
+            ci, r = self.arc_slots[arc][0]
+            if self.piece[ci] == p:
+                return None
+            while ci not in self.processed:
+                r = (r + 1) % 4
+                arc = self.d.crossings[ci].arcs[r]
+                if arc in self.target_index:
+                    i = self.target_index[arc]
+                    break
+                ci, r = self._other_end(arc, ci, r)
+            else:
+                return arc  # it enters a processed crossing: a frontier token
 
-        def inside(a: int, b: int, x: int) -> bool:
-            return 0 < (x - a) % gsize < (b - a) % gsize
+    def fresh_starts(self, p: int) -> tuple[int, list[tuple[int, int]]]:
+        """The gap and the (crossing, rot) starts of piece p, which has no
+        frontier tokens yet.
 
-        for q in range(g):
-            t_a, t_b = self.targets[q], self.targets[(q + 1) % g]
-            if t_a is None or t_b is None:
+        p goes into the face it shares with the frontier.  From each of p's
+        boundary points in turn, walk the face before it backwards; the
+        first walk that meets a frontier token z puts p right after z.
+        Walking the same face forwards from that boundary point (in at slot
+        s, out at slot s - 1) lists p's corners on it: corner k lies
+        between slots k and k + 1, and a start at rot = k emits slot k + 1
+        first.  When no walk meets the frontier (the first piece, or a
+        piece that never touches the boundary), p starts at the seam, at
+        any of its crossings, with rot 3."""
+        for a, i in self.target_index.items():  # in boundary order
+            ci, s = self.arc_slots[a][0]
+            if self.piece[ci] != p:
                 continue
-            if all(inside(t_a, t_b, t) for t in mine):
-                return q + 1  # q+1 == g means the seam
-        return g
+            z = self._frontier_token_before(i, p)
+            if z is None:
+                continue
+            starts: list[tuple[int, int]] = []
+            while True:
+                s = (s - 1) % 4
+                starts.append((ci, s))
+                arc = self.d.crossings[ci].arcs[s]
+                if arc in self.target_index:
+                    return self.frontier.index(z) + 1, starts
+                ci, s = self._other_end(arc, ci, s)
+        return len(self.frontier), [(ci, 3) for ci in self.piece_members[p]]
 
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
         c = self.d.crossings[ci]
@@ -318,17 +338,12 @@ class _Scan:
             over_first = (rot % 2) == c.over
         else:
             over_first = ((rot + 1) % 2) == c.over
-            if self.piece[ci] in self.piece_on_boundary:
-                self.fresh_starts.append(self.piece[ci])
         self.events.append(Cross(at, k, over_first, ci, rot))
         emitted = [c.arcs[(rot + 1 + j) % 4] for j in range(4 - k)]
-        self._splice(at, k, emitted, [self.target_index.get(a) for a in emitted])
+        self._splice(at, k, emitted)
         self.processed.add(ci)
         self.started_pieces.add(self.piece[ci])
         self.cascade_caps()
-
-    def fresh_rot(self, ci: int) -> int:
-        return self.rot_pref.get(self.piece[ci], 3)
 
     # -- final phase ----------------------------------------------------------
 
@@ -368,64 +383,15 @@ def _frontier_crossings(scan: _Scan) -> list[int]:
     return sorted(out)
 
 
-def _fresh_crossings(scan: _Scan, all_fresh: bool) -> list[int]:
-    out: list[int] = []
-    for piece, cis in sorted(scan.piece_members.items(), key=lambda kv: kv[1][0]):
-        if piece not in scan.started_pieces:
-            out.extend(cis if all_fresh else [scan.start_pref.get(piece, cis[0])])
-    return out
-
-
-def _available_moves(scan: _Scan, all_fresh: bool) -> list[tuple[int, tuple[int, int, int]]]:
-    """(crossing, (at, k, rot)) moves from the current scan state."""
+def _fresh_moves(scan: _Scan, first_only: bool) -> list[tuple[int, tuple[int, int, int]]]:
+    """Starts of the unstarted pieces, in the order of their first crossing:
+    every start of each piece, or only its first."""
     moves: list[tuple[int, tuple[int, int, int]]] = []
-    for ci in _frontier_crossings(scan):
-        for mv in scan.run_moves(ci):
-            moves.append((ci, mv))
-    for ci in _fresh_crossings(scan, all_fresh):
-        at = scan.fresh_insert_position(ci)
-        if all_fresh and scan.piece[ci] in scan.piece_on_boundary:
-            # the rotation phases a split piece against the declared boundary
-            for rot in (3, 2, 1, 0):
-                moves.append((ci, (at, 0, rot)))
-        else:
-            moves.append((ci, (at, 0, scan.fresh_rot(ci))))
+    for p in scan.piece_members:
+        if p not in scan.started_pieces:
+            at, starts = scan.fresh_starts(p)
+            moves.extend((ci, (at, 0, rot)) for ci, rot in (starts[:1] if first_only else starts))
     return moves
-
-
-def _with_phase_retries(d: Diagram, attempt) -> Cutting:
-    """Run a compile attempt; when the final boundary alignment fails and the
-    scan started boundary-attached pieces fresh inside a pinned pocket, retry
-    over those pieces' start crossings and stub rotations (the one genuinely
-    free choice such an embedding has is the phase of each pocket piece)."""
-    import itertools
-
-    scan = _Scan(d)
-    scan.free_loop_events()
-    try:
-        return attempt(scan)
-    except InvalidOrder as first_err:
-        pieces = list(dict.fromkeys(scan.fresh_starts))
-        if not pieces:
-            raise
-        last = first_err
-        options = [
-            [(ci, rot) for ci in scan.piece_members[p] for rot in (3, 2, 1, 0)]
-            for p in pieces
-        ]
-        for combo in itertools.islice(itertools.product(*options), PHASE_RETRY_CAP):
-            if all(ci == scan.piece_members[p][0] and rot == 3
-                   for p, (ci, rot) in zip(pieces, combo)):
-                continue  # the default already failed
-            retry = _Scan(d)
-            retry.start_pref = {p: ci for p, (ci, _) in zip(pieces, combo)}
-            retry.rot_pref = {p: rot for p, (_, rot) in zip(pieces, combo)}
-            retry.free_loop_events()
-            try:
-                return attempt(retry)
-            except InvalidOrder as err:
-                last = err
-        raise last
 
 
 def compile_order(d: Diagram, order: list[int]) -> Cutting:
@@ -433,66 +399,66 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
     Raises InvalidOrder when a crossing is not glueable at its turn."""
     if sorted(order) != list(range(d.n)):
         raise InvalidOrder(f"order must be a permutation of 0..{d.n - 1}")
-
-    def attempt(scan: _Scan) -> Cutting:
-        for ci in order:
-            runs = scan.token_runs(ci)
-            if runs:
-                mv = scan.full_move(ci)
-                if mv is None:
-                    raise InvalidOrder(f"crossing {ci} is not glueable (tokens not one run)")
-                scan.apply_cross(ci, *mv)
-            else:
-                if scan.piece[ci] in scan.started_pieces:
-                    raise InvalidOrder(f"crossing {ci} is unreachable from the frontier")
-                scan.apply_cross(ci, scan.fresh_insert_position(ci), 0, scan.fresh_rot(ci))
-        rot = scan.finish()
-        return Cutting(scan.events, scan.girth, list(order), rot)
-
-    return _with_phase_retries(d, attempt)
+    scan = _Scan(d)
+    scan.free_loop_events()
+    for ci in order:
+        if scan.token_runs(ci):
+            mv = scan.full_move(ci)
+            if mv is None:
+                raise InvalidOrder(f"crossing {ci} is not glueable (tokens not one run)")
+            scan.apply_cross(ci, *mv)
+            continue
+        if scan.piece[ci] in scan.started_pieces:
+            raise InvalidOrder(f"crossing {ci} is unreachable from the frontier")
+        at, starts = scan.fresh_starts(scan.piece[ci])
+        rot = next((r for cj, r in starts if cj == ci), None)
+        if rot is None:
+            raise InvalidOrder(f"crossing {ci} has no corner on the face its piece shares with the frontier")
+        scan.apply_cross(ci, at, 0, rot)
+    rot = scan.finish()
+    return Cutting(scan.events, scan.girth, list(order), rot)
 
 
 def greedy_cutting(d: Diagram) -> Cutting:
     """Deterministic greedy scan: pick, among glueable crossings, the one
     minimizing the post-event frontier, breaking ties by a bounded lookahead
     of the greedy continuation and then by lowest crossing id."""
-
-    def attempt(scan: _Scan) -> Cutting:
-        order: list[int] = []
-        while len(scan.processed) < scan.d.n:
-            candidates = _candidate_best_moves(scan)
-            if not candidates:
-                raise InvalidOrder("greedy scan has no glueable crossing (unexpected)")
-            if len(candidates) == 1:
-                ci, mv = candidates[0]
+    scan = _Scan(d)
+    scan.free_loop_events()
+    order: list[int] = []
+    while len(scan.processed) < d.n:
+        candidates = _candidate_best_moves(scan)
+        if not candidates:
+            raise InvalidOrder("greedy scan has no glueable crossing (unexpected)")
+        if len(candidates) == 1:
+            ci, mv = candidates[0]
+        else:
+            # rank by post-event frontier first; spend the lookahead
+            # budget only on the candidates tied at the minimum
+            posts = []
+            for ci, mv in candidates:
+                probe = scan.clone()
+                probe.apply_cross(ci, *mv)
+                posts.append((len(probe.frontier), ci, mv, probe))
+            posts.sort(key=lambda t: (t[0], t[1]))
+            tied = [t for t in posts if t[0] == posts[0][0]]
+            if len(tied) == 1:
+                _, ci, mv, _ = tied[0]
             else:
-                # rank by post-event frontier first; spend the lookahead
-                # budget only on the candidates tied at the minimum
-                posts = []
-                for ci, mv in candidates:
-                    probe = scan.clone()
-                    probe.apply_cross(ci, *mv)
-                    posts.append((len(probe.frontier), ci, mv, probe))
-                posts.sort(key=lambda t: (t[0], t[1]))
-                tied = [t for t in posts if t[0] == posts[0][0]]
-                if len(tied) == 1:
-                    _, ci, mv, _ = tied[0]
-                else:
-                    scored = [(_lookahead_peak(probe, LOOKAHEAD), ci, mv)
-                              for _, ci, mv, probe in tied]
-                    scored.sort(key=lambda t: (t[0], t[1]))
-                    _, ci, mv = scored[0]
-            scan.apply_cross(ci, *mv)
-            order.append(ci)
-        rot = scan.finish()
-        return Cutting(scan.events, scan.girth, order, rot)
-
-    return _with_phase_retries(d, attempt)
+                scored = [(_lookahead_peak(probe, LOOKAHEAD), ci, mv)
+                          for _, ci, mv, probe in tied]
+                scored.sort(key=lambda t: (t[0], t[1]))
+                _, ci, mv = scored[0]
+        scan.apply_cross(ci, *mv)
+        order.append(ci)
+    rot = scan.finish()
+    return Cutting(scan.events, scan.girth, order, rot)
 
 
 def _candidate_best_moves(scan: _Scan) -> list[tuple[int, tuple[int, int, int]]]:
     """One move per glueable crossing: its full absorption when possible,
-    else its longest single-run absorption; plus fresh starts."""
+    else its longest single-run absorption; plus each unstarted piece's
+    first start."""
     out: list[tuple[int, tuple[int, int, int]]] = []
     for ci in _frontier_crossings(scan):
         mv = scan.full_move(ci)
@@ -502,9 +468,7 @@ def _candidate_best_moves(scan: _Scan) -> list[tuple[int, tuple[int, int, int]]]
                 mv = max(partial, key=lambda m: m[1])
         if mv is not None:
             out.append((ci, mv))
-    for ci in _fresh_crossings(scan, all_fresh=False):
-        out.append((ci, (scan.fresh_insert_position(ci), 0, scan.fresh_rot(ci))))
-    return out
+    return out + _fresh_moves(scan, first_only=True)
 
 
 def _lookahead_peak(scan: _Scan, depth: int) -> int:
@@ -566,7 +530,8 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
             # earlier keep their turn
             push(scan, order, peak, rot)
             continue
-        for ci, mv in _available_moves(scan, all_fresh=True):
+        moves = [(ci, mv) for ci in _frontier_crossings(scan) for mv in scan.run_moves(ci)]
+        for ci, mv in moves + _fresh_moves(scan, first_only=False):
             child = scan.clone()
             child.apply_cross(ci, *mv)
             child_peak = max(peak, child.girth)

@@ -202,10 +202,3 @@ def test_verify_json_deterministic_modulo_timings():
     b = run_cli("verify", "--seed", "7", "--json", "--max-n", "8").stdout
     ja, jb = strip_timings(json.loads(a)), strip_timings(json.loads(b))
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
-
-
-def test_bench_small():
-    proc = run_cli("bench", "--kmax", "10", "--oracle-max-n", "10", "--json")
-    rows = json.loads(proc.stdout)
-    torus = [r for r in rows if r["family"].startswith("torus")]
-    assert torus and all(r["girth"] == 4 for r in torus)

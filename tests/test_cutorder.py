@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import pytest
 
-from skeinscan.construct import braid_closure, torus_link
+from skeinscan import cutorder
+from skeinscan.construct import braid_closure, braid_tangle, torus_link
 from skeinscan.cutorder import (
     SQRT_BOUND_CONST, Cutting, InvalidCutting, TooLarge, compile_order,
     exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check,
     verify_cutting,
 )
-from skeinscan.engine import compute_bracket, expand_tangle
+from skeinscan.engine import compute_bracket, expand_tangle, make_cutting
 from skeinscan.oracle import brute_force_tangle_expansion
 from skeinscan.planar import parse_pd
 from skeinscan.skein import Birth, Cap, Cross
@@ -179,3 +181,56 @@ def test_exact_deterministic(corpus):
         a = exact_min_girth(d)
         b = exact_min_girth(d)
         assert a.events == b.events and a.girth == b.girth
+
+
+@pytest.fixture
+def scan_count(monkeypatch):
+    """Count _Scan constructions."""
+    count = [0]
+    init = cutorder._Scan.__init__
+
+    def counting(self, d):
+        count[0] += 1
+        init(self, d)
+
+    monkeypatch.setattr(cutorder._Scan, "__init__", counting)
+    return count
+
+
+def test_greedy_starts_a_pocket_piece_in_one_scan(scan_count):
+    d = braid_tangle([-3, 1], 4)
+    c = greedy_cutting(d)
+    assert scan_count[0] == 1
+    assert expand_tangle(d, order=c).coeffs == brute_force_tangle_expansion(d)
+
+
+def test_compile_order_starts_pieces_in_their_face(scan_count):
+    d = parse_pd("X[3,4,8,7]o1 X[5,6,10,9]o1 X[7,8,12,11]o0 X[1,2,14,13]o1 "
+                 "B[1,2,3,4,5,6,10,9,12,11,14,13]")
+    c = compile_order(d, [0, 1, 3, 2])
+    assert scan_count[0] == 1
+    assert c.girth == 12
+    assert expand_tangle(d, order=c).coeffs == brute_force_tangle_expansion(d)
+
+
+def test_anneal_on_a_tangle_builds_one_scan_per_order(scan_count):
+    # 400 proposed orders, the start order and the greedy scan
+    make_cutting(braid_tangle([2, -5, -2, -5, -5, 3, -5, -3], 6), "anneal")
+    assert scan_count[0] <= 402
+
+
+# the gap of a pocket piece must come from the face walk too: a gap
+# between two adjacent boundary tokens with the walk's starts compiles only
+# 4 of the first tangle's 6 orders and 16 of the second's 24
+@pytest.mark.parametrize("pd", [
+    "X[1,2,6,5]o0 X[3,4,8,7]o1 X[5,6,10,9]o0 B[1,2,3,4,8,7,10,9]",
+    "X[1,2,6,5]o1 X[3,4,8,7]o1 X[5,6,10,9]o0 X[7,8,12,11]o0 B[1,2,3,4,12,11,10,9]",
+])
+def test_every_order_of_a_split_tangle_compiles(pd, scan_count):
+    d = parse_pd(pd)
+    oracle = brute_force_tangle_expansion(d)
+    for order in itertools.permutations(range(d.n)):
+        scan_count[0] = 0
+        c = compile_order(d, list(order))
+        assert scan_count[0] == 1, order
+        assert expand_tangle(d, order=c).coeffs == oracle, order

@@ -237,7 +237,7 @@ def test_braid_tangles_with_untouched_strands():
         strands = rng.randint(3, 6)
         idle = rng.randint(1, strands)  # generators idle - 1 and idle move it
         gens = [j for j in range(1, strands) if j not in (idle - 1, idle)]
-        word = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(1, 4))] if gens else []
+        word = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(rng.randint(1, 8))] if gens else []
         d = braid_tangle(word, strands)
         oracle = brute_force_tangle_expansion(d)
         for order in ("greedy", "anneal"):
