@@ -23,7 +23,8 @@ from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, com
 from .laurent import NotDivisible
 from .matchings import catalan, format_matching
 from .oracle import TooLarge as OracleTooLarge
-from .planar import ArcMultiplicityError, ColoringError, MissingOrientation, NonPlanarError, ParseError, parse_pd
+from .planar import (ArcMultiplicityError, ColoringError, MissingOrientation, NonPlanarError, ParseError, parse_pd,
+                     trace_faces)
 from .skein import BRACKET, PKBP, EmptyFrontier, FrontierTooSmall, InvariantViolation
 from .verify import render_report, run_verify
 
@@ -120,6 +121,7 @@ def cmd_compute(args) -> int:
 def cmd_girth(args) -> int:
     d = _read_pd(args.pd)
     order = _read_order(args.order)
+    trace_faces(d)  # rejects a nonplanar diagram before it is cut
     cutting = make_cutting(d, order, args.seed)
     bound = sqrt_bound_check(d, cutting)
     payload = {

@@ -15,6 +15,20 @@ violation means an engine bug or a deliberately mutated build):
   at most n + c - g/2 + 1 terms;
 * in positive mode every integer coefficient is strictly positive.
 
+Each check reads a coefficient, A^r * sum_i c_i A^(4i) packed as
+P = sum_i c_i 2^(b*i) (``laurent.PackedPoly``), with a few bigint operations
+on P and no scan of its terms.  The lowest term's slot is the number of
+trailing zero bits of P divided by b, and the highest is
+|P|.bit_length() // b, so the span is 4 * (top - low).  The grade is
+r mod 4: a sum of coefficients whose offsets differ by a non-multiple of 4
+is repacked with exponents spaced 1 or 2 apart, and only such a value is
+decoded to find its residues.  A coefficient has at most span/4 + 1 terms,
+and span <= 4(n + c) - 2g gives span/4 + 1 <= n + c - g/2 + 1, so the term
+bound follows from the span bound; terms are counted one by one only when
+the slots between the lowest and highest term exceed it.  Positivity is
+P >= 0 with no slot's sign bit set, since a negative slot borrows from the
+one above it.
+
 n counts the Cross events so far.  c is the number of pieces of the diagram
 (connected sets of crossings, ``crossing_pieces``) that some Cross event so
 far belongs to, plus the births so far.  This holds because every cutting
@@ -99,29 +113,30 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
             f"{state.size()} matchings exceed Catalan({g // 2}) = {cat}"
         )
     lo = hi = None
-    for idx, poly in state.coeffs.items():
-        sg = poly.span_and_grade()
-        if sg.grade == MIXED:
+    for poly in state.coeffs.values():
+        mn, mx = poly.exp_range()
+        span = mx - mn
+        if poly.grade() == MIXED:
             report["mod4"]["violations"].append(
                 f"mixed exponent residues at n={n}, g={g}: {poly}"
             )
-        if sg.span % 4:
+        if span % 4:
             report["span"]["violations"].append(
-                f"span {sg.span} not a multiple of 4 at n={n}, g={g}"
+                f"span {span} not a multiple of 4 at n={n}, g={g}"
             )
-        if sg.span > span_bound:
+        if span > span_bound:
             report["span"]["violations"].append(
-                f"span {sg.span} > 4(n+c)-2g = {span_bound} at n={n}, c={c}, g={g}"
+                f"span {span} > 4(n+c)-2g = {span_bound} at n={n}, c={c}, g={g}"
             )
-        if len(poly) > term_bound:
+        # the slots from the lowest term to the highest bound the term count
+        if span // poly.step >= term_bound and len(poly) > term_bound:
             report["storage"]["violations"].append(
                 f"{len(poly)} terms > n+c-g/2+1 = {term_bound} at n={n}, c={c}, g={g}"
             )
-        if state.mode == PKBP and any(v <= 0 for _, v in poly):
+        if state.mode == PKBP and not poly.is_positive():
             report["positivity"]["violations"].append(
                 f"nonpositive coefficient at n={n}, g={g}: {poly}"
             )
-        mn, mx = poly.min_exp(), poly.max_exp()
         lo = mn if lo is None else min(lo, mn)
         hi = mx if hi is None else max(hi, mx)
     if lo is not None and hi - lo > 4 * (n + c):
@@ -193,7 +208,7 @@ def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult
     t1 = time.perf_counter()
     state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
     t2 = time.perf_counter()
-    raw = state.coeffs.get(0, LaurentPoly.zero())
+    raw = state.coeffs[0].to_laurent() if state.coeffs else LaurentPoly.zero()
     polynomial = raw.exact_div(loop_value(mode))
     report["sqrt_bound"] = sqrt_bound_check(d, cutting)
     report["storage"]["peak_matchings"] = peak

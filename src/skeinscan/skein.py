@@ -43,10 +43,17 @@ front.  An entry is built the first time a fold meets its matching, and is
 written only after every output has passed ``is_noncrossing``, so the check
 runs once per table entry rather than once per fold step, and a failed check
 leaves nothing behind.  Tables hold loop counts, not loop values, so every
-mode shares them; a fold step then costs a shift by the smoothing's power of
-A, a multiplication by a power of the loop value when a loop closed, and a
-merge.  Canonical order is the lexicographic order of the matchings
-themselves, restored by sorting whenever a state is listed.
+mode shares them.  Canonical order is the lexicographic order of the
+matchings themselves, restored by sorting whenever a state is listed.
+
+Coefficients are ``laurent.PackedPoly`` values: by the mod-4 theorem each is
+A^r * p(A^4), held as the offset r and one integer with p's coefficients in
+signed slots of b bits.  A fold step on one coefficient is a few C-level
+bigint operations, whatever its number of terms: the smoothing's power of A
+changes r; each closed loop, e * A^-2 * (1 + A^4) with e the sign of the
+mode's loop value, is one shift by b and one add (negated when e^loops is
+-1); and the merge into the output is one aligned shift and one add.  The
+state reads out as ``LaurentPoly`` in ``items``.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly
+from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly, PackedPoly
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
 BRACKET = "bracket"
@@ -107,10 +114,14 @@ def loop_value(mode: str) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _loop_power(mode: str, k: int) -> LaurentPoly:
-    if k == 0:
-        return ONE
-    return _loop_power(mode, k - 1) * LOOP_VALUES[mode]
+def _loop_power(mode: str, k: int) -> int:
+    """The sign of the loop value's k-th power.  The loop value must be
+    e * (A^2 + A^-2) with e = +-1; its power is e^k * A^-2k * (1 + A^4)^k,
+    and ``PackedPoly.times_loops`` applies the rest as shift-adds."""
+    e = dict(LOOP_VALUES[mode]).get(2)
+    if e not in (1, -1) or LOOP_VALUES[mode] != LaurentPoly({2: e, -2: e}):
+        raise ValueError(f"loop value {LOOP_VALUES[mode]} is not +-(A^2 + A^-2)")
+    return e ** k
 
 
 def a_smoothing_class(absorb: int, over_first: bool) -> int:
@@ -223,16 +234,21 @@ def _transition_table(g: int, at: int, k: int, smoothings) -> array:
 
 
 class SkeinState:
-    """Sparse map from matchings of g frontier points to coefficients."""
+    """Sparse map from matchings of g frontier points to coefficients.
+
+    ``coeffs`` maps matching ids to ``PackedPoly`` values; the constructor
+    packs any ``LaurentPoly`` it is given, and ``items`` reads them out as
+    ``LaurentPoly``."""
 
     __slots__ = ("mode", "g", "coeffs")
 
-    def __init__(self, mode: str, g: int = 0, coeffs: dict[int, LaurentPoly] | None = None):
+    def __init__(self, mode: str, g: int = 0, coeffs: dict | None = None):
         if mode not in LOOP_VALUES:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.g = g
-        self.coeffs = coeffs if coeffs is not None else {}
+        self.coeffs = {idx: poly if isinstance(poly, PackedPoly) else PackedPoly.from_laurent(poly)
+                       for idx, poly in (coeffs or {}).items()}
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
@@ -242,7 +258,7 @@ class SkeinState:
         """(matching, coefficient) pairs in canonical order: the matchings
         sorted lexicographically, whatever order their ids were issued in."""
         b = basis(self.g)
-        return sorted(((b.matching(idx), poly) for idx, poly in self.coeffs.items()),
+        return sorted(((b.matching(idx), poly.to_laurent()) for idx, poly in self.coeffs.items()),
                       key=lambda item: item[0])
 
     def size(self) -> int:
@@ -268,7 +284,7 @@ class SkeinState:
         if r == 0 or g == 0:
             return self
         b = basis(g)
-        out: dict[int, LaurentPoly] = {}
+        out: dict[int, PackedPoly] = {}
         for idx, poly in self.coeffs.items():
             mu = b.matching(idx)
             rot = tuple((mu[(i + r) % g] - r) % g for i in range(g))
@@ -304,7 +320,7 @@ class SkeinState:
         width = len(smoothings)
         bold = basis(g)
         mode = self.mode
-        out: dict[int, LaurentPoly] = {}
+        out: dict[int, PackedPoly] = {}
         for idx, poly in self.coeffs.items():
             slot = width * idx
             if table[slot] < 0:
@@ -312,17 +328,21 @@ class SkeinState:
                 # only once every output passed the noncrossing check
                 table[slot:slot + width] = array("q", _surgery(g, at, k, smoothings, bold.matching(idx)))
             for (_, shift), packed in zip(smoothings, table[slot:slot + width]):
-                contrib = poly.shifted(shift) if shift else poly
                 loops = packed & 7
                 if loops:
-                    contrib = contrib * _loop_power(mode, loops)
+                    contrib = poly.times_loops(shift, loops, _loop_power(mode, loops))
+                else:
+                    contrib = poly.shifted(shift) if shift else poly
                 key = packed >> 3
                 acc = out.get(key)
-                merged = contrib if acc is None else acc + contrib
-                if merged.is_zero():
-                    out.pop(key, None)
+                if acc is None:
+                    out[key] = contrib
                 else:
-                    out[key] = merged
+                    merged = acc + contrib
+                    if merged.P:
+                        out[key] = merged
+                    else:
+                        del out[key]
         return SkeinState(self.mode, g + ends - 2 * k, out)
 
     def apply(self, ev: Event) -> "SkeinState":

@@ -181,8 +181,9 @@ def test_chord_tangle_cutting_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("pd", ["B[1,2,1,2]", "X[1,2,4,3]o0 B[1,5,2,4,5,3]"])
 def test_nonplanar_chord_layout_exits_one(pd):
-    proc = run_cli("compute", "--pd", pd, expect=1)
-    assert "Traceback" not in proc.stderr
+    for command in ("compute", "girth"):
+        proc = run_cli(command, "--pd", pd, expect=1)
+        assert "Traceback" not in proc.stderr
 
 
 def test_pd_from_file(tmp_path):

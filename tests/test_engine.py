@@ -1,8 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
-from skeinscan.construct import add_kink, braid_closure, braid_tangle
+from skeinscan.construct import add_kink, braid_closure, braid_tangle, torus_link
 from skeinscan.cutorder import Cutting
 from skeinscan.engine import (
     EmptyDiagram, NotClosed, check_mod4_link, compute_bracket, compute_jones,
@@ -63,6 +64,23 @@ def test_pkbp_values():
     assert all(c > 0 for _, c in res.polynomial)
     sg = res.polynomial.span_and_grade()
     assert sg.span <= 4 * (TREFOIL.n + 1)
+
+
+def test_pkbp_wide_coefficients():
+    # T(2,k): the state with j B-smoothings closes l_j loops, l_0 = 2 and
+    # l_j = j otherwise, so <T(2,k)> = sum_j C(k,j) A^(k-2j) d^(l_j - 1) with
+    # d = A^2 + A^-2.  At k = 200 the largest coefficient has 312 bits, so
+    # the fold repacks its coefficients past 64-bit slots.
+    k = 200
+    expected, power = DELTA_PLUS.shifted(k), LaurentPoly.one()
+    for j in range(1, k + 1):
+        if j >= 2:
+            power = power * DELTA_PLUS
+        expected = expected + power.shifted(k - 2 * j).scaled(comb(k, j))
+    assert max(abs(c) for _, c in expected).bit_length() == 312
+    res = compute_pkbp(torus_link(k))
+    assert res.ok
+    assert res.polynomial == expected
 
 
 def test_closed_only():

@@ -2,15 +2,17 @@
 the loop value's sign, the smoothing weight assignment, the state-size cap
 or the component count each has to turn at least one suite red, and so must
 a transition table that answers for the wrong smoothing class or holds a
-corrupted entry."""
+corrupted entry, a smoothing weight that breaks the mod-4 grading, and
+coefficient slots that are too narrow for their values."""
 
 import pytest
 
 import skeinscan.engine as engine
 import skeinscan.skein as skein
-from skeinscan.construct import braid_closure
-from skeinscan.engine import compute_bracket
-from skeinscan.laurent import DELTA_PLUS
+from skeinscan.construct import braid_closure, torus_link
+from skeinscan.cutorder import greedy_cutting
+from skeinscan.engine import compute_bracket, fold_cutting
+from skeinscan.laurent import DELTA_PLUS, PackedPoly
 from skeinscan.verify import run_verify
 
 
@@ -81,3 +83,38 @@ def test_corrupted_table_entry_detected(fresh_tables):
     table[0] ^= 1 << 3
     report = run_verify(max_n=6)
     assert not report["ok"]
+
+
+def test_mixed_residues_detected(monkeypatch):
+    # an A-smoothing weighted A^3 instead of A adds coefficients whose
+    # exponents differ by 2 mod 4; the sums must reach the mod-4 check as
+    # mixed residues, not raise out of the fold
+    for cls, ((pairing, _), other) in list(skein._CROSSINGS.items()):
+        monkeypatch.setitem(skein._CROSSINGS, cls, ((pairing, 3), other))
+    report = run_verify(max_n=6)
+    assert not report["ok"]
+    assert not report["suites"]["invariants"]["ok"]
+    assert any("/mod4:" in f for f in report["suites"]["invariants"]["failures"])
+
+
+def test_undersized_slots_detected(monkeypatch):
+    # bounds that never grow never make a coefficient repack, so it stays in
+    # 64-bit slots; the positive variant of T(2,50) outgrows them at n=43,
+    # and the overflow sets a slot's sign bit
+    add, times_loops = PackedPoly.__add__, PackedPoly.times_loops
+
+    def frozen_add(x, y):
+        out = add(x, y)
+        out.bound = min(out.bound, max(x.bound, y.bound))
+        return out
+
+    def frozen_times_loops(x, shift, loops, sign):
+        out = times_loops(x, shift, loops, sign)
+        out.bound = min(out.bound, x.bound)
+        return out
+
+    monkeypatch.setattr(PackedPoly, "__add__", frozen_add)
+    monkeypatch.setattr(PackedPoly, "times_loops", frozen_times_loops)
+    d = torus_link(50)
+    _, report, _ = fold_cutting(d, greedy_cutting(d), skein.PKBP)
+    assert not report["positivity"]["ok"]
