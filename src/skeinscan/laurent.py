@@ -77,11 +77,6 @@ class LaurentPoly:
             raise EmptyPolynomial("zero polynomial has no exponents")
         return min(self._terms)
 
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise EmptyPolynomial("zero polynomial has no exponents")
-        return max(self._terms)
-
     def span_and_grade(self) -> SpanGrade:
         """Span = max exponent - min exponent; grade = the common residue of
         all exponents mod 4, or MIXED when they disagree."""
@@ -329,7 +324,7 @@ class PackedPoly:
 
     # -- reading -----------------------------------------------------------
 
-    def slots(self):
+    def _slots(self):
         """Signed slot values c_0 .. c_top (zeros included); empty for zero."""
         P, b = self.P, self.b
         if not P:
@@ -347,7 +342,7 @@ class PackedPoly:
 
     def to_laurent(self) -> LaurentPoly:
         r, step = self.r, self.step
-        return LaurentPoly({r + step * i: c for i, c in enumerate(self.slots()) if c})
+        return LaurentPoly({r + step * i: c for i, c in enumerate(self._slots()) if c})
 
     def exp_range(self) -> tuple[int, int]:
         """Lowest and highest exponent with a nonzero coefficient, from the
@@ -376,7 +371,7 @@ class PackedPoly:
 
     def __len__(self) -> int:
         """The number of nonzero terms (decodes every slot)."""
-        return sum(1 for c in self.slots() if c)
+        return sum(1 for c in self._slots() if c)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.to_laurent())
@@ -397,7 +392,7 @@ class PackedPoly:
     def _refit(self, grow: int, b: int = 0) -> "PackedPoly":
         """The same value with its true maximum as the bound, in slots of at
         least b bits that hold `grow` times that maximum."""
-        vals = self.slots()
+        vals = self._slots()
         bound = max(max(vals), -min(vals)) if len(vals) else 0
         wide = max(_slot_width(bound * grow), b)
         if wide <= self.b:
@@ -406,7 +401,7 @@ class PackedPoly:
 
     def _restride(self, step: int) -> "PackedPoly":
         """The same value with exponents spaced by a divisor of self.step."""
-        k, old = self.step // step, self.slots()
+        k, old = self.step // step, self._slots()
         vals = [0] * ((len(old) - 1) * k + 1)
         vals[::k] = old
         return PackedPoly(self.r, step, self.b, self.bound, _encode(vals, self.b))
@@ -437,7 +432,7 @@ class PackedPoly:
         if (x.bound + y.bound) >> (b - 3):
             x, y = x._refit(8), y._refit(8)
             b = max(x.b, y.b)
-        # widening keeps both bounds, so the sum still fits b
+        # a refit only lowers a bound, so the sum still fits b
         if x.b != b:
             x = x._refit(2, b)
         if y.b != b:
