@@ -10,8 +10,6 @@ building blocks of larger immutable states.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from math import gcd
 from typing import Iterator, Mapping, NamedTuple
 
@@ -242,9 +240,6 @@ class LaurentPoly:
         return cls({int(e): int(c) for e, c in data.items()})
 
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 def _slot_width(bound: int) -> int:
     """The slot width, in bits, for values up to `bound` in magnitude: at
     least 64, with room for the sign bit and a quarter more bits of growth.
@@ -263,13 +258,7 @@ def _bias(b: int, n: int) -> int:
 def _encode(vals, b: int) -> int:
     """Sum of vals[i] * 2^(b*i), for signed values with |v| < 2^(b-1)."""
     w = b // 8
-    if b == 64:
-        slots = array("q", vals)
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        raw = slots.tobytes()
-    else:
-        raw = b"".join(v.to_bytes(w, "little", signed=True) for v in vals)
+    raw = b"".join(v.to_bytes(w, "little", signed=True) for v in vals)
     # raw holds each value in two's complement, which is the value plus the
     # slot bias with the bias bit flipped
     bias = _bias(b, len(vals))
@@ -332,11 +321,6 @@ class PackedPoly:
         n = abs(P).bit_length() // b + 1
         bias = _bias(b, n)
         raw = ((P + bias) ^ bias).to_bytes(n * b // 8, "little")
-        if b == 64:
-            vals = array("q", raw)
-            if _BIG_ENDIAN:
-                vals.byteswap()
-            return vals
         w = b // 8
         return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
@@ -389,15 +373,19 @@ class PackedPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _refit(self, grow: int, b: int = 0) -> "PackedPoly":
-        """The same value with its true maximum as the bound, in slots of at
-        least b bits that hold `grow` times that maximum."""
+    def _refit(self, grow: int) -> "PackedPoly":
+        """The same value with its true maximum as the bound, in slots that
+        hold `grow` times that maximum."""
         vals = self._slots()
         bound = max(max(vals), -min(vals)) if len(vals) else 0
-        wide = max(_slot_width(bound * grow), b)
+        wide = _slot_width(bound * grow)
         if wide <= self.b:
             return PackedPoly(self.r, self.step, self.b, bound, self.P)
         return PackedPoly(self.r, self.step, wide, bound, _encode(vals, wide))
+
+    def _widened(self, b: int) -> "PackedPoly":
+        """The same value in slots of b >= self.b bits."""
+        return PackedPoly(self.r, self.step, b, self.bound, _encode(self._slots(), b))
 
     def _restride(self, step: int) -> "PackedPoly":
         """The same value with exponents spaced by a divisor of self.step."""
@@ -432,11 +420,13 @@ class PackedPoly:
         if (x.bound + y.bound) >> (b - 3):
             x, y = x._refit(8), y._refit(8)
             b = max(x.b, y.b)
-        # a refit only lowers a bound, so the sum still fits b
+        # the bounds now sum to less than 2^(b-3): without a refit by the
+        # test above, and after one because _refit(8) leaves each bound below
+        # 2^(w-4) in its width w <= b; so the narrower value fits b as it is
         if x.b != b:
-            x = x._refit(2, b)
+            x = x._widened(b)
         if y.b != b:
-            y = y._refit(2, b)
+            y = y._widened(b)
         return PackedPoly(x.r, x.step, b, x.bound + y.bound, x.P + (y.P << b * (d // x.step)))
 
 

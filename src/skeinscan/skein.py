@@ -238,7 +238,8 @@ class SkeinState:
 
     ``coeffs`` maps matching ids to ``PackedPoly`` values; the constructor
     packs any ``LaurentPoly`` it is given, and ``items`` reads them out as
-    ``LaurentPoly``."""
+    ``LaurentPoly``.  Events build their results with ``_of``, which takes
+    the packed map as it is."""
 
     __slots__ = ("mode", "g", "coeffs")
 
@@ -249,6 +250,12 @@ class SkeinState:
         self.g = g
         self.coeffs = {idx: poly if isinstance(poly, PackedPoly) else PackedPoly.from_laurent(poly)
                        for idx, poly in (coeffs or {}).items()}
+
+    @classmethod
+    def _of(cls, mode: str, g: int, coeffs: dict[int, PackedPoly]) -> "SkeinState":
+        state = cls.__new__(cls)
+        state.mode, state.g, state.coeffs = mode, g, coeffs
+        return state
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
@@ -289,7 +296,7 @@ class SkeinState:
             mu = b.matching(idx)
             rot = tuple((mu[(i + r) % g] - r) % g for i in range(g))
             out[b.index_of(rot)] = poly
-        return SkeinState(self.mode, g, out)
+        return SkeinState._of(self.mode, g, out)
 
     def birth(self, at: int) -> "SkeinState":
         return self._glue(at, 0, _ARC)
@@ -343,7 +350,7 @@ class SkeinState:
                         out[key] = merged
                     else:
                         del out[key]
-        return SkeinState(self.mode, g + ends - 2 * k, out)
+        return SkeinState._of(self.mode, g + ends - 2 * k, out)
 
     def apply(self, ev: Event) -> "SkeinState":
         if isinstance(ev, Birth):
