@@ -25,6 +25,7 @@ at 0; the state machine applies the same rule, keeping both sides aligned.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import random
@@ -38,6 +39,8 @@ SQRT_BOUND_CONST = 6 * math.sqrt(2) + 5 * math.sqrt(3)
 
 DEFAULT_EXACT_CAP = 20
 LOOKAHEAD = 2  # greedy tie-break depth
+# the type of each event field a cutting file may carry
+_FIELD_TYPES = {"at": int, "absorb": int, "crossing": int, "rot": int, "over_first": bool}
 
 
 class TooLarge(ValueError):
@@ -82,7 +85,8 @@ class Cutting:
     @classmethod
     def from_json(cls, data: dict) -> "Cutting":
         """Load a cutting, rejecting events that do not fit the frontier
-        they meet (frontier sizes follow from the events alone)."""
+        they meet (frontier sizes follow from the events alone) and event
+        fields of the wrong type."""
         events: list[Event] = []
         g = 0
         try:
@@ -106,6 +110,9 @@ class Cutting:
                     g += 4 - 2 * k
                 else:
                     raise InvalidCutting(f"unknown event type {ev['type']!r}")
+                for name, kind in _FIELD_TYPES.items():
+                    if name in ev and type(ev[name]) is not kind:
+                        raise InvalidCutting(f"event field {name!r} must be {kind.__name__}, got {ev[name]!r}")
             return cls(events, data["girth"], list(data["source_order"]),
                        data.get("final_rotation", 0))
         except (KeyError, TypeError) as exc:
@@ -120,10 +127,10 @@ class Cutting:
 class _Scan:
     """Frontier-token simulation shared by the compiler and the searches.
 
-    It scans the crossing pieces and the free loops only.  A crossingless
-    boundary chord pairs the same two boundary points in every term, so the
-    scan leaves it out and ``engine.expand_tangle`` adds it to the folded
-    expansion."""
+    It scans the crossing pieces and the free loops only, and opens with a
+    birth/cap pair at 0 per free loop.  A crossingless boundary chord pairs
+    the same two boundary points in every term, so the scan leaves it out
+    and ``engine.expand_tangle`` adds it to the folded expansion."""
 
     def __init__(self, d: Diagram):
         self.d = d
@@ -144,6 +151,9 @@ class _Scan:
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
         self.started_pieces: set[int] = set()
+        for _ in range(d.free_loops):
+            self.emit_birth(0)
+            self.emit_cap(0)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -189,11 +199,6 @@ class _Scan:
     def emit_cap(self, at: int) -> None:
         self.events.append(Cap(at))
         self._splice(at, 2, [])
-
-    def free_loop_events(self) -> None:
-        for _ in range(self.d.free_loops):
-            self.emit_birth(0)
-            self.emit_cap(0)
 
     def cascade_caps(self) -> None:
         """Cap every adjacent pair of stubs of the same completed interior
@@ -261,18 +266,6 @@ class _Scan:
                     if ok:
                         moves.append((run[start], length, r0))
         return moves
-
-    def full_move(self, ci: int) -> tuple[int, int, int] | None:
-        """The move absorbing all of ci's frontier tokens, if they form one
-        slot-consistent run."""
-        runs = self.token_runs(ci)
-        if len(runs) != 1:
-            return None
-        total = len(runs[0])
-        for at, k, r in self.run_moves(ci):
-            if k == total and at == runs[0][0]:
-                return (at, k, r)
-        return None
 
     def _other_end(self, arc: int, ci: int, s: int) -> tuple[int, int]:
         ends = self.arc_slots[arc]
@@ -400,11 +393,11 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
     if sorted(order) != list(range(d.n)):
         raise InvalidOrder(f"order must be a permutation of 0..{d.n - 1}")
     scan = _Scan(d)
-    scan.free_loop_events()
     for ci in order:
-        if scan.token_runs(ci):
-            mv = scan.full_move(ci)
-            if mv is None:
+        runs = scan.token_runs(ci)
+        if runs:
+            mv = max(scan.run_moves(ci), key=lambda m: m[1], default=None)
+            if mv is None or mv[1] != sum(map(len, runs)):
                 raise InvalidOrder(f"crossing {ci} is not glueable (tokens not one run)")
             scan.apply_cross(ci, *mv)
             continue
@@ -420,74 +413,52 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
 
 
 def greedy_cutting(d: Diagram) -> Cutting:
-    """Deterministic greedy scan: pick, among glueable crossings, the one
-    minimizing the post-event frontier, breaking ties by a bounded lookahead
-    of the greedy continuation and then by lowest crossing id."""
+    """Deterministic greedy scan: every step applies ``_greedy_move`` with a
+    lookahead of LOOKAHEAD steps."""
     scan = _Scan(d)
-    scan.free_loop_events()
     order: list[int] = []
     while len(scan.processed) < d.n:
-        candidates = _candidate_best_moves(scan)
-        if not candidates:
+        step = _greedy_move(scan, LOOKAHEAD)
+        if step is None:
             raise InvalidOrder("greedy scan has no glueable crossing (unexpected)")
-        if len(candidates) == 1:
-            ci, mv = candidates[0]
-        else:
-            # rank by post-event frontier first; spend the lookahead
-            # budget only on the candidates tied at the minimum
-            posts = []
-            for ci, mv in candidates:
-                probe = scan.clone()
-                probe.apply_cross(ci, *mv)
-                posts.append((len(probe.frontier), ci, mv, probe))
-            posts.sort(key=lambda t: (t[0], t[1]))
-            tied = [t for t in posts if t[0] == posts[0][0]]
-            if len(tied) == 1:
-                _, ci, mv, _ = tied[0]
-            else:
-                scored = [(_lookahead_peak(probe, LOOKAHEAD), ci, mv)
-                          for _, ci, mv, probe in tied]
-                scored.sort(key=lambda t: (t[0], t[1]))
-                _, ci, mv = scored[0]
+        ci, mv = step
         scan.apply_cross(ci, *mv)
         order.append(ci)
     rot = scan.finish()
     return Cutting(scan.events, scan.girth, order, rot)
 
 
-def _candidate_best_moves(scan: _Scan) -> list[tuple[int, tuple[int, int, int]]]:
-    """One move per glueable crossing: its full absorption when possible,
-    else its longest single-run absorption; plus each unstarted piece's
-    first start."""
-    out: list[tuple[int, tuple[int, int, int]]] = []
-    for ci in _frontier_crossings(scan):
-        mv = scan.full_move(ci)
-        if mv is None:
-            partial = scan.run_moves(ci)
-            if partial:
-                mv = max(partial, key=lambda m: m[1])
-        if mv is not None:
-            out.append((ci, mv))
-    return out + _fresh_moves(scan, first_only=True)
-
-
-def _lookahead_peak(scan: _Scan, depth: int) -> int:
-    probe = scan.clone()
-    for _ in range(depth):
-        if len(probe.processed) == probe.d.n:
-            break
-        candidates = _candidate_best_moves(probe)
-        if not candidates:
-            break
-        best = None
-        for ci, mv in candidates:
-            trial = probe.clone()
-            trial.apply_cross(ci, *mv)
-            key = (len(trial.frontier), ci)
-            if best is None or key < best[0]:
-                best = (key, ci, mv)
-        probe.apply_cross(best[1], *best[2])
-    return probe.girth
+def _greedy_move(scan: _Scan, lookahead: int) -> tuple[int, tuple[int, int, int]] | None:
+    """The greedy rule: among the candidates (each glueable crossing's
+    longest single-run absorption, and each unstarted piece's first start),
+    take the one leaving the smallest frontier, then the lowest crossing id.
+    With a lookahead, candidates tied at the smallest frontier are ranked
+    first by the peak girth after that many further greedy steps (fewer
+    when the scan runs out of candidates).  None when there is no
+    candidate."""
+    candidates = [(ci, max(moves, key=lambda m: m[1]))
+                  for ci in _frontier_crossings(scan) if (moves := scan.run_moves(ci))]
+    candidates += _fresh_moves(scan, first_only=True)
+    if len(candidates) < 2:
+        return candidates[0] if candidates else None
+    probes = []
+    for ci, mv in candidates:
+        probe = scan.clone()
+        probe.apply_cross(ci, *mv)
+        probes.append((len(probe.frontier), ci, mv, probe))
+    least = min(t[0] for t in probes)
+    tied = [t for t in probes if t[0] == least]
+    if lookahead and len(tied) > 1:
+        for _, _, _, probe in tied:
+            for _ in range(lookahead):
+                step = _greedy_move(probe, 0)
+                if step is None:
+                    break
+                probe.apply_cross(step[0], *step[1])
+        _, ci, mv, _ = min(tied, key=lambda t: (t[3].girth, t[1]))
+    else:
+        _, ci, mv, _ = min(tied, key=lambda t: t[1])
+    return ci, mv
 
 
 def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
@@ -498,23 +469,12 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
     if d.n > max_n:
         raise TooLarge(f"{d.n} crossings exceeds the exact-search cap {max_n}")
     base = _Scan(d)
-    base.free_loop_events()
-    counter = 0
-    heap: list[tuple[int, int]] = []  # (peak, entry id)
-    # entry id -> (scan, order, final rotation once the scan is complete)
-    entries: dict[int, tuple[_Scan, list[int], int | None]] = {}
-
-    def push(scan: _Scan, order: list[int], peak: int, rot: int | None = None):
-        nonlocal counter
-        entries[counter] = (scan, order, rot)
-        heapq.heappush(heap, (peak, counter))
-        counter += 1
-
+    tick = itertools.count()  # unique, so entries never compare their scans
+    # (peak, tick, scan, order, final rotation once the scan is complete)
+    heap: list[tuple] = [(base.girth, next(tick), base, [], None)]
     settled: dict[tuple, int] = {}
-    push(base, [], base.girth)
     while heap:
-        peak, eid = heapq.heappop(heap)
-        scan, order, rot = entries.pop(eid)
+        peak, _, scan, order, rot = heapq.heappop(heap)
         if rot is not None:
             return Cutting(scan.events, scan.girth, order, rot)
         key = scan.state_key()
@@ -528,7 +488,7 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
                 continue  # complete, but not onto the declared boundary
             # queued rather than returned, so entries of equal peak pushed
             # earlier keep their turn
-            push(scan, order, peak, rot)
+            heapq.heappush(heap, (peak, next(tick), scan, order, rot))
             continue
         moves = [(ci, mv) for ci in _frontier_crossings(scan) for mv in scan.run_moves(ci)]
         for ci, mv in moves + _fresh_moves(scan, first_only=False):
@@ -538,7 +498,7 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
             ckey = child.state_key()
             if settled.get(ckey, 1 << 30) <= child_peak:
                 continue
-            push(child, order + [ci], child_peak)
+            heapq.heappush(heap, (child_peak, next(tick), child, order + [ci], None))
     raise InvalidOrder("search exhausted without completing the scan")
 
 
@@ -588,14 +548,15 @@ def sqrt_bound_check(d: Diagram, cutting: Cutting) -> dict:
 
 
 def verify_cutting(d: Diagram, cutting: Cutting) -> None:
-    """Replay an explicit cutting against the diagram, checking that every
-    event is a legal disk step and the replay reconstructs the diagram,
-    the recorded girth, and the recorded cap/birth bookkeeping exactly.
+    """Replay an explicit cutting against the diagram, applying each
+    recorded move as recorded: a crossing event is legal when its rot is a
+    slot 0..3 and, if it absorbs tokens, ``_Scan.run_moves`` offers its
+    (at, absorb, rot).  The replay must then reproduce every recorded event
+    (over_first included), the final rotation and the girth exactly.
     Like the searches, it starts each piece of the diagram (a connected
     set of crossings) fresh only once; the fold's component count relies
     on that."""
     scan = _Scan(d)
-    scan.free_loop_events()
     events = cutting.events
     pos = len(scan.events)
     if events[:pos] != scan.events:
@@ -608,27 +569,18 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
         ci = ev.crossing
         if ci is None or not 0 <= ci < d.n or ci in scan.processed:
             raise InvalidCutting(f"bad crossing reference in {ev}")
+        if ev.rot not in range(4):
+            raise InvalidCutting(f"{ev} glues no crossing slot 0..3")
         if ev.absorb == 0:
             if scan.token_runs(ci):
                 raise InvalidCutting(f"{ev} ignores frontier arcs of crossing {ci}")
             if scan.piece[ci] in scan.started_pieces:
                 raise InvalidCutting(f"{ev} starts crossing {ci}'s piece a second time")
-            over = d.crossings[ci].over
-            rot = ev.rot if ev.rot is not None else (3 if ev.over_first == (over == 0) else 2)
-            if ev.over_first != (((rot + 1) % 2) == over):
-                raise InvalidCutting(f"{ev} has an inconsistent over_first flag")
             if not 0 <= ev.at <= len(scan.frontier):
                 raise InvalidCutting(f"{ev} inserts outside the frontier")
-            scan.apply_cross(ci, ev.at, 0, rot)
-        else:
-            legal = {}
-            for at, k, rot in scan.run_moves(ci):
-                over_first = (rot % 2) == d.crossings[ci].over
-                legal[(at, k, over_first)] = (at, k, rot)
-            mv = legal.get((ev.at, ev.absorb, ev.over_first))
-            if mv is None:
-                raise InvalidCutting(f"{ev} is not a legal gluing here")
-            scan.apply_cross(ci, *mv)
+        elif (ev.at, ev.absorb, ev.rot) not in scan.run_moves(ci):
+            raise InvalidCutting(f"{ev} is not a legal gluing here")
+        scan.apply_cross(ci, ev.at, ev.absorb, ev.rot)
         # the prefix before this crossing already matched
         start, pos = pos, len(scan.events)
         if events[start:pos] != scan.events[start:pos]:

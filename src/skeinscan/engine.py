@@ -43,8 +43,9 @@ cutting that broke the rule would make c too small, which only tightens the
 bounds: it can raise a false alarm, never hide a violation.
 
 The raw fold closes every loop with the loop value, so a closed diagram
-yields loop_value * result; one exact division restores the normalization
-in which the unknot maps to 1 and a k-component unlink to (loop value)^(k-1).
+yields the loop value times the result; one exact division restores the
+normalization in which the unknot maps to 1 and a k-component unlink to
+(loop value)^(k-1).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting,
 from .laurent import MIXED, LaurentPoly
 from .matchings import Matching, catalan
 from .planar import DARK, LIGHT, Diagram, checkerboard, crossing_pieces, trace_faces, writhe
-from .skein import BRACKET, PKBP, Birth, Cross, InvariantViolation, SkeinState, loop_value
+from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, InvariantViolation, SkeinState
 
 
 class NotClosed(ValueError):
@@ -209,7 +210,7 @@ def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult
     state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
     t2 = time.perf_counter()
     raw = state.coeffs[0].to_laurent() if state.coeffs else LaurentPoly.zero()
-    polynomial = raw.exact_div(loop_value(mode))
+    polynomial = raw.exact_div(LOOP_VALUES[mode])
     report["sqrt_bound"] = sqrt_bound_check(d, cutting)
     report["storage"]["peak_matchings"] = peak
     report["storage"]["catalan_cap"] = catalan(cutting.girth // 2)
@@ -288,13 +289,11 @@ def compute_jones(d: Diagram, orientation=None, order="greedy", seed: int = 0, t
                          result.peak_state_size, result.diagnostics, result.cutting)
 
 
-def check_mod4_link(d: Diagram, raw) -> dict:
+def check_mod4_link(d: Diagram, raw: LaurentPoly) -> dict:
     """Verify every exponent of the raw (pre-division) bracket against the
     checkerboard residue w + 2e - 2e_base mod 4, under both colorings.
     e_base counts the dark disks of the empty closure: 1 when the outer face
-    is dark, else 0.  Accepts a raw polynomial or a whole result object."""
-    if isinstance(raw, BracketResult):
-        raw = raw.raw_polynomial
+    is dark, else 0."""
     out = {"violations": [], "ok": True}
     if raw.is_zero():
         out["violations"].append("raw bracket is zero")

@@ -109,10 +109,6 @@ class Cross:
 Event = Birth | Cap | Cross
 
 
-def loop_value(mode: str) -> LaurentPoly:
-    return LOOP_VALUES[mode]
-
-
 @lru_cache(maxsize=None)
 def _loop_power(mode: str, k: int) -> int:
     """The sign of the loop value's k-th power.  The loop value must be
@@ -236,30 +232,21 @@ def _transition_table(g: int, at: int, k: int, smoothings) -> array:
 class SkeinState:
     """Sparse map from matchings of g frontier points to coefficients.
 
-    ``coeffs`` maps matching ids to ``PackedPoly`` values; the constructor
-    packs any ``LaurentPoly`` it is given, and ``items`` reads them out as
-    ``LaurentPoly``.  Events build their results with ``_of``, which takes
-    the packed map as it is."""
+    ``coeffs`` maps matching ids to ``PackedPoly`` values, stored as given;
+    ``items`` reads them out as ``LaurentPoly``."""
 
     __slots__ = ("mode", "g", "coeffs")
 
-    def __init__(self, mode: str, g: int = 0, coeffs: dict | None = None):
+    def __init__(self, mode: str, g: int, coeffs: dict[int, PackedPoly]):
         if mode not in LOOP_VALUES:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.g = g
-        self.coeffs = {idx: poly if isinstance(poly, PackedPoly) else PackedPoly.from_laurent(poly)
-                       for idx, poly in (coeffs or {}).items()}
-
-    @classmethod
-    def _of(cls, mode: str, g: int, coeffs: dict[int, PackedPoly]) -> "SkeinState":
-        state = cls.__new__(cls)
-        state.mode, state.g, state.coeffs = mode, g, coeffs
-        return state
+        self.coeffs = coeffs
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
-        return cls(mode, 0, {basis(0).index_of(()): ONE})
+        return cls(mode, 0, {basis(0).index_of(()): PackedPoly.from_laurent(ONE)})
 
     def items(self) -> list[tuple[Matching, LaurentPoly]]:
         """(matching, coefficient) pairs in canonical order: the matchings
@@ -296,7 +283,7 @@ class SkeinState:
             mu = b.matching(idx)
             rot = tuple((mu[(i + r) % g] - r) % g for i in range(g))
             out[b.index_of(rot)] = poly
-        return SkeinState._of(self.mode, g, out)
+        return SkeinState(self.mode, g, out)
 
     def birth(self, at: int) -> "SkeinState":
         return self._glue(at, 0, _ARC)
@@ -350,7 +337,7 @@ class SkeinState:
                         out[key] = merged
                     else:
                         del out[key]
-        return SkeinState._of(self.mode, g + ends - 2 * k, out)
+        return SkeinState(self.mode, g + ends - 2 * k, out)
 
     def apply(self, ev: Event) -> "SkeinState":
         if isinstance(ev, Birth):

@@ -116,6 +116,19 @@ def test_cutting_that_does_not_fit_the_frontier_exits_one(tmp_path, events):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field", ["rot", "at", "crossing"])
+def test_cutting_field_of_the_wrong_type_exits_one(tmp_path, field):
+    trefoil = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+    cutting = json.loads(run_cli("girth", "--pd", trefoil, "--json").stdout)["cutting"]
+    first = cutting["events"][0]
+    assert first["type"] == "cross" and first["absorb"] == 0
+    first[field] = str(first[field])
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(cutting))
+    proc = run_cli("compute", "--pd", trefoil, "--order", f"@{path}", expect=1)
+    assert "Traceback" not in proc.stderr
+
+
 def test_cutting_restarting_a_started_piece_exits_one(tmp_path):
     # T(2,5) is one piece; its second fresh start (crossing 2) would split
     # one component into two partial ones

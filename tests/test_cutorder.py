@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -160,6 +163,21 @@ def test_replay_rejects_a_dropped_cap():
         verify_cutting(d, dropped)
 
 
+@pytest.mark.parametrize("d", [TREFOIL, braid_tangle([-3, 1], 4)], ids=["trefoil", "split_tangle"])
+def test_replay_rejects_a_flipped_over_first_or_an_out_of_range_rot(d):
+    c = greedy_cutting(d)
+    verify_cutting(d, c)
+    crosses = [i for i, ev in enumerate(c.events) if isinstance(ev, Cross)]
+    fresh = [i for i in crosses if c.events[i].absorb == 0]
+    assert fresh
+    tampered = [(i, dataclasses.replace(c.events[i], over_first=not c.events[i].over_first)) for i in crosses]
+    tampered += [(i, dataclasses.replace(c.events[i], rot=rot)) for i in fresh for rot in (c.events[i].rot + 4, None)]
+    for i, ev in tampered:
+        events = c.events[:i] + [ev] + c.events[i + 1:]
+        with pytest.raises(InvalidCutting):
+            verify_cutting(d, Cutting(events, c.girth, c.source_order, c.final_rotation))
+
+
 def test_replay_rejects_a_chord_birth():
     # crossingless chords are not scanned, so a cutting that births one
     # does not replay
@@ -234,3 +252,20 @@ def test_every_order_of_a_split_tangle_compiles(pd, scan_count):
         c = compile_order(d, list(order))
         assert scan_count[0] == 1, order
         assert expand_tangle(d, order=c).coeffs == oracle, order
+
+
+# SHA-256 over the sorted corpus of each order's cutting JSON: a change to
+# the searches that alters any corpus cutting fails here
+CORPUS_CUTTING_DIGESTS = {
+    "greedy": "2d4f06041c3c3c24c9804e3c5741d42dec91dbaa93327bd73277d62d26efe156",
+    "anneal": "9a4dbc974daf0fcceef5137aceedca19b20e23739c051a6c8d2f8553e084b1f3",
+    "exact": "9d221e26c901dd7240f9107f7e55339110901c17dfad25b03e2885fba09de3e5",
+}
+
+
+@pytest.mark.parametrize("order", sorted(CORPUS_CUTTING_DIGESTS))
+def test_corpus_cuttings_are_unchanged(corpus, order):
+    digest = hashlib.sha256()
+    for name in sorted(corpus):
+        digest.update(json.dumps(make_cutting(corpus[name], order, 0).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == CORPUS_CUTTING_DIGESTS[order]

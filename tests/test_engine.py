@@ -199,9 +199,8 @@ def test_mod4_link_report_unknot():
     assert info["dark"] == {"w": 0, "e": 0, "expected_residue": 2}
 
 
-def test_mod4_link_accepts_result_or_raw():
+def test_mod4_link_on_the_raw_polynomial():
     res = compute_bracket(TREFOIL)
-    assert check_mod4_link(TREFOIL, res)["ok"]
     assert check_mod4_link(TREFOIL, res.raw_polynomial)["ok"]
 
 

@@ -7,7 +7,7 @@ import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import fold_cutting
-from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly
+from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly, PackedPoly
 from skeinscan.matchings import basis, catalan, is_noncrossing, noncrossing_matchings
 from skeinscan.skein import (
     BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, FrontierTooSmall, InvariantViolation,
@@ -46,7 +46,7 @@ def test_double_birth_at_zero_nests():
 
 
 def test_birth_never_touches_coefficients():
-    s = SkeinState(BRACKET, 2, {basis(2).index_of((1, 0)): LaurentPoly({3: 7})})
+    s = SkeinState(BRACKET, 2, {basis(2).index_of((1, 0)): PackedPoly.from_laurent(LaurentPoly({3: 7}))})
     s2 = s.birth(1)
     assert list(s2.coeffs.values()) == [LaurentPoly({3: 7})]
 
@@ -65,8 +65,8 @@ def test_cap_positive_mode():
 def test_cap_reconnects_partners():
     # (0 1)(2 3) capped at position 1 joins the partners 0 and 3
     idx = basis(4).index_of((1, 0, 3, 2))
-    s = SkeinState(BRACKET, 4, {idx: LaurentPoly.one()})
-    assert SkeinState(BRACKET, 4, {idx: LaurentPoly.one()}).g == 4
+    s = SkeinState(BRACKET, 4, {idx: PackedPoly.from_laurent(LaurentPoly.one())})
+    assert SkeinState(BRACKET, 4, {idx: PackedPoly.from_laurent(LaurentPoly.one())}).g == 4
     s2 = s.cap(1)
     assert coeffs_of(s2) == {(1, 0): LaurentPoly.one()}
 
