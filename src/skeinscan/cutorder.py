@@ -85,8 +85,8 @@ class Cutting:
     @classmethod
     def from_json(cls, data: dict) -> "Cutting":
         """Load a cutting, rejecting events that do not fit the frontier
-        they meet (frontier sizes follow from the events alone) and event
-        fields of the wrong type."""
+        they meet (frontier sizes follow from the events alone) and fields
+        of the wrong type."""
         events: list[Event] = []
         g = 0
         try:
@@ -113,8 +113,11 @@ class Cutting:
                 for name, kind in _FIELD_TYPES.items():
                     if name in ev and type(ev[name]) is not kind:
                         raise InvalidCutting(f"event field {name!r} must be {kind.__name__}, got {ev[name]!r}")
-            return cls(events, data["girth"], list(data["source_order"]),
-                       data.get("final_rotation", 0))
+            girth, order, rot = data["girth"], data["source_order"], data.get("final_rotation", 0)
+            if not (type(girth) is type(rot) is int and type(order) is list and all(type(ci) is int for ci in order)):
+                raise InvalidCutting(f"girth {girth!r} and final_rotation {rot!r} must be ints, "
+                                     f"source_order {order!r} a list of ints")
+            return cls(events, girth, order, rot)
         except (KeyError, TypeError) as exc:
             raise InvalidCutting(f"malformed cutting: {exc!r}") from exc
 
@@ -143,6 +146,9 @@ class _Scan:
         for ci, c in enumerate(d.crossings):
             for s, a in enumerate(c.arcs):
                 self.arc_slots.setdefault(a, []).append((ci, s))
+        # per crossing: arc -> its slot (None for an arc in two of its slots)
+        self.slot: list[dict[int, int | None]] = [
+            {a: None if c.arcs.count(a) > 1 else s for s, a in enumerate(c.arcs)} for c in d.crossings]
         # target position of each crossing-attached boundary arc (unique)
         self.target_index: dict[int, int] = {
             a: i for i, a in enumerate(d.boundary_arcs) if a in self.arc_slots}
@@ -165,31 +171,42 @@ class _Scan:
         other.processed = set(self.processed)
         other.girth = self.girth
         other.arc_slots = self.arc_slots
+        other.slot = self.slot
         other.piece = self.piece
         other.piece_members = self.piece_members
         other.started_pieces = set(self.started_pieces)
         other.target_index = self.target_index
         return other
 
+    def mark(self) -> tuple:
+        """A snapshot for ``undo``, in O(g)."""
+        return tuple(self.frontier), len(self.events), self.girth, frozenset(self.started_pieces)
+
+    def undo(self, mark: tuple) -> None:
+        """Go back to ``mark``, unprocessing the crossings applied since."""
+        frontier, n_events, self.girth, started = mark
+        self.processed.difference_update(ev.crossing for ev in self.events[n_events:] if isinstance(ev, Cross))
+        del self.events[n_events:]
+        self.frontier, self.started_pieces = list(frontier), set(started)
+
     def state_key(self) -> tuple:
         """Canonical (processed, frontier up to rotation) key for memoization."""
         f = tuple(self.frontier)
-        if f:
-            best = min(f[i:] + f[:i] for i in range(len(f)))
-        else:
-            best = ()
-        return (frozenset(self.processed), best)
+        return frozenset(self.processed), min((f[i:] + f[:i] for i in range(len(f))), default=())
 
     # -- elementary steps ----------------------------------------------------
 
+    def _spliced(self, at: int, k: int, tokens: list[int]) -> list[int]:
+        """The frontier with the k tokens from position `at` on replaced by
+        `tokens`.  A run that wraps the seam is first rotated to start at 0,
+        the rule SkeinState._glue applies to the matchings."""
+        f = self.frontier
+        if k and at + k > len(f):
+            return tokens + f[at + k - len(f):at]
+        return f[:at] + tokens + f[at + k:]
+
     def _splice(self, at: int, k: int, tokens: list[int]) -> None:
-        """Replace the k tokens from position `at` on by `tokens`.  A run
-        that wraps the seam is first rotated to start at 0, the rule
-        SkeinState._glue applies to the matchings."""
-        if k and at + k > len(self.frontier):
-            self.frontier = self.frontier[at:] + self.frontier[:at]
-            at = 0
-        self.frontier[at:at + k] = tokens
+        self.frontier = self._spliced(at, k, tokens)
         self.girth = max(self.girth, len(self.frontier))
 
     def emit_birth(self, at: int) -> None:
@@ -202,69 +219,48 @@ class _Scan:
 
     def cascade_caps(self) -> None:
         """Cap every adjacent pair of stubs of the same completed interior
-        arc."""
-        changed = True
-        while changed:
-            changed = False
-            g = len(self.frontier)
-            for i in range(g):
-                j = (i + 1) % g
-                if g >= 2 and i != j and self.frontier[i] == self.frontier[j]:
-                    self.emit_cap(i)
-                    changed = True
-                    break
+        arc, each time the first pair from position 0 on."""
+        while len(f := self.frontier) > 1:
+            i = next((i for i in range(len(f)) if f[i] == f[(i + 1) % len(f)]), None)
+            if i is None:
+                return
+            self.emit_cap(i)
 
     # -- crossing moves ------------------------------------------------------
 
     def token_runs(self, ci: int) -> list[list[int]]:
         """Maximal circular runs of frontier positions holding arcs of ci."""
-        g = len(self.frontier)
-        arcs = set(self.d.crossings[ci].arcs)
+        g, arcs = len(self.frontier), self.slot[ci]
         flags = [tok in arcs for tok in self.frontier]
         if not any(flags):
             return []
         if all(flags):
             return [list(range(g))]
         runs: list[list[int]] = []
-        # start just after a gap
-        start = next(i for i in range(g) if not flags[i])
-        run: list[int] = []
-        for off in range(1, g + 1):
-            i = (start + off) % g
-            if flags[i]:
-                run.append(i)
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            runs.append(run)
+        start = flags.index(False) + 1  # just after a gap
+        for i in (j % g for j in range(start, start + g)):
+            if flags[i] and flags[i - 1]:
+                runs[-1].append(i)
+            elif flags[i]:
+                runs.append([i])
         return runs
-
-    def _slot_of(self, ci: int, arc: int) -> int | None:
-        slots = [s for (cj, s) in self.arc_slots[arc] if cj == ci]
-        return slots[0] if len(slots) == 1 else None
 
     def run_moves(self, ci: int) -> list[tuple[int, int, int]]:
         """All (at, k, rot) sub-run absorptions available for crossing ci.
         rot is the crossing slot glued at frontier position ``at``; slots
         decrease along the run (the gluing reverses orientation)."""
         moves: list[tuple[int, int, int]] = []
+        slot = self.slot[ci]
         for run in self.token_runs(ci):
-            L = len(run)
-            for start in range(L):
-                r0 = self._slot_of(ci, self.frontier[run[start]])
+            for start in range(len(run)):
+                r0 = slot[self.frontier[run[start]]]
                 if r0 is None:
                     continue
-                for length in range(1, min(L - start, 4) + 1):
-                    ok = True
-                    for j in range(length):
-                        pos = run[start + j]
-                        s = self._slot_of(ci, self.frontier[pos])
-                        if s is None or s != (r0 - j) % 4:
-                            ok = False
-                            break
-                    if ok:
-                        moves.append((run[start], length, r0))
+                # each prefix of the longest run of decreasing slots from here
+                for j, pos in enumerate(run[start:start + 4]):
+                    if slot[self.frontier[pos]] != (r0 - j) % 4:
+                        break
+                    moves.append((run[start], j + 1, r0))
         return moves
 
     def _other_end(self, arc: int, ci: int, s: int) -> tuple[int, int]:
@@ -325,6 +321,31 @@ class _Scan:
                 ci, s = self._other_end(arc, ci, s)
         return len(self.frontier), [(ci, 3) for ci in self.piece_members[p]]
 
+    def _emitted(self, ci: int, k: int, rot: int) -> list[int]:
+        """The arcs crossing ci emits after absorbing k tokens at slot rot."""
+        arcs = self.d.crossings[ci].arcs
+        return [arcs[(rot + 1 + j) % 4] for j in range(4 - k)]
+
+    def size_after(self, ci: int, at: int, k: int, rot: int) -> int:
+        """The frontier length ``apply_cross(ci, at, k, rot)`` leaves after
+        its caps, without applying it.
+
+        Exact because between moves the frontier has no two equal
+        neighbours (``cascade_caps`` capped them all), so only the splice
+        makes pairs, and cancelling equal neighbours of a circular word
+        leaves the same length in any order: a stack cancels the spliced
+        word's pairs, then equal ends cancel across the seam."""
+        stack: list[int] = []
+        for tok in self._spliced(at, k, self._emitted(ci, k, rot)):
+            if stack and stack[-1] == tok:
+                stack.pop()
+            else:
+                stack.append(tok)
+        i, j = 0, len(stack) - 1
+        while i < j and stack[i] == stack[j]:
+            i, j = i + 1, j - 1
+        return j - i + 1
+
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
         c = self.d.crossings[ci]
         if k > 0:
@@ -332,8 +353,7 @@ class _Scan:
         else:
             over_first = ((rot + 1) % 2) == c.over
         self.events.append(Cross(at, k, over_first, ci, rot))
-        emitted = [c.arcs[(rot + 1 + j) % 4] for j in range(4 - k)]
-        self._splice(at, k, emitted)
+        self._splice(at, k, self._emitted(ci, k, rot))
         self.processed.add(ci)
         self.started_pieces.add(self.piece[ci])
         self.cascade_caps()
@@ -414,51 +434,61 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
 
 def greedy_cutting(d: Diagram) -> Cutting:
     """Deterministic greedy scan: every step applies ``_greedy_move`` with a
-    lookahead of LOOKAHEAD steps."""
+    lookahead of LOOKAHEAD steps, on one scan.  Committing ci keeps the
+    sized candidates of the states reached through ci, keyed from there."""
     scan = _Scan(d)
     order: list[int] = []
+    sized: dict[tuple[int, ...], list] = {}
     while len(scan.processed) < d.n:
-        step = _greedy_move(scan, LOOKAHEAD)
-        if step is None:
+        if (step := _greedy_move(scan, LOOKAHEAD, sized)) is None:
             raise InvalidOrder("greedy scan has no glueable crossing (unexpected)")
         ci, mv = step
         scan.apply_cross(ci, *mv)
         order.append(ci)
+        sized = {key[1:]: cands for key, cands in sized.items() if key and key[0] == ci}
     rot = scan.finish()
     return Cutting(scan.events, scan.girth, order, rot)
 
 
-def _greedy_move(scan: _Scan, lookahead: int) -> tuple[int, tuple[int, int, int]] | None:
+def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
+                 path: tuple[int, ...] = ()) -> tuple[int, tuple[int, int, int]] | None:
     """The greedy rule: among the candidates (each glueable crossing's
     longest single-run absorption, and each unstarted piece's first start),
     take the one leaving the smallest frontier, then the lowest crossing id.
     With a lookahead, candidates tied at the smallest frontier are ranked
     first by the peak girth after that many further greedy steps (fewer
     when the scan runs out of candidates).  None when there is no
-    candidate."""
-    candidates = [(ci, max(moves, key=lambda m: m[1]))
-                  for ci in _frontier_crossings(scan) if (moves := scan.run_moves(ci))]
-    candidates += _fresh_moves(scan, first_only=True)
-    if len(candidates) < 2:
-        return candidates[0] if candidates else None
-    probes = []
-    for ci, mv in candidates:
-        probe = scan.clone()
-        probe.apply_cross(ci, *mv)
-        probes.append((len(probe.frontier), ci, mv, probe))
-    least = min(t[0] for t in probes)
-    tied = [t for t in probes if t[0] == least]
-    if lookahead and len(tied) > 1:
-        for _, _, _, probe in tied:
-            for _ in range(lookahead):
-                step = _greedy_move(probe, 0)
-                if step is None:
-                    break
-                probe.apply_cross(step[0], *step[1])
-        _, ci, mv, _ = min(tied, key=lambda t: (t[3].girth, t[1]))
-    else:
-        _, ci, mv, _ = min(tied, key=lambda t: t[1])
-    return ci, mv
+    candidate.
+
+    Candidates are sized by ``_Scan.size_after``, without applying them.
+    Each tied candidate's rollout applies its moves on ``scan``, then
+    undoes them.  ``sized`` keeps each state's sized candidates under
+    ``path``, the crossings applied since the greedy step began (a
+    candidate crossing has one move per state, so ``path`` determines the
+    state), for the later steps and rollouts that reach it."""
+    if path not in sized:
+        candidates = [(ci, max(moves, key=lambda m: m[1]))
+                      for ci in _frontier_crossings(scan) if (moves := scan.run_moves(ci))]
+        candidates += _fresh_moves(scan, first_only=True)
+        sized[path] = [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
+    if not (ranked := sized[path]):
+        return None
+    least = min(ranked)[0]
+    tied = [t for t in ranked if t[0] == least]
+    if not lookahead or len(tied) == 1:
+        return min(tied)[1:]  # crossing ids are unique, so no move is compared
+    mark, peaks = scan.mark(), []
+    for _, ci, mv in tied:
+        scan.apply_cross(ci, *mv)
+        reached = path + (ci,)
+        for _ in range(lookahead):
+            if (step := _greedy_move(scan, 0, sized, reached)) is None:
+                break
+            scan.apply_cross(step[0], *step[1])
+            reached += (step[0],)
+        peaks.append((scan.girth, ci, mv))
+        scan.undo(mark)
+    return min(peaks)[1:]
 
 
 def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
@@ -520,12 +550,11 @@ def improve_cutting(d: Diagram, start: Cutting, seed: int, iterations: int = 400
     if n < 2:
         return best
     for _ in range(iterations):
-        cand = list(order)
-        if rng.random() < 0.5:
-            i, j = rng.randrange(n), rng.randrange(n)
+        cand, swap = list(order), rng.random() < 0.5
+        i, j = rng.randrange(n), rng.randrange(n)
+        if swap:
             cand[i], cand[j] = cand[j], cand[i]
         else:
-            i, j = rng.randrange(n), rng.randrange(n)
             cand.insert(j, cand.pop(i))
         try:
             compiled = compile_order(d, cand)

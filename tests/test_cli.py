@@ -7,7 +7,8 @@ import pytest
 
 import skeinscan.cli as cli
 import skeinscan.engine as engine
-from skeinscan.cutorder import Cutting
+from skeinscan.cutorder import Cutting, greedy_cutting
+from skeinscan.planar import parse_pd
 from skeinscan.skein import Cap
 
 PKG = Path(__file__).resolve().parents[1]
@@ -126,6 +127,27 @@ def test_cutting_field_of_the_wrong_type_exits_one(tmp_path, field):
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(cutting))
     proc = run_cli("compute", "--pd", trefoil, "--order", f"@{path}", expect=1)
+    assert "Traceback" not in proc.stderr
+
+
+# a float equal to the recorded int, or a source order that is no list of
+# ints: before, the floats ended in a TypeError traceback and "abc" loaded
+@pytest.mark.parametrize("pd, field, value", [
+    ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "girth", 4.0),
+    ("X[3,4,6,5]o1 X[1,2,8,7]o0 B[1,2,3,4,6,5,8,7]", "final_rotation", 6.0),
+    ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "source_order", "abc"),
+    ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "source_order", [0, 1.0, 2]),
+])
+@pytest.mark.parametrize("command", [["compute"], ["compute", "--mode", "pkbp"], ["girth"]])
+def test_cutting_header_of_the_wrong_type_exits_one(tmp_path, pd, field, value, command):
+    cutting = greedy_cutting(parse_pd(pd)).to_json()
+    if isinstance(value, float):
+        assert cutting[field] == value
+    cutting[field] = value
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(cutting))
+    proc = run_cli(*command, "--pd", pd, "--order", f"@{path}", expect=1)
+    assert field in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from skeinscan.engine import compute_bracket, expand_tangle, make_cutting
 from skeinscan.oracle import brute_force_tangle_expansion
 from skeinscan.planar import parse_pd
 from skeinscan.skein import Birth, Cap, Cross
+from skeinscan.verify import tangle_fixtures
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 FIG8 = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
@@ -269,3 +271,76 @@ def test_corpus_cuttings_are_unchanged(corpus, order):
     for name in sorted(corpus):
         digest.update(json.dumps(make_cutting(corpus[name], order, 0).to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == CORPUS_CUTTING_DIGESTS[order]
+
+
+# the greedy cuttings of two benchmark inputs, T(2,1001) and T(8,9)
+BENCH_GREEDY_DIGESTS = {
+    "T(2,1001)": (lambda: torus_link(1001),
+                  "11926ed5ddd331816250771956559a22c5ed56da9271fa3b86300fffb6f7c34e"),
+    "T(8,9)": (lambda: braid_closure(list(range(1, 8)) * 9, 8),
+               "ec5a07aa04fa0bd757b0a40bd829dc4da42ac78ea69fd66e980cdd5361ed7145"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GREEDY_DIGESTS))
+def test_benchmark_greedy_cuttings_are_unchanged(name):
+    make, digest = BENCH_GREEDY_DIGESTS[name]
+    data = json.dumps(greedy_cutting(make()).to_json(), sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
+
+
+def test_greedy_runs_on_one_scan_without_clones(corpus, monkeypatch):
+    def refuse(self):
+        raise AssertionError("greedy_cutting cloned its scan")
+
+    monkeypatch.setattr(cutorder._Scan, "clone", refuse)
+    for d in [*corpus.values(), torus_link(60)]:
+        greedy_cutting(d)
+
+
+def _legal_moves(scan):
+    """Every run move of every frontier crossing and every fresh start."""
+    moves = [(ci, mv) for ci in cutorder._frontier_crossings(scan) for mv in scan.run_moves(ci)]
+    return moves + cutorder._fresh_moves(scan, first_only=False)
+
+
+def _walk_diagrams(corpus):
+    return [*corpus.values(), *tangle_fixtures(0).values()]
+
+
+def test_size_after_is_the_applied_frontier_length(corpus):
+    rng = random.Random(3)
+    checked = 0
+    for d in _walk_diagrams(corpus):
+        for _ in range(20):
+            scan = cutorder._Scan(d)
+            while moves := _legal_moves(scan):
+                for ci, mv in moves:
+                    probe = scan.clone()
+                    probe.apply_cross(ci, *mv)
+                    assert scan.size_after(ci, *mv) == len(probe.frontier), (ci, mv, scan.frontier)
+                    checked += 1
+                ci, mv = rng.choice(moves)
+                scan.apply_cross(ci, *mv)
+    assert checked > 10000
+
+
+def test_undo_restores_the_marked_scan(corpus):
+    def fields(scan):
+        return scan.frontier, scan.events, scan.processed, scan.started_pieces, scan.girth
+
+    rng = random.Random(4)
+    for d in _walk_diagrams(corpus) * 5:
+        scan = cutorder._Scan(d)
+        while moves := _legal_moves(scan):
+            mark, before = scan.mark(), scan.clone()
+            for _ in range(2):  # the lookahead undoes to one mark many times
+                for _ in range(rng.randint(1, 3)):
+                    if not (ahead := _legal_moves(scan)):
+                        break
+                    ci, mv = rng.choice(ahead)
+                    scan.apply_cross(ci, *mv)
+                scan.undo(mark)
+                assert fields(scan) == fields(before)
+            ci, mv = rng.choice(moves)
+            scan.apply_cross(ci, *mv)
