@@ -20,12 +20,11 @@ from pathlib import Path
 
 from .cutorder import Cutting, InvalidCutting, InvalidOrder, TooLarge, sqrt_bound_check
 from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle, make_cutting
-from .laurent import NotDivisible
 from .matchings import catalan, format_matching
 from .oracle import TooLarge as OracleTooLarge
 from .planar import (ArcMultiplicityError, ColoringError, MissingOrientation, NonPlanarError, ParseError, parse_pd,
                      trace_faces)
-from .skein import BRACKET, PKBP, EmptyFrontier, FrontierTooSmall, InvariantViolation
+from .skein import BRACKET, PKBP
 from .verify import render_report, run_verify
 
 EXIT_OK = 0
@@ -33,12 +32,12 @@ EXIT_INPUT = 1
 EXIT_STRICT = 2
 EXIT_INTERNAL = 3
 
+# the package's input errors, plus a cutting file that is not JSON, a
+# binary @file and an unreadable one; every other exception is an engine fault
 INPUT_ERRORS = (ParseError, ArcMultiplicityError, NonPlanarError, ColoringError,
                 MissingOrientation, NotClosed, EmptyDiagram, InvalidOrder,
-                InvalidCutting, TooLarge, OracleTooLarge, ValueError, OSError)
-# checked first: FrontierTooSmall and EmptyFrontier are ValueErrors, but a
-# cutting that reaches the fold has been validated, so they are engine faults
-INTERNAL_ERRORS = (NotDivisible, InvariantViolation, FrontierTooSmall, EmptyFrontier)
+                InvalidCutting, TooLarge, OracleTooLarge, json.JSONDecodeError,
+                UnicodeDecodeError, OSError)
 
 
 def _read_pd(value: str):
@@ -50,8 +49,20 @@ def _read_order(value: str):
     if value in ("greedy", "anneal", "exact"):
         return value
     if value.startswith("@"):
-        return Cutting.from_json(json.loads(Path(value[1:]).read_text()))
+        text = Path(value[1:]).read_text()
+        try:
+            data = json.loads(text, parse_int=_cutting_int)
+        except RecursionError as exc:
+            raise InvalidCutting("the cutting file nests too deeply") from exc
+        return Cutting.from_json(data)
     raise ParseError(f"unknown order {value!r} (greedy|anneal|exact|@cutting.json)")
+
+
+def _cutting_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # over int()'s digit limit
+        raise InvalidCutting(f"a cutting field has {len(digits)} digits") from exc
 
 
 def _parse_orientation(text: str | None):
@@ -187,12 +198,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except INTERNAL_ERRORS as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # anything else is an engine fault
+        print(f"internal invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,11 @@ along one run, leaving the other arcs as stubs to cap later).
 A piece of the diagram (a connected set of crossings) that has no frontier
 tokens yet is a pocket piece: it starts by absorbing nothing, in the face it
 shares with the frontier.  Its gap and its starting corners come from one
-walk of that face (``_Scan.fresh_starts``).
+walk of that face (``_Scan.fresh_starts``), which steps over the diagram's
+half-edges with the face successor of ``planar`` (along an arc to its other
+end ``Diagram.other``, then one slot back): forwards to list its corners,
+and backwards from the piece to the frontier token before it.  The backward
+walk skips crossingless chords, which the scan leaves out.
 
 The frontier is a circular token list.  Events that would wrap the seam
 between positions g-1 and 0 first rotate the labelling so their run starts
@@ -141,17 +145,9 @@ class _Scan:
         self.events: list[Event] = []
         self.processed: set[int] = set()
         self.girth = 0
-        # arc -> crossing slots it meets
-        self.arc_slots: dict[int, list[tuple[int, int]]] = {}
-        for ci, c in enumerate(d.crossings):
-            for s, a in enumerate(c.arcs):
-                self.arc_slots.setdefault(a, []).append((ci, s))
         # per crossing: arc -> its slot (None for an arc in two of its slots)
         self.slot: list[dict[int, int | None]] = [
             {a: None if c.arcs.count(a) > 1 else s for s, a in enumerate(c.arcs)} for c in d.crossings]
-        # target position of each crossing-attached boundary arc (unique)
-        self.target_index: dict[int, int] = {
-            a: i for i, a in enumerate(d.boundary_arcs) if a in self.arc_slots}
         self.piece = crossing_pieces(d)
         self.piece_members: dict[int, list[int]] = {}
         for ci, p in enumerate(self.piece):
@@ -170,12 +166,10 @@ class _Scan:
         other.events = list(self.events)
         other.processed = set(self.processed)
         other.girth = self.girth
-        other.arc_slots = self.arc_slots
         other.slot = self.slot
         other.piece = self.piece
         other.piece_members = self.piece_members
         other.started_pieces = set(self.started_pieces)
-        other.target_index = self.target_index
         return other
 
     def mark(self) -> tuple:
@@ -263,33 +257,27 @@ class _Scan:
                     moves.append((run[start], j + 1, r0))
         return moves
 
-    def _other_end(self, arc: int, ci: int, s: int) -> tuple[int, int]:
-        ends = self.arc_slots[arc]
-        return ends[1] if ends[0] == (ci, s) else ends[0]
-
     def _frontier_token_before(self, i: int, p: int) -> int | None:
-        """Walk the face before boundary point i backwards, around the
-        unprocessed crossings on it (in at slot r, out at slot r + 1), to
-        the first frontier token; None when the walk comes back to piece p
-        (the face is not the one p shares with the frontier)."""
-        bdy = self.d.boundary_arcs
+        """Walk the face before boundary point i backwards (the face
+        successor inverted), around the unprocessed crossings on it (in at
+        slot r, out at slot r + 1), to the first frontier token; None when
+        the walk comes back to piece p (the face is not the one p shares
+        with the frontier)."""
+        other, n4, g = self.d.other, 4 * self.d.n, self.d.g
         while True:
-            i = (i - 1) % len(bdy)
-            arc = bdy[i]
-            if arc not in self.target_index:
+            i = (i - 1) % g
+            k = other[n4 + i]
+            if k >= n4:
                 continue  # a chord, not scanned
-            ci, r = self.arc_slots[arc][0]
-            if self.piece[ci] == p:
+            if self.piece[k >> 2] == p:
                 return None
-            while ci not in self.processed:
-                r = (r + 1) % 4
-                arc = self.d.crossings[ci].arcs[r]
-                if arc in self.target_index:
-                    i = self.target_index[arc]
+            while k >> 2 not in self.processed:
+                k = other[k & ~3 | (k + 1) & 3]
+                if k >= n4:
+                    i = k - n4
                     break
-                ci, r = self._other_end(arc, ci, r)
             else:
-                return arc  # it enters a processed crossing: a frontier token
+                return self.d.label(k)  # it enters a processed crossing: a frontier token
 
     def fresh_starts(self, p: int) -> tuple[int, list[tuple[int, int]]]:
         """The gap and the (crossing, rot) starts of piece p, which has no
@@ -298,27 +286,26 @@ class _Scan:
         p goes into the face it shares with the frontier.  From each of p's
         boundary points in turn, walk the face before it backwards; the
         first walk that meets a frontier token z puts p right after z.
-        Walking the same face forwards from that boundary point (in at slot
-        s, out at slot s - 1) lists p's corners on it: corner k lies
-        between slots k and k + 1, and a start at rot = k emits slot k + 1
-        first.  When no walk meets the frontier (the first piece, or a
-        piece that never touches the boundary), p starts at the seam, at
-        any of its crossings, with rot 3."""
-        for a, i in self.target_index.items():  # in boundary order
-            ci, s = self.arc_slots[a][0]
-            if self.piece[ci] != p:
+        Walking the same face forwards from that boundary point (the face
+        successor: in at slot s, out at slot s - 1) lists p's corners on it:
+        corner k lies between slots k and k + 1, and a start at rot = k
+        emits slot k + 1 first.  When no walk meets the frontier (the first
+        piece, or a piece that never touches the boundary), p starts at the
+        seam, at any of its crossings, with rot 3."""
+        other, n4 = self.d.other, 4 * self.d.n
+        for i in range(self.d.g):
+            h = other[n4 + i]
+            if h >= n4 or self.piece[h >> 2] != p:
                 continue
             z = self._frontier_token_before(i, p)
             if z is None:
                 continue
             starts: list[tuple[int, int]] = []
-            while True:
-                s = (s - 1) % 4
-                starts.append((ci, s))
-                arc = self.d.crossings[ci].arcs[s]
-                if arc in self.target_index:
-                    return self.frontier.index(z) + 1, starts
-                ci, s = self._other_end(arc, ci, s)
+            while h < n4:
+                h = h & ~3 | (h - 1) & 3
+                starts.append((h >> 2, h & 3))
+                h = other[h]
+            return self.frontier.index(z) + 1, starts
         return len(self.frontier), [(ci, 3) for ci in self.piece_members[p]]
 
     def _emitted(self, ci: int, k: int, rot: int) -> list[int]:
@@ -366,7 +353,8 @@ class _Scan:
         position i with the i-th of them."""
         if len(self.processed) != self.d.n:
             raise InvalidOrder("not every crossing was processed")
-        target = [a for a in self.d.boundary_arcs if a in self.target_index]
+        n4 = 4 * self.d.n
+        target = [self.d.label(k) for k in self.d.other[n4:] if k < n4]
         if not target:
             if self.frontier:
                 raise InvalidOrder(f"leftover frontier tokens {self.frontier}")
@@ -388,12 +376,8 @@ class _Scan:
 
 def _frontier_crossings(scan: _Scan) -> list[int]:
     """Unprocessed crossings reachable through a frontier token, in id order."""
-    out: set[int] = set()
-    for arc in scan.frontier:
-        for ci, _ in scan.arc_slots.get(arc, ()):
-            if ci not in scan.processed:
-                out.add(ci)
-    return sorted(out)
+    n4, ends, processed = 4 * scan.d.n, scan.d.ends, scan.processed
+    return sorted({h >> 2 for arc in scan.frontier for h in ends[arc] if h < n4 and h >> 2 not in processed})
 
 
 def _fresh_moves(scan: _Scan, first_only: bool) -> list[tuple[int, tuple[int, int, int]]]:

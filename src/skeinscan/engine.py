@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check, verify_cutting
 from .laurent import MIXED, LaurentPoly
 from .matchings import Matching, catalan
-from .planar import DARK, LIGHT, Diagram, checkerboard, crossing_pieces, trace_faces, writhe
+from .planar import DARK, LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
 from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, InvariantViolation, SkeinState
 
 
@@ -204,6 +204,7 @@ def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult
         raise NotClosed("bracket computation needs a closed diagram; use expand_tangle")
     if d.n == 0 and d.free_loops == 0:
         raise EmptyDiagram("the empty diagram has no components")
+    faces = trace_faces(d)  # rejects a nonplanar diagram before it is cut
     t0 = time.perf_counter()
     cutting = make_cutting(d, order, seed)
     t1 = time.perf_counter()
@@ -220,7 +221,7 @@ def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult
         )
         report["storage"]["ok"] = False
     if mode == BRACKET:
-        report["mod4_link"] = check_mod4_link(d, raw)
+        report["mod4_link"] = check_mod4_link(d, raw, faces)
     report["timings"] = {
         "cutting_s": t1 - t0,
         "fold_s": t2 - t1,
@@ -244,16 +245,12 @@ def _with_chords(d: Diagram, state: SkeinState) -> dict[Matching, LaurentPoly]:
     """Map each matching of the folded frontier, whose position i is the
     i-th boundary point that meets a crossing, onto the whole boundary, and
     pair the two points of every crossingless chord."""
-    crossing_arcs = {a for c in d.crossings for a in c.arcs}
-    ends = [i for i, a in enumerate(d.boundary_arcs) if a in crossing_arcs]
+    n4 = 4 * d.n
+    ends = [i for i, k in enumerate(d.other[n4:]) if k < n4]
     if state.g != len(ends):
         raise InvariantViolation(f"fold ended with frontier {state.g}, expected {len(ends)}")
-    base = list(range(d.g))  # chord points paired, the rest filled per matching
-    first: dict[int, int] = {}
-    for i, a in enumerate(d.boundary_arcs):
-        if a not in crossing_arcs:
-            j = first.setdefault(a, i)
-            base[i], base[j] = j, i
+    # chord points paired, the rest filled per matching
+    base = [k - n4 if k >= n4 else i for i, k in enumerate(d.other[n4:])]
     out = {}
     for m, poly in state.items():
         full = list(base)
@@ -289,17 +286,17 @@ def compute_jones(d: Diagram, orientation=None, order="greedy", seed: int = 0, t
                          result.peak_state_size, result.diagnostics, result.cutting)
 
 
-def check_mod4_link(d: Diagram, raw: LaurentPoly) -> dict:
+def check_mod4_link(d: Diagram, raw: LaurentPoly, trace: FaceTrace | None = None) -> dict:
     """Verify every exponent of the raw (pre-division) bracket against the
     checkerboard residue w + 2e - 2e_base mod 4, under both colorings.
     e_base counts the dark disks of the empty closure: 1 when the outer face
-    is dark, else 0."""
+    is dark, else 0.  ``trace`` is the diagram's face trace, if already made."""
     out = {"violations": [], "ok": True}
     if raw.is_zero():
         out["violations"].append("raw bracket is zero")
         out["ok"] = False
         return out
-    ft = trace_faces(d)
+    ft = trace or trace_faces(d)
     residues = {e % 4 for e, _ in raw}
     for outer_color in (LIGHT, DARK):
         cb = checkerboard(d, outer_color, trace=ft)

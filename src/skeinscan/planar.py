@@ -16,9 +16,13 @@ The PD text grammar accepted by :func:`parse_pd`:
     B[a,b,...]     boundary arcs in counterclockwise order (tangles only)
     # ...          comment to end of line
 
-Faces are traced from the rotation system: the next arc-side around a face is
-the clockwise successor at the far endpoint.  This is the unique embedding
-data a PD code carries.
+The half-edges of a diagram are numbered: 4*ci + s is slot s of crossing ci
+and 4*n + i is boundary position i.  ``Diagram.other`` maps each half-edge to
+the other end of its arc; every module reads arc incidences from it.  A face
+is a cycle of one successor: leave along a half-edge's arc, then at a
+crossing take the previous slot, and at a boundary point go on to the next
+boundary point.  The slot order is the unique embedding data a PD code
+carries.
 
 Crossing sign relative to a checkerboard coloring (no orientation involved):
 a crossing is positive exactly when its two dark corners are the corners
@@ -37,7 +41,9 @@ validated transitively by the mod-4 grading checks on the whole corpus.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 DARK = "dark"
@@ -87,6 +93,34 @@ class Diagram:
     def is_closed(self) -> bool:
         return not self.boundary_arcs
 
+    @cached_property
+    def ends(self) -> dict[int, tuple[int, int]]:
+        """The arc-incidence index: each arc label -> its two half-edges,
+        lower first.  Raises ArcMultiplicityError unless every arc has
+        exactly two ends."""
+        seen: dict[int, list[int]] = {}
+        for h, a in enumerate([a for c in self.crossings for a in c.arcs] + list(self.boundary_arcs)):
+            seen.setdefault(a, []).append(h)
+        bad = [a for a, hs in seen.items() if len(hs) != 2]
+        if bad:
+            a = min(bad)
+            s = sum(h < 4 * self.n for h in seen[a])
+            raise ArcMultiplicityError(
+                f"arc {a} has {s} crossing ends and {len(seen[a]) - s} boundary ends (need 2 total)")
+        return {a: tuple(hs) for a, hs in seen.items()}
+
+    @cached_property
+    def other(self) -> tuple[int, ...]:
+        """Each half-edge -> the half-edge at the other end of its arc."""
+        other = [0] * (4 * self.n + self.g)
+        for h, k in self.ends.values():
+            other[h], other[k] = k, h
+        return tuple(other)
+
+    def label(self, h: int) -> int:
+        """The arc of half-edge h."""
+        return self.crossings[h >> 2].arcs[h & 3] if h < 4 * self.n else self.boundary_arcs[h - 4 * self.n]
+
     def mirrored(self) -> "Diagram":
         """Swap over/under at every crossing (the mirror diagram)."""
         return Diagram(
@@ -132,6 +166,21 @@ _TOKEN_RE = re.compile(
 )
 
 
+_LABELS_RE = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
+
+
+def _labels(body: str) -> list[int] | None:
+    """The comma-separated arc labels of one token, or None unless each is
+    a run of ASCII digits that int() reads (by default it refuses over 4300
+    digits)."""
+    if not _LABELS_RE.fullmatch(body):
+        return None
+    try:
+        return [int(s) for s in body.split(",")]
+    except ValueError:
+        return None
+
+
 def parse_pd(text: str) -> Diagram:
     """Parse PD text into a validated :class:`Diagram`."""
     crossings: list[Crossing] = []
@@ -149,14 +198,13 @@ def parse_pd(text: str) -> Diagram:
         if m.group("ws") or m.group("comment"):
             continue
         if m.group("cross"):
-            raw = [s.strip() for s in m.group("slots").split(",")]
-            if len(raw) != 4 or not all(s.isdigit() for s in raw):
+            arcs = _labels(m.group("slots"))
+            if arcs is None or len(arcs) != 4:
                 raise ParseError(f"crossing needs 4 arc labels: {m.group('cross')!r}")
-            arcs = tuple(int(s) for s in raw)
             if any(a <= 0 for a in arcs):
                 raise ParseError(f"arc labels must be positive: {m.group('cross')!r}")
             over = 1 if m.group("over") is None else int(m.group("over")[1])
-            crossings.append(Crossing(arcs, over))
+            crossings.append(Crossing(tuple(arcs), over))
         elif m.group("loop"):
             free_loops += 1
         elif m.group("boundary"):
@@ -165,10 +213,9 @@ def parse_pd(text: str) -> Diagram:
             saw_boundary = True
             body = m.group("barcs").strip()
             if body:
-                raw = [s.strip() for s in body.split(",")]
-                if not all(s.isdigit() for s in raw):
+                boundary = _labels(body)
+                if boundary is None:
                     raise ParseError(f"bad boundary declaration: {m.group('boundary')!r}")
-                boundary = [int(s) for s in raw]
     d = Diagram(tuple(crossings), free_loops, tuple(boundary))
     validate(d)
     return d
@@ -185,56 +232,44 @@ def render_pd(d: Diagram) -> str:
 def validate(d: Diagram) -> None:
     """Check arc multiplicities: interior arcs appear in exactly two crossing
     slots, boundary arcs in one slot and once on the boundary (a crossingless
-    strand may instead appear twice on the boundary and in no slot)."""
-    slot_count: dict[int, int] = {}
-    for c in d.crossings:
-        for a in c.arcs:
-            slot_count[a] = slot_count.get(a, 0) + 1
-    bdy_count: dict[int, int] = {}
-    for a in d.boundary_arcs:
-        bdy_count[a] = bdy_count.get(a, 0) + 1
-    for a in set(slot_count) | set(bdy_count):
-        s, b = slot_count.get(a, 0), bdy_count.get(a, 0)
-        if s + b != 2:
-            raise ArcMultiplicityError(
-                f"arc {a} has {s} crossing ends and {b} boundary ends (need 2 total)"
-            )
-        if b > 2:
-            raise ArcMultiplicityError(f"arc {a} appears {b} times on the boundary")
+    strand may instead appear twice on the boundary and in no slot).  That
+    is, every arc has two ends, which building the arc-incidence index
+    checks."""
+    d.ends
 
 
 # ---------------------------------------------------------------------------
-# Combinatorial map and face tracing
+# Face tracing
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Face:
     ident: int
     chi: int                      # Euler characteristic of the face region
-    walks: list[int]              # walk ids bounding this face
+    cycles: list[int]             # successor cycles bounding this face
     touches_boundary: bool = False
-    color: str | None = None
     synthetic_loops: int = 0      # free loops whose inner disk this face is
 
 
 @dataclass
 class FaceTrace:
-    """Faces of a diagram traced from its rotation system.
+    """Faces of a diagram traced as cycles of the face successor.
 
-    ``faces`` lists merged face regions (a floating component punches a hole
-    in its host face).  ``corner_face`` maps (crossing, corner) to the face at
-    that corner, corners indexed so corner k lies between slots k and k+1.
-    ``arc_faces`` maps each arc to the (face, face) pair on its two sides.
+    ``faces`` lists merged face regions (a floating piece punches a hole in
+    its host face).  ``face_of[h]`` is the face of the cycle through
+    half-edge h: the face on the side of h's arc that the cycle runs along
+    and, for h = 4*ci + k, the face at corner k of crossing ci, which lies
+    between slots k and k + 1.
     """
 
     faces: list[Face]
     outer_face: int
-    corner_face: dict[tuple[int, int], int]
-    arc_faces: dict[int, list[int]]
+    face_of: list[int]
 
 
 def crossing_pieces(d: Diagram) -> list[int]:
-    """Union-find over crossings joined by shared arcs; returns piece id per crossing."""
+    """Union-find over crossings joined by shared arcs; returns per crossing
+    the lowest crossing of its piece."""
     parent = list(range(d.n))
 
     def find(x: int) -> int:
@@ -243,264 +278,113 @@ def crossing_pieces(d: Diagram) -> list[int]:
             x = parent[x]
         return x
 
-    owner: dict[int, int] = {}
-    for ci, c in enumerate(d.crossings):
-        for a in c.arcs:
-            if a in owner:
-                ra, rb = find(owner[a]), find(ci)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                owner[a] = ci
+    n4, other = 4 * d.n, d.other
+    for h in range(n4):
+        if h < (k := other[h]) < n4:  # each arc between two crossings once
+            ra, rb = find(h >> 2), find(k >> 2)
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
     return [find(ci) for ci in range(d.n)]
 
 
 def trace_faces(d: Diagram) -> FaceTrace:
-    """Trace all faces, merge floating components into their host face, and
+    """Trace all faces, merge floating pieces into their host face, and
     verify planarity (per-piece Euler formula) plus the global identity
     sum(chi over faces) == 1 + n + g/2."""
-    n, g = d.n, d.g
-
-    # Edge table.  Ends are ('x', ci, slot) or ('b', i, port) with ports
-    # 0: segment toward next boundary point, 1: the tangle arc, 2: segment
-    # toward the previous point -- that is the counterclockwise order seen
-    # from inside the disk.
-    arc_slots: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for s, a in enumerate(c.arcs):
-            arc_slots.setdefault(a, []).append((ci, s))
-    bdy_pos: dict[int, list[int]] = {}
-    for i, a in enumerate(d.boundary_arcs):
-        bdy_pos.setdefault(a, []).append(i)
-
-    edges: list[tuple[tuple, tuple, int | None]] = []  # (end0, end1, arc label)
-
-    def add_edge(e0: tuple, e1: tuple, label: int | None) -> None:
-        edges.append((e0, e1, label))
-
-    for a, slots in sorted(arc_slots.items()):
-        if len(slots) == 2:
-            add_edge(("x", *slots[0]), ("x", *slots[1]), a)
-        else:
-            (i,) = bdy_pos[a][:1]
-            add_edge(("x", *slots[0]), ("b", i, 1), a)
-    for a, positions in sorted(bdy_pos.items()):
-        if a not in arc_slots:
-            i, j = positions
-            add_edge(("b", i, 1), ("b", j, 1), a)
-    for i in range(g):  # boundary circle segments
-        add_edge(("b", i, 0), ("b", (i + 1) % g, 2), None)
-
-    # Darts: 2e = end0 -> end1, 2e+1 = reverse.
-    out_dart: dict[tuple, int] = {}
-    for e, (e0, e1, _) in enumerate(edges):
-        if e0 in out_dart or e1 in out_dart:
-            raise ArcMultiplicityError("conflicting arc incidences")
-        out_dart[e0] = 2 * e
-        out_dart[e1] = 2 * e + 1
-
-    rotation: dict[tuple, list[int]] = {}
-    for ci in range(n):
-        rotation[("x", ci)] = [out_dart[("x", ci, s)] for s in range(4)]
-    for i in range(g):
-        rotation[("b", i)] = [out_dart[("b", i, p)] for p in range(3)]
-
-    dart_vertex_slot: dict[int, tuple] = {}
-    for end, dd in out_dart.items():
-        dart_vertex_slot[dd] = end
-
-    def head_vertex(dart: int) -> tuple:
-        end = dart_vertex_slot[dart ^ 1]
-        return end[:2]
-
-    # next dart around a face: clockwise successor of the reverse dart at the
-    # far endpoint (the rotation lists are counterclockwise).
-    def next_dart(dart: int) -> int:
-        v = head_vertex(dart)
-        rot = rotation[v]
-        k = rot.index(dart ^ 1)
-        return rot[(k - 1) % len(rot)]
-
-    walk_of: dict[int, int] = {}
-    walks: list[list[int]] = []
-    for start in range(2 * len(edges)):
-        if start in walk_of:
+    n, g, other = d.n, d.g, d.other
+    n4 = 4 * n
+    cycle_of = [-1] * len(other)
+    starts: list[int] = []      # one half-edge per cycle
+    touches: list[bool] = []    # whether the cycle runs along the boundary
+    for start in range(len(other)):
+        if cycle_of[start] >= 0:
             continue
-        wid = len(walks)
-        walk = []
-        dd = start
-        while dd not in walk_of:
-            walk_of[dd] = wid
-            walk.append(dd)
-            dd = next_dart(dd)
-        walks.append(walk)
+        h, along = start, False
+        while cycle_of[h] < 0:
+            cycle_of[h] = len(starts)
+            k = other[h]
+            if k < n4:
+                h = k & ~3 | (k - 1) & 3
+            else:
+                h, along = n4 + (k - n4 + 1) % g, True
+        starts.append(start)
+        touches.append(along)
 
-    # Identify the outside-of-disk orbit (all boundary segments) for tangles.
-    outside_walk = None
-    if g:
-        for wid, walk in enumerate(walks):
-            if all(edges[dd // 2][2] is None for dd in walk):
-                outside_walk = wid
-                break
-        if outside_walk is None:
-            raise NonPlanarError("boundary circle does not bound the disk exterior")
+    # Pieces: the crossing pieces, except that the boundary circle joins the
+    # ones reaching it and the chords into one boundary piece, -1.
+    piece = crossing_pieces(d)
+    reaching = {piece[k >> 2] for k in other[n4:] if k < n4}
+    piece_cycles: dict[int, list[int]] = {}
+    for cid, h in enumerate(starts):
+        p = -1 if h >= n4 or piece[h >> 2] in reaching else piece[h >> 2]
+        piece_cycles.setdefault(p, []).append(cid)
 
-    # Pieces of the full map (crossings, boundary vertices, plain arcs).
-    piece_parent: dict[tuple, tuple] = {}
-
-    def pfind(v: tuple) -> tuple:
-        while piece_parent.setdefault(v, v) != v:
-            piece_parent[v] = piece_parent[piece_parent[v]]
-            v = piece_parent[v]
-        return v
-
-    def punion(u: tuple, v: tuple) -> None:
-        ru, rv = pfind(u), pfind(v)
-        if ru != rv:
-            piece_parent[rv] = ru
-
-    for e0, e1, _ in edges:
-        punion(e0[:2], e1[:2])
-
-    piece_of_walk: list[tuple | None] = []
-    for walk in walks:
-        piece_of_walk.append(pfind(dart_vertex_slot[walk[0]][:2]))
-
-    piece_walks: dict[tuple, list[int]] = {}
-    for wid, p in enumerate(piece_of_walk):
-        piece_walks.setdefault(p, []).append(wid)
-
-    # Per-piece planarity: V - E + F == 2 on the sphere.
-    piece_vertices: dict[tuple, int] = {}
-    piece_edges: dict[tuple, int] = {}
-    for v in rotation:
-        piece_vertices[pfind(v)] = piece_vertices.get(pfind(v), 0) + 1
-    for e0, e1, _ in edges:
-        p = pfind(e0[:2])
-        piece_edges[p] = piece_edges.get(p, 0) + 1
-    for p, wids in piece_walks.items():
-        euler = piece_vertices[p] - piece_edges[p] + len(wids)
+    # Per-piece planarity: V - E + F == 2 on the sphere.  A piece of m
+    # crossings has V = m, E = 2m and F = its cycles; the boundary piece
+    # adds the g boundary points, their g/2 arcs, the g circle segments and
+    # the face outside the disk.
+    size = Counter(piece)
+    for p, cids in piece_cycles.items():
+        if p >= 0:
+            euler = len(cids) - size[p]
+        else:
+            euler = len(cids) + 1 - sum(size[q] for q in reaching) - g // 2
         if euler != 2:
             raise NonPlanarError(
                 f"component has Euler characteristic {euler}; the rotation system is not planar"
             )
 
-    # Which piece holds the boundary circle (tangles), else the root piece
-    # containing crossing 0 / nothing.
-    boundary_piece = pfind(("b", 0)) if g else None
-
-    # Designated outer walk per floating piece: the walk of the out-dart at
-    # slot 0 of its lowest crossing (deterministic; which side faces out is
-    # genuine embedding freedom for a component a PD code cannot pin down).
-    def min_crossing(p: tuple) -> int:
-        for ci in range(n):
-            if pfind(("x", ci)) == p:
-                return ci
-        return n  # piece without crossings
-
-    def designated_outer(p: tuple) -> int:
-        best = min_crossing(p)
-        if best == n:  # plain-arc piece (two boundary vertices) cannot float
-            raise NonPlanarError("floating piece without crossings")
-        return walk_of[out_dart[("x", best, 0)]]
-
-    pieces = sorted(piece_walks, key=min_crossing)
-    if g:
-        host_piece = boundary_piece
-    else:
-        host_piece = pieces[0] if pieces else None
-
     faces: list[Face] = []
-    walk_face: dict[int, int] = {}
+    face_of_cycle = [0] * len(starts)
 
-    def new_face(walk_ids: list[int], touches: bool) -> int:
-        fid = len(faces)
-        faces.append(Face(fid, 1, list(walk_ids), touches))
-        for w in walk_ids:
-            walk_face[w] = fid
-        return fid
+    def new_face(cids: list[int], touches_boundary: bool) -> Face:
+        for cid in cids:
+            face_of_cycle[cid] = len(faces)
+        faces.append(Face(len(faces), 1, cids, touches_boundary))
+        return faces[-1]
 
-    host_face: int | None = None
-    if host_piece is not None:
-        host_walks = piece_walks[host_piece]
-        if g:
-            # seam segment: from boundary point g-1 to 0; its inside dart
-            seam_dart = out_dart[("b", g - 1, 0)]
-            seam_walk = walk_of[seam_dart]
-            for wid in host_walks:
-                if wid == outside_walk:
-                    continue
-                touches = any(edges[dd // 2][2] is None for dd in walks[wid])
-                new_face([wid], touches)
-            host_face = walk_face[seam_walk]
-        else:
-            outer_walk = designated_outer(host_piece)
-            for wid in host_walks:
-                if wid != outer_walk:
-                    new_face([wid], False)
-            host_face = new_face([outer_walk], True)
+    # The host face holds the floating pieces and the free loops: the face
+    # along the boundary segment from point g-1 to 0 in a tangle, else the
+    # outer face of the piece of crossing 0.  A floating piece's outer cycle
+    # runs through slot 0 of its lowest crossing (deterministic; which side
+    # faces out is embedding freedom a PD code cannot pin down).
+    host_piece = -1 if g else 0
+    for cid in piece_cycles.get(host_piece, []):
+        if g or cid != cycle_of[0]:
+            new_face([cid], touches[cid])
+    if g:
+        host = faces[face_of_cycle[cycle_of[n4]]]
     else:
-        host_face = new_face([], True)  # no crossings: the bare disk
-
-    for p in pieces:
-        if p == host_piece:
-            continue
-        if g and p == boundary_piece:
-            continue
-        outer_walk = designated_outer(p)
-        for wid in piece_walks[p]:
-            if wid != outer_walk:
-                new_face([wid], False)
-        faces[host_face].walks.append(outer_walk)
-        walk_face[outer_walk] = host_face
+        host = new_face([cycle_of[0]] if n else [], True)
+    for p in sorted(piece_cycles):
+        if p != host_piece:
+            outer = cycle_of[4 * p]
+            for cid in piece_cycles[p]:
+                if cid != outer:
+                    new_face([cid], False)
+            host.cycles.append(outer)
+            face_of_cycle[outer] = host.ident
 
     # Free loops: one synthetic inner face each; outer side joins the host.
     for _ in range(d.free_loops):
-        fid = len(faces)
-        faces.append(Face(fid, 1, [], False, synthetic_loops=1))
-        faces[host_face].synthetic_loops += 1
+        faces.append(Face(len(faces), 1, [], False, synthetic_loops=1))
+        host.synthetic_loops += 1
 
-    # Euler characteristics: a region with b boundary circles has chi = 2 - b.
+    # Euler characteristics: a region with b boundary circles has chi = 2 - b,
+    # and a closed diagram's host face is bounded by the disk boundary too.
     for f in faces:
-        b = len(f.walks) + f.synthetic_loops
-        if f.ident == host_face and not g:
-            b += 1  # the disk boundary itself
-        f.chi = 2 - b
-        if f.ident == host_face and not g:
-            f.touches_boundary = True
+        f.chi = 2 - len(f.cycles) - f.synthetic_loops
+    if not g:
+        host.chi -= 1
 
     chi_sum = sum(f.chi for f in faces)
     if chi_sum != 1 + n + g // 2:
         raise NonPlanarError(
             f"face Euler characteristics sum to {chi_sum}, expected {1 + n + g // 2}"
         )
-
-    # Corner bookkeeping: the face at corner (ci, k) is the face of the walk
-    # passing through that corner; a walk arriving at slot k+1 exits at slot k.
-    corner_face: dict[tuple[int, int], int] = {}
-    for wid, walk in enumerate(walks):
-        if wid == outside_walk:
-            continue
-        for dd in walk:
-            end = dart_vertex_slot[dd ^ 1]
-            if end[0] == "x":
-                ci, arrive = end[1], end[2]
-                corner_face[(ci, (arrive - 1) % 4)] = walk_face[wid]
-    if len(corner_face) != 4 * n:
-        raise NonPlanarError("corner/face incidence is inconsistent")
-
-    arc_faces: dict[int, list[int]] = {}
-    for e, (e0, e1, label) in enumerate(edges):
-        if label is None:
-            continue
-        sides = []
-        for dd in (2 * e, 2 * e + 1):
-            wid = walk_of[dd]
-            if wid != outside_walk:
-                sides.append(walk_face[wid])
-        arc_faces[label] = sides
-
-    return FaceTrace(faces, host_face, corner_face, arc_faces)
+    return FaceTrace(faces, host.ident, [face_of_cycle[cid] for cid in cycle_of])
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +408,11 @@ def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None =
     colors: dict[int, str] = {ft.outer_face: outer_color}
     queue = [ft.outer_face]
     adjacency: dict[int, set[int]] = {f.ident: set() for f in ft.faces}
-    for sides in ft.arc_faces.values():
-        if len(sides) == 2:
-            a, b = sides
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+    for h, k in enumerate(d.other):  # the faces on the two sides of an arc
+        adjacency[ft.face_of[h]].add(ft.face_of[k])
     # synthetic free-loop inner faces neighbor their host
     for f in ft.faces:
-        if f.synthetic_loops and not f.walks and f.ident != ft.outer_face:
+        if f.synthetic_loops and not f.cycles and f.ident != ft.outer_face:
             host = ft.outer_face
             adjacency[f.ident].add(host)
             adjacency[host].add(f.ident)
@@ -551,10 +432,7 @@ def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None =
 
     w = 0
     for ci, c in enumerate(d.crossings):
-        c0 = colors[ft.corner_face[(ci, 0)]]
-        c1 = colors[ft.corner_face[(ci, 1)]]
-        c2 = colors[ft.corner_face[(ci, 2)]]
-        c3 = colors[ft.corner_face[(ci, 3)]]
+        c0, c1, c2, c3 = (colors[ft.face_of[4 * ci + k]] for k in range(4))
         if c0 != c2 or c1 != c3 or c0 == c1:
             raise ColoringError(f"corners of crossing {ci} are not alternating")
         parity = 0 if c0 == DARK else 1
@@ -575,17 +453,12 @@ def graph_components(d: Diagram) -> tuple[int, int]:
     every crossingless boundary chord and every free loop is its own
     component."""
     piece_ids = crossing_pieces(d)
-    bdy = set(d.boundary_arcs)
-    touching: set[int] = set()
-    for ci, c in enumerate(d.crossings):
-        if any(a in bdy for a in c.arcs):
-            touching.add(piece_ids[ci])
-    pieces = set(piece_ids)
-    slot_arcs = {a for c in d.crossings for a in c.arcs}
-    plain_arcs = len({a for a in bdy if a not in slot_arcs})
-    c_total = len(pieces) + plain_arcs + d.free_loops
-    c_prime = (len(pieces) - len(touching)) + d.free_loops
-    return c_total, c_prime
+    n4 = 4 * d.n
+    boundary_ends = d.other[n4:]
+    touching = {piece_ids[k >> 2] for k in boundary_ends if k < n4}
+    pieces = len(set(piece_ids))
+    chords = sum(k >= n4 for k in boundary_ends) // 2
+    return pieces + chords + d.free_loops, pieces - len(touching) + d.free_loops
 
 
 def stats(d: Diagram, trace: FaceTrace | None = None) -> DiagramStats:
@@ -618,65 +491,39 @@ def strand_components(d: Diagram) -> list[StrandComponent]:
     """Follow strands through crossings (slot s continues at slot s+2).
     Free loops are not included; components are ordered by their lowest arc.
 
-    Each arc has two ends, each a crossing slot or a boundary position; a
-    directed arc points toward one of them.  The successor of a directed arc
-    passes through the crossing at its head and leaves along the opposite
-    slot's arc, directed away from that slot.
+    A strand leaving along half-edge h reaches k = d.other[h]: the boundary,
+    or slot s of a crossing, where it passes through and leaves along slot
+    s + 2, half-edge k ^ 2.  A closed strand starts along its lowest arc
+    from that arc's lower half-edge; an open one starts at the boundary end
+    reached by walking backwards from there.
     """
-    ends: dict[int, list[tuple]] = {}
-    for ci, c in enumerate(d.crossings):
-        for s, a in enumerate(c.arcs):
-            ends.setdefault(a, []).append(("x", ci, s))
-    for pos, a in enumerate(d.boundary_arcs):
-        ends.setdefault(a, []).append(("b", pos))
-
-    def successor(arc: int, toward: int):
-        """Next directed arc, or None at the boundary; also the passage made."""
-        end = ends[arc][toward]
-        if end[0] == "b":
-            return None, None
-        _, ci, s = end
-        exit_slot = (s + 2) % 4
-        nxt = d.crossings[ci].arcs[exit_slot]
-        # direct the next arc away from ('x', ci, exit_slot)
-        e0, e1 = ends[nxt]
-        if e0 == ("x", ci, exit_slot) and e1 == ("x", ci, exit_slot):
-            raise ArcMultiplicityError(f"arc {nxt} occupies one slot twice")
-        toward_next = 1 if e0 == ("x", ci, exit_slot) else 0
-        return (nxt, toward_next), (ci, s)
-
-    visited: set[tuple[int, int]] = set()
+    other, n4 = d.other, 4 * d.n
+    done = [False] * len(other)
     comps: list[StrandComponent] = []
-    for a0 in sorted(ends):
-        if (a0, 0) in visited or (a0, 1) in visited:
+    for a in sorted(d.ends):
+        start = d.ends[a][0]
+        if done[start]:
             continue
+        back = start  # the strand leaves along other[back ^ 2] just before back
+        while back < n4:
+            back = other[back ^ 2]
+            if back == start:
+                break
+        else:
+            start = back
         arcs: list[int] = []
         passages: list[tuple[int, int]] = []
-        touches = False
-        # if the strand is open, rewind to a boundary end first
-        start = (a0, 1)
-        rewind = (a0, 0)
-        seen_rewind = set()
-        while rewind is not None and rewind not in seen_rewind:
-            seen_rewind.add(rewind)
-            nxt, _ = successor(*rewind)
-            if nxt is None:
-                start = (rewind[0], 1 - rewind[1])
-                touches = True
-                break
-            rewind = nxt
-        cur = start
-        while cur is not None and cur not in visited:
-            visited.add(cur)
-            visited.add((cur[0], 1 - cur[1]))
-            arcs.append(cur[0])
-            nxt, passage = successor(*cur)
-            if passage is not None:
-                passages.append(passage)
-            cur = nxt
-        if cur is None:
-            touches = True
-        comps.append(StrandComponent(arcs, touches, passages))
+        h: int | None = start
+        while h is not None and not done[h]:
+            done[h] = done[other[h]] = True
+            arcs.append(d.label(h))
+            k = other[h]
+            if k >= n4:
+                h = None
+            else:
+                passages.append((k >> 2, k & 3))
+                h = k ^ 2
+        comps.append(StrandComponent(arcs, h is None, passages))
     return comps
 
 

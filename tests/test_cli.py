@@ -214,11 +214,49 @@ def test_chord_tangle_cutting_roundtrip(tmp_path):
     assert proc.stdout.strip().splitlines() == ["(0 1)(2 3)(4 5)(6 7) : A^-1", "(0 5)(1 4)(2 3)(6 7) : A"]
 
 
-@pytest.mark.parametrize("pd", ["B[1,2,1,2]", "X[1,2,4,3]o0 B[1,5,2,4,5,3]"])
+# X[1,2,1,2] is closed: compute used to cut it before any face trace and
+# fail on "leftover frontier tokens [1, 2, 1, 2]"
+@pytest.mark.parametrize("pd", ["B[1,2,1,2]", "X[1,2,4,3]o0 B[1,5,2,4,5,3]", "X[1,2,1,2]"])
 def test_nonplanar_chord_layout_exits_one(pd):
-    for command in ("compute", "girth"):
-        proc = run_cli(command, "--pd", pd, expect=1)
+    for command in (["compute", "--mode", "bracket"], ["compute", "--mode", "pkbp"],
+                    ["compute", "--mode", "jones"], ["girth"]):
+        proc = run_cli(*command, "--pd", pd, expect=1)
+        assert "not planar" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cutting_file_that_json_cannot_load_exits_one(tmp_path):
+    # not JSON, an integer over int()'s digit limit, nesting past the
+    # recursion limit
+    path = tmp_path / "cut.json"
+    path.write_text("{girth: 4")
+    proc = run_cli("compute", "--pd", HOPF, "--order", f"@{path}", expect=1)
+    assert "Traceback" not in proc.stderr
+    cutting = greedy_cutting(parse_pd(HOPF)).to_json()
+    cutting["girth"] = "GIRTH"
+    path.write_text(json.dumps(cutting).replace('"GIRTH"', "4" * 5000))
+    proc = run_cli("compute", "--pd", HOPF, "--order", f"@{path}", expect=1)
+    assert "5000 digits" in proc.stderr
+    path.write_text("[" * 100000 + "]" * 100000)
+    proc = run_cli("compute", "--pd", HOPF, "--order", f"@{path}", expect=1)
+    assert "nests too deeply" in proc.stderr
+
+
+def test_binary_pd_file_exits_one(tmp_path):
+    path = tmp_path / "d.pd"
+    path.write_bytes(b"X[1,3,2,4] \xff\xfe")
+    proc = run_cli("compute", "--pd", f"@{path}", expect=1)
+    assert "Traceback" not in proc.stderr
+
+
+def test_untyped_engine_error_exits_three(monkeypatch, capsys):
+    # a bare ValueError out of the fold is an engine fault, not bad input
+    def bad_fold(*args):
+        raise ValueError("fold fault")
+
+    monkeypatch.setattr(engine, "fold_cutting", bad_fold)
+    assert cli.main(["compute", "--pd", HOPF]) == cli.EXIT_INTERNAL
+    assert "fold fault" in capsys.readouterr().err
 
 
 def test_pd_from_file(tmp_path):

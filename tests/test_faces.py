@@ -1,0 +1,75 @@
+import hashlib
+import random
+
+import pytest
+
+from skeinscan.planar import (
+    DARK, LIGHT, ColoringError, Crossing, Diagram, NonPlanarError, ParseError, checkerboard, parse_pd, trace_faces,
+)
+from skeinscan.verify import tangle_fixtures
+
+
+def _mutants(d: Diagram, rng: random.Random) -> list[Diagram]:
+    """Four slot swaps inside one crossing and two swaps of boundary
+    positions: arc multiplicities stay valid, planarity often breaks."""
+    out = []
+    for _ in range(4 if d.n else 0):
+        ci, (s, t) = rng.randrange(d.n), rng.sample(range(4), 2)
+        arcs = list(d.crossings[ci].arcs)
+        arcs[s], arcs[t] = arcs[t], arcs[s]
+        crossings = list(d.crossings)
+        crossings[ci] = Crossing(tuple(arcs), crossings[ci].over)
+        out.append(Diagram(tuple(crossings), d.free_loops, d.boundary_arcs))
+    for _ in range(2 if d.g else 0):
+        i, j = rng.sample(range(d.g), 2)
+        bdy = list(d.boundary_arcs)
+        bdy[i], bdy[j] = bdy[j], bdy[i]
+        out.append(Diagram(d.crossings, d.free_loops, tuple(bdy)))
+    return out
+
+
+def _face_summary(d: Diagram) -> str:
+    """The planarity verdict, the face multiset and (e, w) under both
+    colorings."""
+    try:
+        ft = trace_faces(d)
+    except NonPlanarError:
+        return "nonplanar"
+    faces = sorted((f.chi, f.touches_boundary, f.synthetic_loops) for f in ft.faces)
+    colorings = []
+    for outer in (LIGHT, DARK):
+        try:
+            cb = checkerboard(d, outer, trace=ft)
+            colorings.append((cb.e, cb.w))
+        except ColoringError:
+            colorings.append("uncolorable")
+    return repr((faces, colorings))
+
+
+# SHA-256 over the face summaries of the corpus, the tangle fixtures of
+# seeds 0-3 and a seeded set of their slot- and boundary-swap mutants: a
+# change to face tracing that alters any verdict, face or (e, w) fails here
+FACE_DIGEST = "a1b056ad240a28b00c7ce0ad95a679892e1f6cd7f9ac76e16d39e0b2bba2c9a6"
+
+
+def test_face_traces_are_unchanged(corpus):
+    bases = [corpus[name] for name in sorted(corpus)]
+    for seed in range(4):
+        fixtures = tangle_fixtures(seed)
+        bases += [fixtures[name] for name in sorted(fixtures)]
+    rng = random.Random(10)
+    digest = hashlib.sha256()
+    for d in bases:
+        for m in [d, *_mutants(d, rng)]:
+            digest.update(_face_summary(m).encode())
+    assert digest.hexdigest() == FACE_DIGEST
+
+
+@pytest.mark.parametrize("text", [
+    "X[1,2,3,²]",
+    "B[1,²]",
+    "X[1,2,3,4]o0 B[1,2,3," + "9" * 5000 + "]",
+], ids=["superscript_in_crossing", "superscript_in_boundary", "over_int_digit_limit"])
+def test_parse_rejects_labels_int_does_not_read(text):
+    with pytest.raises(ParseError):
+        parse_pd(text)
