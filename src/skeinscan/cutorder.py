@@ -21,9 +21,12 @@ end ``Diagram.other``, then one slot back): forwards to list its corners,
 and backwards from the piece to the frontier token before it.  The backward
 walk skips crossingless chords, which the scan leaves out.
 
-The frontier is a circular token list.  Events that would wrap the seam
-between positions g-1 and 0 first rotate the labelling so their run starts
-at 0; the state machine applies the same rule, keeping both sides aligned.
+The frontier is a circular list of distinct tokens, each the half-edge at
+the unscanned end of its arc; neighbours h, k are the two stubs of one
+completed arc, to be capped, when ``Diagram.other[h] == k``.  Events that
+would wrap the seam between positions g-1 and 0 first rotate the labelling
+so their run starts at 0; the state machine applies the same rule, keeping
+both sides aligned.
 """
 
 from __future__ import annotations
@@ -134,28 +137,24 @@ class Cutting:
 class _Scan:
     """Frontier-token simulation shared by the compiler and the searches.
 
-    It scans the crossing pieces and the free loops only, and opens with a
-    birth/cap pair at 0 per free loop.  A crossingless boundary chord pairs
-    the same two boundary points in every term, so the scan leaves it out
-    and ``engine.expand_tangle`` adds it to the folded expansion."""
+    Errors name its half-edge tokens by arc label.  It scans the crossing
+    pieces and the free loops only, and opens with a birth/cap pair at 0
+    per free loop (girth 2, the frontier left empty).  A crossingless
+    boundary chord pairs the same two boundary points in every term, so the
+    scan leaves it out and ``engine.expand_tangle`` adds it to the folded
+    expansion."""
 
     def __init__(self, d: Diagram):
         self.d = d
-        self.frontier: list[int] = []  # arc label per frontier position
-        self.events: list[Event] = []
+        self.frontier: list[int] = []  # per position, the unscanned end of its arc
+        self.events: list[Event] = [Birth(0), Cap(0)] * d.free_loops
         self.processed: set[int] = set()
-        self.girth = 0
-        # per crossing: arc -> its slot (None for an arc in two of its slots)
-        self.slot: list[dict[int, int | None]] = [
-            {a: None if c.arcs.count(a) > 1 else s for s, a in enumerate(c.arcs)} for c in d.crossings]
+        self.girth = 2 if d.free_loops else 0
         self.piece = crossing_pieces(d)
         self.piece_members: dict[int, list[int]] = {}
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
         self.started_pieces: set[int] = set()
-        for _ in range(d.free_loops):
-            self.emit_birth(0)
-            self.emit_cap(0)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -166,7 +165,6 @@ class _Scan:
         other.events = list(self.events)
         other.processed = set(self.processed)
         other.girth = self.girth
-        other.slot = self.slot
         other.piece = self.piece
         other.piece_members = self.piece_members
         other.started_pieces = set(self.started_pieces)
@@ -184,9 +182,11 @@ class _Scan:
         self.frontier, self.started_pieces = list(frontier), set(started)
 
     def state_key(self) -> tuple:
-        """Canonical (processed, frontier up to rotation) key for memoization."""
-        f = tuple(self.frontier)
-        return frozenset(self.processed), min((f[i:] + f[:i] for i in range(len(f))), default=())
+        """Canonical (processed, frontier up to rotation) key for memoization:
+        the frontier read from its least token."""
+        f = self.frontier
+        i = f.index(min(f)) if f else 0
+        return frozenset(self.processed), tuple(f[i:] + f[:i])
 
     # -- elementary steps ----------------------------------------------------
 
@@ -203,29 +203,24 @@ class _Scan:
         self.frontier = self._spliced(at, k, tokens)
         self.girth = max(self.girth, len(self.frontier))
 
-    def emit_birth(self, at: int) -> None:
-        self.events.append(Birth(at))
-        self._splice(at, 0, [0, 0])  # throwaway token label
-
-    def emit_cap(self, at: int) -> None:
-        self.events.append(Cap(at))
-        self._splice(at, 2, [])
-
     def cascade_caps(self) -> None:
         """Cap every adjacent pair of stubs of the same completed interior
-        arc, each time the first pair from position 0 on."""
+        arc (each stub is the other's half-edge), each time the first pair
+        from position 0 on."""
+        other = self.d.other
         while len(f := self.frontier) > 1:
-            i = next((i for i in range(len(f)) if f[i] == f[(i + 1) % len(f)]), None)
+            i = next((i for i in range(len(f)) if other[f[i]] == f[(i + 1) % len(f)]), None)
             if i is None:
                 return
-            self.emit_cap(i)
+            self.events.append(Cap(i))
+            self._splice(i, 2, [])
 
     # -- crossing moves ------------------------------------------------------
 
     def token_runs(self, ci: int) -> list[list[int]]:
         """Maximal circular runs of frontier positions holding arcs of ci."""
-        g, arcs = len(self.frontier), self.slot[ci]
-        flags = [tok in arcs for tok in self.frontier]
+        g = len(self.frontier)
+        flags = [h >> 2 == ci for h in self.frontier]
         if not any(flags):
             return []
         if all(flags):
@@ -244,15 +239,13 @@ class _Scan:
         rot is the crossing slot glued at frontier position ``at``; slots
         decrease along the run (the gluing reverses orientation)."""
         moves: list[tuple[int, int, int]] = []
-        slot = self.slot[ci]
+        f = self.frontier
         for run in self.token_runs(ci):
             for start in range(len(run)):
-                r0 = slot[self.frontier[run[start]]]
-                if r0 is None:
-                    continue
+                r0 = f[run[start]] & 3
                 # each prefix of the longest run of decreasing slots from here
                 for j, pos in enumerate(run[start:start + 4]):
-                    if slot[self.frontier[pos]] != (r0 - j) % 4:
+                    if f[pos] & 3 != (r0 - j) % 4:
                         break
                     moves.append((run[start], j + 1, r0))
         return moves
@@ -277,7 +270,7 @@ class _Scan:
                     i = k - n4
                     break
             else:
-                return self.d.label(k)  # it enters a processed crossing: a frontier token
+                return other[k]  # it enters a processed crossing: a frontier token
 
     def fresh_starts(self, p: int) -> tuple[int, list[tuple[int, int]]]:
         """The gap and the (crossing, rot) starts of piece p, which has no
@@ -289,9 +282,10 @@ class _Scan:
         Walking the same face forwards from that boundary point (the face
         successor: in at slot s, out at slot s - 1) lists p's corners on it:
         corner k lies between slots k and k + 1, and a start at rot = k
-        emits slot k + 1 first.  When no walk meets the frontier (the first
-        piece, or a piece that never touches the boundary), p starts at the
-        seam, at any of its crossings, with rot 3."""
+        emits slot k + 1 first.  When no walk meets the frontier, p starts
+        at the seam, at any of its crossings, with rot 3, unless p and a
+        started piece both touch the boundary: then an unstarted piece walls
+        p off, and p gets no start yet."""
         other, n4 = self.d.other, 4 * self.d.n
         for i in range(self.d.g):
             h = other[n4 + i]
@@ -306,12 +300,14 @@ class _Scan:
                 starts.append((h >> 2, h & 3))
                 h = other[h]
             return self.frontier.index(z) + 1, starts
-        return len(self.frontier), [(ci, 3) for ci in self.piece_members[p]]
+        reaching = {self.piece[k >> 2] for k in other[n4:] if k < n4}
+        walled = p in reaching and not reaching.isdisjoint(self.started_pieces)
+        return len(self.frontier), [] if walled else [(ci, 3) for ci in self.piece_members[p]]
 
     def _emitted(self, ci: int, k: int, rot: int) -> list[int]:
-        """The arcs crossing ci emits after absorbing k tokens at slot rot."""
-        arcs = self.d.crossings[ci].arcs
-        return [arcs[(rot + 1 + j) % 4] for j in range(4 - k)]
+        """The tokens crossing ci emits after absorbing k tokens at slot rot."""
+        other = self.d.other
+        return [other[4 * ci + (rot + 1 + j) % 4] for j in range(4 - k)]
 
     def size_after(self, ci: int, at: int, k: int, rot: int) -> int:
         """The frontier length ``apply_cross(ci, at, k, rot)`` leaves after
@@ -322,14 +318,15 @@ class _Scan:
         makes pairs, and cancelling equal neighbours of a circular word
         leaves the same length in any order: a stack cancels the spliced
         word's pairs, then equal ends cancel across the seam."""
+        other = self.d.other
         stack: list[int] = []
         for tok in self._spliced(at, k, self._emitted(ci, k, rot)):
-            if stack and stack[-1] == tok:
+            if stack and other[stack[-1]] == tok:
                 stack.pop()
             else:
                 stack.append(tok)
         i, j = 0, len(stack) - 1
-        while i < j and stack[i] == stack[j]:
+        while i < j and other[stack[i]] == stack[j]:
             i, j = i + 1, j - 1
         return j - i + 1
 
@@ -348,26 +345,24 @@ class _Scan:
     # -- final phase ----------------------------------------------------------
 
     def finish(self) -> int:
-        """Verify the frontier matches the boundary arcs that meet a
+        """Verify the frontier holds the boundary points that meet a
         crossing, in declared order, and return the rotation aligning
         position i with the i-th of them."""
         if len(self.processed) != self.d.n:
             raise InvalidOrder("not every crossing was processed")
-        n4 = 4 * self.d.n
-        target = [self.d.label(k) for k in self.d.other[n4:] if k < n4]
+        d, f, n4 = self.d, self.frontier, 4 * self.d.n
+        target = [n4 + i for i, k in enumerate(d.other[n4:]) if k < n4]
         if not target:
-            if self.frontier:
-                raise InvalidOrder(f"leftover frontier tokens {self.frontier}")
+            if f:
+                raise InvalidOrder(f"leftover frontier tokens {list(map(d.label, f))}")
             return 0
-        g = len(self.frontier)
-        if g != len(target):
-            raise InvalidOrder(f"frontier has {g} points, boundary declares {len(target)} crossing ends")
-        for r in range(g):
-            if self.frontier[r:] + self.frontier[:r] == target:
-                return r
-        raise InvalidOrder(
-            f"frontier {self.frontier} is no rotation of the boundary {target}"
-        )
+        if len(f) != len(target):
+            raise InvalidOrder(f"frontier has {len(f)} points, boundary declares {len(target)} crossing ends")
+        r = f.index(target[0]) if target[0] in f else 0
+        if f[r:] + f[:r] != target:
+            raise InvalidOrder(f"frontier {list(map(d.label, f))} is no rotation of the boundary "
+                               f"{list(map(d.label, target))}")
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +371,8 @@ class _Scan:
 
 def _frontier_crossings(scan: _Scan) -> list[int]:
     """Unprocessed crossings reachable through a frontier token, in id order."""
-    n4, ends, processed = 4 * scan.d.n, scan.d.ends, scan.processed
-    return sorted({h >> 2 for arc in scan.frontier for h in ends[arc] if h < n4 and h >> 2 not in processed})
+    n4, processed = 4 * scan.d.n, scan.processed
+    return sorted({h >> 2 for h in scan.frontier if h < n4 and h >> 2 not in processed})
 
 
 def _fresh_moves(scan: _Scan, first_only: bool) -> list[tuple[int, tuple[int, int, int]]]:

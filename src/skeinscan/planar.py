@@ -476,55 +476,34 @@ def stats(d: Diagram, trace: FaceTrace | None = None) -> DiagramStats:
 
 
 # ---------------------------------------------------------------------------
-# Strand components, orientation, writhe
+# Closed strands and writhe
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StrandComponent:
-    arcs: list[int]
-    touches_boundary: bool
-    # crossing passages: (crossing, entry slot) for the canonical direction
-    passages: list[tuple[int, int]]
+def closed_strands(d: Diagram) -> list[list[int]]:
+    """The strands of a closed diagram, free loops left out, ordered by
+    their lowest arc; each is the list of half-edges by which it enters
+    crossings.
 
-
-def strand_components(d: Diagram) -> list[StrandComponent]:
-    """Follow strands through crossings (slot s continues at slot s+2).
-    Free loops are not included; components are ordered by their lowest arc.
-
-    A strand leaving along half-edge h reaches k = d.other[h]: the boundary,
-    or slot s of a crossing, where it passes through and leaves along slot
-    s + 2, half-edge k ^ 2.  A closed strand starts along its lowest arc
-    from that arc's lower half-edge; an open one starts at the boundary end
-    reached by walking backwards from there.
+    A strand leaving along half-edge h enters slot s of a crossing at
+    k = d.other[h], passes through, and leaves along slot s + 2, half-edge
+    k ^ 2.  Each strand starts along its lowest arc from that arc's lower
+    half-edge.
     """
-    other, n4 = d.other, 4 * d.n
+    other = d.other
     done = [False] * len(other)
-    comps: list[StrandComponent] = []
+    strands: list[list[int]] = []
     for a in sorted(d.ends):
-        start = d.ends[a][0]
-        if done[start]:
+        h = d.ends[a][0]
+        if done[h]:
             continue
-        back = start  # the strand leaves along other[back ^ 2] just before back
-        while back < n4:
-            back = other[back ^ 2]
-            if back == start:
-                break
-        else:
-            start = back
-        arcs: list[int] = []
-        passages: list[tuple[int, int]] = []
-        h: int | None = start
-        while h is not None and not done[h]:
-            done[h] = done[other[h]] = True
-            arcs.append(d.label(h))
+        entries: list[int] = []
+        while not done[h]:
             k = other[h]
-            if k >= n4:
-                h = None
-            else:
-                passages.append((k >> 2, k & 3))
-                h = k ^ 2
-        comps.append(StrandComponent(arcs, h is None, passages))
-    return comps
+            done[h] = done[k] = True
+            entries.append(k)
+            h = k ^ 2
+        strands.append(entries)
+    return strands
 
 
 def writhe(d: Diagram, orientation: Sequence[int] | None = None) -> int:
@@ -538,28 +517,26 @@ def writhe(d: Diagram, orientation: Sequence[int] | None = None) -> int:
     """
     if not d.is_closed:
         raise MissingOrientation("writhe is defined for closed diagrams")
-    comps = strand_components(d)
+    strands = closed_strands(d)
     if orientation is None:
-        if len(comps) > 1:
+        if len(strands) > 1:
             raise MissingOrientation(
-                f"{len(comps)} components: supply an orientation sign per component"
+                f"{len(strands)} components: supply an orientation sign per component"
             )
-        orientation = [1] * len(comps)
-    if len(orientation) != len(comps):
+        orientation = [1] * len(strands)
+    if len(orientation) != len(strands):
         raise MissingOrientation(
-            f"got {len(orientation)} orientation signs for {len(comps)} components"
+            f"got {len(orientation)} orientation signs for {len(strands)} components"
         )
-    # exit slot of each strand at each crossing, under the chosen directions
-    exit_slot: dict[tuple[int, int], int] = {}  # (crossing, strand parity) -> exit slot
-    for comp, sign in zip(comps, orientation):
-        for ci, entry in comp.passages:
-            if sign > 0:
-                exit_slot[(ci, entry % 2)] = (entry + 2) % 4
-            else:
-                exit_slot[(ci, entry % 2)] = entry
+    # per crossing ci and strand parity q, at 4*ci + q: the half-edge by
+    # which that strand leaves ci under the chosen directions
+    exit_at = [0] * (4 * d.n)
+    for entries, sign in zip(strands, orientation):
+        for k in entries:
+            exit_at[k & ~2] = k ^ 2 if sign > 0 else k
     total = 0
     for ci, c in enumerate(d.crossings):
-        over_exit = exit_slot[(ci, c.over)]
-        under_exit = exit_slot[(ci, 1 - c.over)]
+        over_exit = exit_at[4 * ci + c.over]
+        under_exit = exit_at[4 * ci + 1 - c.over]
         total += 1 if (under_exit - over_exit) % 4 == 1 else -1
     return total

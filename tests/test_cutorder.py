@@ -16,7 +16,7 @@ from skeinscan.cutorder import (
 )
 from skeinscan.engine import compute_bracket, expand_tangle, make_cutting
 from skeinscan.oracle import brute_force_tangle_expansion
-from skeinscan.planar import parse_pd
+from skeinscan.planar import crossing_pieces, parse_pd
 from skeinscan.skein import Birth, Cap, Cross
 from skeinscan.verify import tangle_fixtures
 
@@ -146,6 +146,44 @@ def test_exact_search_skips_scans_that_miss_the_boundary():
     verify_cutting(d, exact)
     assert exact.girth <= greedy_cutting(d).girth
     assert expand_tangle(d, order=exact).coeffs == brute_force_tangle_expansion(d)
+
+
+# braid_tangle([5, -1, 3], 6): three one-crossing pieces on the boundary.
+# Once crossing 0 is started, crossing 2 walls crossing 1 off from the
+# frontier until it is started itself; a seam start for crossing 1 cannot
+# finish on the declared boundary
+WALLED = "X[5,6,8,7]o0 X[1,2,10,9]o1 X[3,4,12,11]o0 B[1,2,3,4,5,6,8,7,12,11,10,9]"
+
+
+@pytest.mark.parametrize("order", ["greedy", "anneal"])
+def test_a_walled_boundary_piece_waits_for_its_face(order):
+    d = parse_pd(WALLED)
+    assert expand_tangle(d, order=order).coeffs == brute_force_tangle_expansion(d)
+
+
+def test_braid_tangles_of_three_pieces_cut_like_exact():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(1500):
+        strands = rng.randint(2, 7)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 14))]
+        d = braid_tangle(word, strands)
+        if len(set(crossing_pieces(d))) >= 3:
+            assert expand_tangle(d).coeffs == expand_tangle(d, order="exact").coeffs, (word, strands)
+            checked += 1
+    assert checked >= 20
+
+
+def test_replay_errors_name_arcs_by_label():
+    d = parse_pd(WALLED)
+    c = greedy_cutting(d)
+    assert c.events[2] == Cross(6, 0, False, 1, 1)
+    events = list(c.events)
+    events[2] = dataclasses.replace(events[2], at=0)  # the wrong gap
+    with pytest.raises(InvalidCutting) as err:
+        verify_cutting(d, dataclasses.replace(c, events=events))
+    assert str(err.value) == ("frontier [10, 9, 1, 2, 5, 6, 8, 7, 12, 11, 3, 4] is no rotation "
+                              "of the boundary [1, 2, 3, 4, 5, 6, 8, 7, 12, 11, 10, 9]")
 
 
 def test_replay_rejects_tampered_girth():
@@ -322,6 +360,7 @@ def test_size_after_is_the_applied_frontier_length(corpus):
                     checked += 1
                 ci, mv = rng.choice(moves)
                 scan.apply_cross(ci, *mv)
+                assert len(set(scan.frontier)) == len(scan.frontier), scan.frontier
     assert checked > 10000
 
 

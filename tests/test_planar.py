@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skeinscan.construct import braid_tangle
@@ -153,6 +155,41 @@ def test_writhe_needs_orientation_for_links():
         writhe(parse_pd(HOPF))
     with pytest.raises(MissingOrientation):
         writhe(parse_pd(HOPF), [1])
+
+
+# the writhe of each corpus link under every orientation sign vector, in
+# itertools.product((1, -1), repeat=c) order: pins the component order that
+# the signs (and ``compute --oriented``) refer to
+CORPUS_LINK_WRITHES = {
+    "braid_2s_00": (0, 0, 0, 0),
+    "braid_2s_03": (2, -2, -2, 2),
+    "braid_3s_06": (6, 2, -6, -2, -2, -6, 2, 6),
+    "braid_3s_10": (2, -2, 2, -2, -2, 2, -2, 2),
+    "braid_4s_01": (7, -1, -1, -1, -1, -1, -1, 7),
+    "braid_4s_05": (0, 0, 0, 0),
+    "braid_4s_08": (0, 0, 0, 0),
+    "braid_4s_11": (0, 0, 0, 0),
+    "fig8_chain_3": (0, 0, 0, 0, 0, 0, 0, 0),
+    "pretzel_2_2_2": (-6, 2, 2, 2, 2, 2, 2, -6),
+    "pretzel_2_m3_4": (-1, -5, -5, -1),
+    "split_tref_hopf": (-1, -5, -5, -1, -1, -5, -5, -1),
+    "torus_2_2": (2, -2, -2, 2),
+    "torus_2_4": (4, -4, -4, 4),
+    "torus_2_6": (6, -6, -6, 6),
+    "torus_2_8": (8, -8, -8, 8),
+    "torus_3_3": (6, -2, -2, -2, -2, -2, -2, 6),
+}
+
+
+def test_writhe_of_every_corpus_link_orientation(corpus):
+    for name, d in corpus.items():
+        if d.is_closed and name not in CORPUS_LINK_WRITHES:
+            writhe(d)  # a knot, or free loops only: no signs needed
+    for name, table in CORPUS_LINK_WRITHES.items():
+        with pytest.raises(MissingOrientation):
+            writhe(corpus[name])
+        signs = itertools.product((1, -1), repeat=len(table).bit_length() - 1)
+        assert tuple(writhe(corpus[name], list(s)) for s in signs) == table, name
 
 
 def test_writhe_kink_positive():
