@@ -11,12 +11,17 @@ no frontier's matchings are enumerated before the fold reaches them; ids are
 not ranks, and canonical order is the lexicographic order of the matchings
 themselves.  ``noncrossing_matchings`` enumerates them all, in that order,
 as the reference the tests compare against.
+
+A noncrossing matching is determined by its opener word, the points i with
+pair_of[i] > i.  ``is_noncrossing`` decodes each word once and compares, and
+``Basis`` stores the decoded tuple, so each matching is held once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import gt
 
 Matching = tuple[int, ...]
 
@@ -36,22 +41,52 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def is_noncrossing(pair_of: Matching) -> bool:
-    """Check that pair_of is a fixed-point-free involution with no pair of
-    chords (i,k), (j,l) interleaved as i<j<k<l."""
-    g = len(pair_of)
-    for i, j in enumerate(pair_of):
-        if not 0 <= j < g or j == i or pair_of[j] != i:
-            return False
+def _decode(word: bytes) -> Matching | None:
+    """The noncrossing perfect matching whose openers are the points i with
+    word[i] set: each closer pairs with the nearest unpaired opener before
+    it.  None when some closer finds no opener or an opener stays unpaired."""
+    pair_of = [0] * len(word)
     stack: list[int] = []
-    for i in range(g):
-        if pair_of[i] > i:
+    for i, opens in enumerate(word):
+        if opens:
             stack.append(i)
+        elif stack:
+            j = stack.pop()
+            pair_of[i], pair_of[j] = j, i
         else:
-            if not stack or stack[-1] != pair_of[i]:
-                return False
-            stack.pop()
-    return True
+            return None
+    return None if stack else tuple(pair_of)
+
+
+class _Decodes(dict):
+    """Opener word -> ``_decode(word)``, decoded on the word's first lookup."""
+
+    def __missing__(self, word: bytes) -> Matching | None:
+        m = self[word] = _decode(word)
+        return m
+
+
+# One decode per opener word seen in the process; ``Basis`` stores its tuples.
+_DECODED = _Decodes()
+
+
+def _word(pair_of: Matching) -> bytes:
+    """The opener word: 1 at each point i with pair_of[i] > i, else 0."""
+    return bytes(map(gt, pair_of, range(len(pair_of))))
+
+
+def is_noncrossing(pair_of: Matching) -> bool:
+    """Check that the tuple pair_of is a noncrossing perfect matching: a
+    fixed-point-free involution with no pair of chords (i,k), (j,l)
+    interleaved as i<j<k<l.
+
+    Such a matching is the only one with its opener word, since a closer's
+    partner is the nearest unpaired opener before it; so pair_of passes
+    exactly when it equals the decode of its own word.  An entry out of
+    range, a fixed point, a broken involution or an interleaved pair each
+    make the two differ.  Words are decoded once, so a check costs one
+    C-level word, one dict lookup and one tuple compare."""
+    return _DECODED[_word(pair_of)] == pair_of
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +126,9 @@ class Basis:
 
     Starts empty; ``index_of`` issues ids 0, 1, 2, ... in order of first
     sight, so state maps and transition tables can be keyed by small
-    integers.  Callers intern only checked noncrossing matchings, so ids stay
-    below Catalan(g/2).
+    integers.  Only noncrossing matchings are interned, so ids stay below
+    Catalan(g/2), and each is stored as the tuple ``is_noncrossing`` decoded
+    from its opener word, which that check's memo holds too.
     """
 
     __slots__ = ("g", "matchings", "_index")
@@ -108,6 +144,10 @@ class Basis:
     def index_of(self, m: Matching) -> int:
         idx = self._index.get(m)
         if idx is None:
+            shared = _DECODED[_word(m)]
+            if shared != m:
+                raise ValueError(f"{m} is not a noncrossing matching")
+            m = shared
             idx = self._index[m] = len(self.matchings)
             self.matchings.append(m)
         return idx

@@ -117,6 +117,28 @@ class Diagram:
             other[h], other[k] = k, h
         return tuple(other)
 
+    @cached_property
+    def pieces(self) -> tuple[int, ...]:
+        """Union-find over crossings joined by shared arcs: per crossing, the
+        lowest crossing of its piece."""
+        parent = list(range(self.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        n4, other = 4 * self.n, self.other
+        for h in range(n4):
+            if h < (k := other[h]) < n4:  # each arc between two crossings once
+                ra, rb = find(h >> 2), find(k >> 2)
+                if ra < rb:
+                    parent[rb] = ra
+                elif rb < ra:
+                    parent[ra] = rb
+        return tuple(find(ci) for ci in range(self.n))
+
     def label(self, h: int) -> int:
         """The arc of half-edge h."""
         return self.crossings[h >> 2].arcs[h & 3] if h < 4 * self.n else self.boundary_arcs[h - 4 * self.n]
@@ -267,26 +289,10 @@ class FaceTrace:
     face_of: list[int]
 
 
-def crossing_pieces(d: Diagram) -> list[int]:
-    """Union-find over crossings joined by shared arcs; returns per crossing
-    the lowest crossing of its piece."""
-    parent = list(range(d.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    n4, other = 4 * d.n, d.other
-    for h in range(n4):
-        if h < (k := other[h]) < n4:  # each arc between two crossings once
-            ra, rb = find(h >> 2), find(k >> 2)
-            if ra < rb:
-                parent[rb] = ra
-            elif rb < ra:
-                parent[ra] = rb
-    return [find(ci) for ci in range(d.n)]
+def crossing_pieces(d: Diagram) -> tuple[int, ...]:
+    """Per crossing, the lowest crossing of its piece (the crossings joined
+    by shared arcs); computed once per diagram, as ``Diagram.pieces``."""
+    return d.pieces
 
 
 def trace_faces(d: Diagram) -> FaceTrace:

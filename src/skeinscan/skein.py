@@ -39,11 +39,17 @@ i as ``index << 3 | loops`` (the output's id and the number of closed
 loops), and -1 until first needed.  Ids come from ``matchings.basis``, which
 interns each matching the first time it is seen, so the tables and the
 state maps share one id space and no frontier's matchings are enumerated up
-front.  An entry is built the first time a fold meets its matching, and is
-written only after every output has passed ``is_noncrossing``, so the check
-runs once per table entry rather than once per fold step, and a failed check
-leaves nothing behind.  Tables hold loop counts, not loop values, so every
-mode shares them.  Canonical order is the lexicographic order of the
+front.  An entry is built the first time a fold meets its matching, from
+the absorbed window only: the points outside it keep their partners,
+renumbered by one cached shift per signature, and a memoized window rule,
+keyed by the piece's pairing and by which absorbed points were paired to
+each other, rewrites the few positions whose partners change and counts the
+closed loops.  The entry is written only after every output has passed
+``is_noncrossing``, which compares the output with the matching decoded
+from its opener word (decoded once per word), so the check runs once per
+table entry rather than once per fold step, and a failed check leaves
+nothing behind.  Tables hold loop counts, not loop values, so every mode
+shares them.  Canonical order is the lexicographic order of the
 matchings themselves, restored by sorting whenever a state is listed.
 
 Coefficients are ``laurent.PackedPoly`` values: by the mod-4 theorem each is
@@ -61,6 +67,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly, PackedPoly
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
@@ -145,64 +152,101 @@ _CROSSINGS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _frame(g: int, at: int, k: int, ends: int) -> tuple[tuple[int, ...], ...]:
+    """What a piece with `ends` ends, absorbing the k points at..at+k-1 of a
+    frontier of g, does to positions, whatever the matching:
+
+    * shift: old point -> its new position (old points keep their order, and
+      the ones after the window move past the d = ends - 2k new points);
+    * rel: old point -> its place m in the window, or -1 outside it;
+    * emitted: piece end k..ends-1 -> its new position (the ends are emitted
+      at `at` in reverse order);
+    * holes: -1 for each emitted position, rewritten by every window rule.
+    """
+    d = ends - 2 * k
+    shift = tuple(q if q < at else q + d for q in range(g))
+    rel = tuple(q - at if at <= q < at + k else -1 for q in range(g))
+    emitted = tuple(at + ends - 1 - m for m in range(k, ends))
+    return shift, rel, emitted, (-1,) * (ends - k)
+
+
+Rule = tuple[tuple[tuple[int, int], ...], int]
+
+
+def _window_rule(pairing: tuple[int, ...], inner: tuple[int, ...]) -> Rule:
+    """How a piece with end pairing `pairing` reconnects a window whose
+    absorbed points m were paired to the window points inner[m], or, where
+    inner[m] is -1, to a point outside it (m "exits").
+
+    The rule's tokens are the piece ends: token m < k stands for the new
+    position of exit m's outside partner, and token m >= k for the new
+    position of emitted end m.  Every path runs from a token to a token,
+    alternating a piece pairing edge and an old chord inside the window, and
+    becomes a chord; the rule lists writes (dst, src), setting the partner of
+    each token's position, for both ends of every chord.  Whatever stays
+    unvisited closes up into loops, which the rule counts.  Nothing depends
+    on g or at, so every event signature shares the rule.
+    """
+    k = len(inner)
+    seen = [False] * len(pairing)
+    writes = []
+    for t in range(len(pairing)):
+        if seen[t] or t < k and inner[t] >= 0:
+            continue
+        seen[t] = True
+        m = t
+        while True:
+            e = pairing[m]
+            seen[e] = True
+            if e >= k or inner[e] < 0:
+                break
+            m = inner[e]
+            seen[m] = True
+        writes += ((t, e), (e, t))
+    loops = 0
+    for m in range(k):
+        if not seen[m]:
+            loops += 1
+            while not seen[m]:
+                seen[m] = True
+                e = pairing[m]
+                seen[e] = True
+                m = inner[e]
+    return tuple(writes), loops
+
+
+# Window rules by (pairing, inner), built on first use.
+_RULES: dict[tuple, Rule] = {}
+
+
 def _surgery(g: int, at: int, k: int, smoothings, mu: Matching) -> list[int]:
     """Glue a piece onto one matching: absorb the k points at..at+k-1 of mu
     and emit the piece's other ends at `at`.
 
+    Points outside the window keep their partners, moved to their new
+    positions; one base holds them for every smoothing.  Each smoothing's
+    window rule then rewrites only the positions whose partner changed.
     Returns one packed table entry, output id << 3 | closed loops, per
     smoothing, in the order of `smoothings`.  Every output is checked with
     is_noncrossing before it is interned or anything is returned.
     """
-    ends = len(smoothings[0][0])
-    d = ends - 2 * k
-    end = at + k
-    b2 = basis(g + d)
+    shift, rel, emitted, holes = _frame(g, at, k, len(smoothings[0][0]))
+    window = mu[at:at + k]
+    inner = tuple(map(rel.__getitem__, window))
+    pos = (*map(shift.__getitem__, window), *emitted)
+    base = [*itemgetter(*mu)(shift)] if mu else []  # itemgetter needs an index
+    base[at:at + k] = holes
+    b2 = basis(len(base))
     outputs = []
-    for pair_m, _ in smoothings:
-        used = [False] * k  # absorbed ends consumed by walks
-
-        def walk(m: int) -> int:
-            """New position reached from piece end m: alternate pairing and
-            old matching edges until leaving the absorbed block."""
-            while True:
-                e = pair_m[m]
-                if e >= k:
-                    return at + ends - 1 - e
-                used[e] = True
-                q = mu[at + e]
-                if not at <= q < end:
-                    return q if q < at else q + d
-                m = q - at
-                used[m] = True
-
-        # old points keep their partners, shifted past the emitted ones;
-        # entries that pointed into the absorbed block are rewritten below
-        new = ([q if q < at else q + d for q in mu[:at]] + [-1] * (ends - k)
-               + [q if q < at else q + d for q in mu[end:]])
-        for m in range(k):
-            p = mu[at + m]
-            if used[m] or at <= p < end:
-                continue
-            used[m] = True
-            p = p if p < at else p + d
-            t = walk(m)
-            new[p], new[t] = t, p
-        for m in range(k, ends):
-            pos = at + ends - 1 - m
-            if new[pos] < 0:
-                t = walk(m)
-                new[pos], new[t] = t, pos
-        # leftover absorbed ends close up into loops
-        loops = 0
-        for m in range(k):
-            if not used[m]:
-                loops += 1
-                while not used[m]:
-                    used[m] = True
-                    e = pair_m[m]
-                    used[e] = True
-                    m = mu[at + e] - at
-
+    for pairing, _ in smoothings:
+        rule = _RULES.get((pairing, inner))
+        if rule is None:
+            rule = _RULES[pairing, inner] = _window_rule(pairing, inner)
+        writes, loops = rule
+        new = base.copy()
+        for dst, src in writes:
+            new[pos[dst]] = pos[src]
         new = tuple(new)
         if not is_noncrossing(new):
             raise InvariantViolation(

@@ -261,3 +261,17 @@ def test_braid_tangles_with_untouched_strands():
             cutting = make_cutting(d, order)
             assert not any(isinstance(ev, Birth) for ev in cutting.events)
             assert expand_tangle(d, order=cutting).coeffs == oracle, (word, strands, order)
+
+
+def test_crossing_pieces_computed_once_per_call(monkeypatch):
+    # faces, the cutting and the fold all read the pieces; the diagram
+    # computes them once
+    prop = Diagram.__dict__["pieces"]
+    calls = []
+    original = prop.func
+    monkeypatch.setattr(prop, "func", lambda d: calls.append(d) or original(d))
+    for word, strands in (([1, 1, 1], 2), ([1, -2, 1, -2], 3)):
+        d = braid_closure(word, strands)
+        before = len(calls)
+        compute_pkbp(d)
+        assert len(calls) == before + 1

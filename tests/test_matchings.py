@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+import skeinscan.matchings as matchings
 from skeinscan.matchings import (
     Basis, OddBoundary, SizeMismatch, catalan, format_matching, glue_loop_count,
     is_noncrossing, noncrossing_matchings,
@@ -49,6 +53,93 @@ def test_crossing_matching_rejected():
     assert not is_noncrossing((2, 3, 0, 1))  # chords (0,2),(1,3) interleave
     assert not is_noncrossing((0, 1, 3, 2))  # fixed point
     assert not is_noncrossing((1, 0, 3, 1))  # not an involution
+
+
+def reference_is_noncrossing(pair_of):
+    """The stack-based check: a fixed-point-free involution whose chords
+    close in the reverse order they opened."""
+    g = len(pair_of)
+    for i, j in enumerate(pair_of):
+        if not 0 <= j < g or j == i or pair_of[j] != i:
+            return False
+    stack = []
+    for i in range(g):
+        if pair_of[i] > i:
+            stack.append(i)
+        else:
+            if not stack or stack[-1] != pair_of[i]:
+                return False
+            stack.pop()
+    return True
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_noncrossing_check_agrees_with_reference_exhaustively(g):
+    seen = 0
+    for pair_of in itertools.product(range(-1, g + 1), repeat=g):
+        expected = reference_is_noncrossing(pair_of)
+        assert is_noncrossing(pair_of) == expected, pair_of
+        seen += expected
+    assert seen == (catalan(g // 2) if g % 2 == 0 else 0)
+
+
+def _random_noncrossing(rng, g):
+    """A noncrossing matching from a random balanced opener word."""
+    while True:
+        word = [1] * (g // 2) + [0] * (g // 2)
+        rng.shuffle(word)
+        pair_of, stack = [0] * g, []
+        for i, opens in enumerate(word):
+            if opens:
+                stack.append(i)
+            elif not stack:
+                break
+            else:
+                j = stack.pop()
+                pair_of[i], pair_of[j] = j, i
+        else:
+            return pair_of
+
+
+def test_noncrossing_check_agrees_with_reference_on_near_misses():
+    # one transposition of two entries, two chords re-paired across each
+    # other, a fixed point, or an entry out of range
+    rng = random.Random(12)
+    verdicts = set()
+    for g in range(8, 21, 2):
+        for _ in range(150):
+            m = tuple(_random_noncrossing(rng, g))
+            i, j = rng.sample(range(g), 2)
+            swapped = list(m)
+            swapped[i], swapped[j] = m[j], m[i]
+            a, b = rng.sample([p for p in range(g) if p < m[p]], 2)
+            repaired = list(m)
+            repaired[a], repaired[m[b]], repaired[b], repaired[m[a]] = m[b], a, m[a], b
+            fixed = list(m)
+            fixed[i] = i
+            out = list(m)
+            out[i] = rng.choice((-1, g, m[i] + g))
+            cases = {"match": m, "swap": swapped, "repair": repaired, "fixed": fixed, "out": out}
+            for kind, case in cases.items():
+                expected = reference_is_noncrossing(tuple(case))
+                assert is_noncrossing(tuple(case)) == expected, case
+                verdicts.add((kind, expected))
+    # re-pairing two chords gives an involution that crosses, or not
+    assert verdicts >= {("match", True), ("repair", True), ("repair", False), ("swap", False)}
+
+
+def test_basis_shares_the_checked_tuple():
+    # the intern table stores the tuple the noncrossing check decoded, so a
+    # matching is held once, whatever tuple the caller passed
+    m = noncrossing_matchings(10)[17]
+    assert is_noncrossing(m)
+    b = Basis(10)
+    b.index_of(tuple(list(m)))
+    assert b.matching(0) == m
+    assert b.matching(0) is matchings._DECODED[matchings._word(m)]
+    with pytest.raises(ValueError):
+        b.index_of((2, 3, 0, 1, 5, 4, 7, 6, 9, 8))
+    assert len(b) == 1
 
 
 def test_basis_interning():

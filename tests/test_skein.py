@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -278,3 +279,40 @@ def test_dump_lines_sorted_when_ids_issued_in_reverse(fresh_ids):
     ms = [m for m, _ in s6.items()]
     assert len(ms) > 2 and ms == sorted(ms)
     assert [basis(6).matching(idx) for idx in sorted(s6.coeffs)] == sorted(ms, reverse=True)
+
+
+def _table_entries(max_g):
+    """Every transition-table entry of every event signature on frontiers of
+    at most max_g points, as text lines: the signature (g, at, k, and the
+    smoothing class or "arc"), the input matching, then per smoothing the
+    output matching and its closed loops."""
+    pieces = [("arc", skein._ARC)] + [(cls, skein._CROSSINGS[cls]) for cls in (0, 1)]
+    for g in range(0, max_g + 1, 2):
+        b = basis(g)
+        for name, smoothings in pieces:
+            ends = len(smoothings[0][0])
+            ks = (0, 2) if name == "arc" else range(min(ends, g) + 1)
+            for k in ks:
+                if k > g:
+                    continue
+                b2 = basis(g + ends - 2 * k)
+                for at in range(g + 1 if k == 0 else g - k + 1):
+                    for mu in noncrossing_matchings(g):
+                        idx = b.index_of(mu)
+                        state = SkeinState(BRACKET, g, {idx: PackedPoly.from_laurent(LaurentPoly.one())})
+                        state._glue(at, k, smoothings)
+                        table = skein._TABLES[(g, at, k, smoothings)]
+                        width = len(smoothings)
+                        outs = [(b2.matching(p >> 3), p & 7) for p in table[width * idx:width * idx + width]]
+                        yield f"{g} {at} {k} {name} {mu} -> {outs}"
+
+
+def test_table_entries_digest(fresh_ids):
+    # pins every entry the surgery builds for g <= 10, whatever builds it
+    digest = hashlib.sha256()
+    lines = 0
+    for line in _table_entries(10):
+        digest.update(line.encode() + b"\n")
+        lines += 1
+    assert lines == 6229
+    assert digest.hexdigest() == "dd23ca0f1aab62c3dbe175ac8034cf0072dc1d7198366b2a66e7bb831334c523"

@@ -3,7 +3,8 @@ the loop value's sign, the smoothing weight assignment, the state-size cap
 or the component count each has to turn at least one suite red, and so must
 a transition table that answers for the wrong smoothing class or holds a
 corrupted entry, a smoothing weight that breaks the mod-4 grading, and
-coefficient slots that are too narrow for their values."""
+coefficient slots that are too narrow for their values.  A window rule that
+builds a crossing matching must stop the fold before any table holds it."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from skeinscan.construct import braid_closure, torus_link
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import compute_bracket, fold_cutting
 from skeinscan.laurent import DELTA_PLUS, PackedPoly
+from skeinscan.matchings import basis
 from skeinscan.verify import run_verify
 
 
@@ -83,6 +85,26 @@ def test_corrupted_table_entry_detected(fresh_tables):
     table[0] ^= 1 << 3
     report = run_verify(max_n=6)
     assert not report["ok"]
+
+
+def test_corrupted_window_rule_detected(monkeypatch, fresh_tables):
+    # the trefoil's second crossing absorbs points 2 and 3 of (0 3)(1 2),
+    # whose partners 1 and 0 lie outside the window; send them to the emitted
+    # ends 3 and 2 instead of 2 and 3, so the chords (1 3)(0 2) interleave
+    d = braid_closure([1, 1, 1], 2)
+    cutting = greedy_cutting(d)
+    assert cutting.events[1] == skein.Cross(2, 2, False, 1, cutting.events[1].rot)
+    (pairing, _), _ = skein._CROSSINGS[skein.a_smoothing_class(2, False)]
+    _, loops = skein._window_rule(pairing, (-1, -1))
+    monkeypatch.setitem(skein._RULES, (pairing, (-1, -1)), (((0, 2), (2, 0), (1, 3), (3, 1)), loops))
+    with pytest.raises(skein.InvariantViolation):
+        fold_cutting(d, cutting, skein.BRACKET)
+    idx = basis(4).index_of((3, 2, 1, 0))
+    table = next(t for key, t in fresh_tables.items() if key[:3] == (4, 2, 2))
+    assert table[2 * idx:2 * idx + 2].tolist() == [-1, -1]
+    monkeypatch.undo()
+    _, report, _ = fold_cutting(d, cutting, skein.BRACKET)
+    assert all(check["ok"] for check in report.values())
 
 
 def test_mixed_residues_detected(monkeypatch):
