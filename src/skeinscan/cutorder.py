@@ -190,64 +190,67 @@ class _Scan:
 
     # -- elementary steps ----------------------------------------------------
 
-    def _spliced(self, at: int, k: int, tokens: list[int]) -> list[int]:
-        """The frontier with the k tokens from position `at` on replaced by
-        `tokens`.  A run that wraps the seam is first rotated to start at 0,
-        the rule SkeinState._glue applies to the matchings."""
+    def _splice(self, at: int, k: int, tokens: list[int]) -> int:
+        """Replace the k tokens from position `at` on by `tokens`; return
+        where they start.  A run that wraps the seam is first rotated to
+        start at 0, the rule SkeinState._glue applies to the matchings."""
         f = self.frontier
         if k and at + k > len(f):
-            return tokens + f[at + k - len(f):at]
-        return f[:at] + tokens + f[at + k:]
-
-    def _splice(self, at: int, k: int, tokens: list[int]) -> None:
-        self.frontier = self._spliced(at, k, tokens)
+            self.frontier, at = tokens + f[at + k - len(f):at], 0
+        else:
+            self.frontier = f[:at] + tokens + f[at + k:]
         self.girth = max(self.girth, len(self.frontier))
+        return at
 
-    def cascade_caps(self) -> None:
+    def cascade_caps(self, joins: range | list[int]) -> None:
         """Cap every adjacent pair of stubs of the same completed interior
         arc (each stub is the other's half-edge), each time the first pair
-        from position 0 on."""
+        from position 0 on.  Between moves no such pair is left, so one can
+        only form at ``joins``, where a splice made new neighbours (join i
+        lies between positions i and i + 1, mod g), and at each cap's join."""
         other = self.d.other
         while len(f := self.frontier) > 1:
-            i = next((i for i in range(len(f)) if other[f[i]] == f[(i + 1) % len(f)]), None)
-            if i is None:
+            g = len(f)
+            pairs = [j % g for j in joins if other[f[j]] == f[(j + 1) % g]]  # joins run from -1 to g - 1
+            if not pairs:
                 return
+            i = min(pairs)
             self.events.append(Cap(i))
-            self._splice(i, 2, [])
+            at = self._splice(i, 2, [])  # i, or 0 for the pair across the seam
+            # no pair lies before i: only later joins and the cap's own can pair
+            joins = [j % g - 2 for j in joins if j % g > i + 1] + [at - 1]
 
     # -- crossing moves ------------------------------------------------------
 
-    def token_runs(self, ci: int) -> list[list[int]]:
-        """Maximal circular runs of frontier positions holding arcs of ci."""
-        g = len(self.frontier)
-        flags = [h >> 2 == ci for h in self.frontier]
-        if not any(flags):
-            return []
-        if all(flags):
-            return [list(range(g))]
-        runs: list[list[int]] = []
-        start = flags.index(False) + 1  # just after a gap
-        for i in (j % g for j in range(start, start + g)):
-            if flags[i] and flags[i - 1]:
-                runs[-1].append(i)
-            elif flags[i]:
-                runs.append([i])
-        return runs
-
-    def run_moves(self, ci: int) -> list[tuple[int, int, int]]:
-        """All (at, k, rot) sub-run absorptions available for crossing ci.
-        rot is the crossing slot glued at frontier position ``at``; slots
-        decrease along the run (the gluing reverses orientation)."""
-        moves: list[tuple[int, int, int]] = []
-        f = self.frontier
-        for run in self.token_runs(ci):
-            for start in range(len(run)):
-                r0 = f[run[start]] & 3
-                # each prefix of the longest run of decreasing slots from here
-                for j, pos in enumerate(run[start:start + 4]):
-                    if f[pos] & 3 != (r0 - j) % 4:
-                        break
-                    moves.append((run[start], j + 1, r0))
+    def frontier_moves(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Per unprocessed crossing with frontier tokens, in id order, its
+        (at, k, rot) sub-run absorptions, from one pass over the frontier.
+        rot is the crossing slot glued at position ``at``; slots decrease
+        along a run (the gluing reverses orientation).  Runs come in
+        position order, the one from position 0 last (or joined to the run
+        it continues across the seam)."""
+        f, n4, processed = self.frontier, 4 * self.d.n, self.processed
+        runs: dict[int, list[list[int]]] = {}
+        for i, h in enumerate(f):
+            if h < n4 and h >> 2 not in processed:
+                if (rs := runs.setdefault(h >> 2, [])) and rs[-1][-1] == i - 1:
+                    rs[-1].append(i)
+                else:
+                    rs.append([i])
+        moves: dict[int, list[tuple[int, int, int]]] = {}
+        for ci in sorted(runs):
+            rs, out = runs[ci], moves.setdefault(ci, [])
+            if rs[0][0] == 0 and len(rs) > 1:  # the run from 0 goes last
+                first = rs.pop(0)
+                rs.append(rs.pop() + first if rs[-1][-1] == len(f) - 1 else first)
+            for run in rs:
+                for start, at in enumerate(run):
+                    # each prefix of the longest run of decreasing slots from here
+                    out.append((at, 1, f[at] & 3))
+                    for j in range(1, len(run) - start):
+                        if (f[at] - j - f[run[start + j]]) & 3:
+                            break
+                        out.append((at, j + 1, f[at] & 3))
         return moves
 
     def _frontier_token_before(self, i: int, p: int) -> int | None:
@@ -304,43 +307,45 @@ class _Scan:
         walled = p in reaching and not reaching.isdisjoint(self.started_pieces)
         return len(self.frontier), [] if walled else [(ci, 3) for ci in self.piece_members[p]]
 
-    def _emitted(self, ci: int, k: int, rot: int) -> list[int]:
-        """The tokens crossing ci emits after absorbing k tokens at slot rot."""
-        other = self.d.other
-        return [other[4 * ci + (rot + 1 + j) % 4] for j in range(4 - k)]
-
     def size_after(self, ci: int, at: int, k: int, rot: int) -> int:
         """The frontier length ``apply_cross(ci, at, k, rot)`` leaves after
-        its caps, without applying it.
-
-        Exact because between moves the frontier has no two equal
-        neighbours (``cascade_caps`` capped them all), so only the splice
-        makes pairs, and cancelling equal neighbours of a circular word
-        leaves the same length in any order: a stack cancels the spliced
-        word's pairs, then equal ends cancel across the seam."""
-        other = self.d.other
-        stack: list[int] = []
-        for tok in self._spliced(at, k, self._emitted(ci, k, rot)):
-            if stack and other[stack[-1]] == tok:
-                stack.pop()
+        its caps, without applying it, in O(cancellations).  Between moves
+        no neighbours pair (``cascade_caps`` capped them all), and
+        cancelling pairs of a circular word leaves the same length in any
+        order: the kept tokens, then the emitted word, cancel as a stack,
+        then the ends of what is left cancel, the word's into the kept
+        tokens, or either side's into itself once the other is used up."""
+        other, f, g = self.d.other, self.frontier, len(self.frontier)
+        lo, hi = at + k, at + g - 1  # the kept tokens f[lo % g] to f[hi % g], then the word
+        word: list[int] = []
+        for s in range(rot + 1, rot + 5 - k):  # the tokens apply_cross emits
+            tok = other[4 * ci + (s & 3)]
+            if word and other[word[-1]] == tok:
+                word.pop()
+            elif not word and lo <= hi and other[f[hi % g]] == tok:
+                hi -= 1
             else:
-                stack.append(tok)
-        i, j = 0, len(stack) - 1
-        while i < j and other[stack[i]] == stack[j]:
-            i, j = i + 1, j - 1
-        return j - i + 1
+                word.append(tok)
+        while lo <= hi and word and other[word[-1]] == f[lo % g]:
+            word.pop()
+            lo += 1
+        while not word and lo < hi and other[f[hi % g]] == f[lo % g]:
+            lo, hi = lo + 1, hi - 1
+        while lo > hi and len(word) > 1 and other[word[-1]] == word[0]:
+            del word[0], word[-1]
+        return len(word) + hi - lo + 1
 
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
-        c = self.d.crossings[ci]
-        if k > 0:
-            over_first = (rot % 2) == c.over
-        else:
-            over_first = ((rot + 1) % 2) == c.over
+        if ci in self.processed:
+            raise InvalidOrder(f"crossing {ci} is already processed")
+        over_first = (rot if k else rot + 1) % 2 == self.d.crossings[ci].over
         self.events.append(Cross(at, k, over_first, ci, rot))
-        self._splice(at, k, self._emitted(ci, k, rot))
+        # after absorbing k tokens at slot rot, ci emits its next 4 - k slots' arcs
+        tokens = [self.d.other[4 * ci + (s & 3)] for s in range(rot + 1, rot + 5 - k)]
+        at = self._splice(at, k, tokens)
         self.processed.add(ci)
         self.started_pieces.add(self.piece[ci])
-        self.cascade_caps()
+        self.cascade_caps(range(at - 1, at + len(tokens)))
 
     # -- final phase ----------------------------------------------------------
 
@@ -369,12 +374,6 @@ class _Scan:
 # Compilation and searches
 # ---------------------------------------------------------------------------
 
-def _frontier_crossings(scan: _Scan) -> list[int]:
-    """Unprocessed crossings reachable through a frontier token, in id order."""
-    n4, processed = 4 * scan.d.n, scan.processed
-    return sorted({h >> 2 for h in scan.frontier if h < n4 and h >> 2 not in processed})
-
-
 def _fresh_moves(scan: _Scan, first_only: bool) -> list[tuple[int, tuple[int, int, int]]]:
     """Starts of the unstarted pieces, in the order of their first crossing:
     every start of each piece, or only its first."""
@@ -393,10 +392,9 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
         raise InvalidOrder(f"order must be a permutation of 0..{d.n - 1}")
     scan = _Scan(d)
     for ci in order:
-        runs = scan.token_runs(ci)
-        if runs:
-            mv = max(scan.run_moves(ci), key=lambda m: m[1], default=None)
-            if mv is None or mv[1] != sum(map(len, runs)):
+        if moves := scan.frontier_moves().get(ci):
+            mv = max(moves, key=lambda m: m[1])
+            if mv[1] != sum(m[1] == 1 for m in moves):  # a one-token move per token
                 raise InvalidOrder(f"crossing {ci} is not glueable (tokens not one run)")
             scan.apply_cross(ci, *mv)
             continue
@@ -440,14 +438,13 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
     candidate.
 
     Candidates are sized by ``_Scan.size_after``, without applying them.
-    Each tied candidate's rollout applies its moves on ``scan``, then
-    undoes them.  ``sized`` keeps each state's sized candidates under
-    ``path``, the crossings applied since the greedy step began (a
-    candidate crossing has one move per state, so ``path`` determines the
-    state), for the later steps and rollouts that reach it."""
+    A tied candidate's rollout applies its moves on ``scan`` but only sizes
+    the last, then undoes them.  ``sized`` keeps each state's candidates,
+    sized, under ``path``, the crossings applied since the greedy step began
+    (a candidate crossing has one move per state, so ``path`` determines
+    the state), for the later steps and rollouts that reach it."""
     if path not in sized:
-        candidates = [(ci, max(moves, key=lambda m: m[1]))
-                      for ci in _frontier_crossings(scan) if (moves := scan.run_moves(ci))]
+        candidates = [(ci, max(moves, key=lambda m: m[1])) for ci, moves in scan.frontier_moves().items()]
         candidates += _fresh_moves(scan, first_only=True)
         sized[path] = [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
     if not (ranked := sized[path]):
@@ -458,14 +455,15 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
         return min(tied)[1:]  # crossing ids are unique, so no move is compared
     mark, peaks = scan.mark(), []
     for _, ci, mv in tied:
-        scan.apply_cross(ci, *mv)
-        reached = path + (ci,)
+        step, reached = (ci, mv), path
         for _ in range(lookahead):
-            if (step := _greedy_move(scan, 0, sized, reached)) is None:
-                break
             scan.apply_cross(step[0], *step[1])
             reached += (step[0],)
-        peaks.append((scan.girth, ci, mv))
+            if (step := _greedy_move(scan, 0, sized, reached)) is None:
+                break
+        # the last step's peak is its spliced frontier, before its caps
+        peak = scan.girth if step is None else max(scan.girth, len(scan.frontier) + 4 - 2 * step[1][1])
+        peaks.append((peak, ci, mv))
         scan.undo(mark)
     return min(peaks)[1:]
 
@@ -499,7 +497,7 @@ def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
             # earlier keep their turn
             heapq.heappush(heap, (peak, next(tick), scan, order, rot))
             continue
-        moves = [(ci, mv) for ci in _frontier_crossings(scan) for mv in scan.run_moves(ci)]
+        moves = [(ci, mv) for ci, mvs in scan.frontier_moves().items() for mv in mvs]
         for ci, mv in moves + _fresh_moves(scan, first_only=False):
             child = scan.clone()
             child.apply_cross(ci, *mv)
@@ -558,7 +556,7 @@ def sqrt_bound_check(d: Diagram, cutting: Cutting) -> dict:
 def verify_cutting(d: Diagram, cutting: Cutting) -> None:
     """Replay an explicit cutting against the diagram, applying each
     recorded move as recorded: a crossing event is legal when its rot is a
-    slot 0..3 and, if it absorbs tokens, ``_Scan.run_moves`` offers its
+    slot 0..3 and, if it absorbs tokens, ``_Scan.frontier_moves`` offers its
     (at, absorb, rot).  The replay must then reproduce every recorded event
     (over_first included), the final rotation and the girth exactly.
     Like the searches, it starts each piece of the diagram (a connected
@@ -579,14 +577,15 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
             raise InvalidCutting(f"bad crossing reference in {ev}")
         if ev.rot not in range(4):
             raise InvalidCutting(f"{ev} glues no crossing slot 0..3")
+        moves = scan.frontier_moves().get(ci, [])
         if ev.absorb == 0:
-            if scan.token_runs(ci):
+            if moves:
                 raise InvalidCutting(f"{ev} ignores frontier arcs of crossing {ci}")
             if scan.piece[ci] in scan.started_pieces:
                 raise InvalidCutting(f"{ev} starts crossing {ci}'s piece a second time")
             if not 0 <= ev.at <= len(scan.frontier):
                 raise InvalidCutting(f"{ev} inserts outside the frontier")
-        elif (ev.at, ev.absorb, ev.rot) not in scan.run_moves(ci):
+        elif (ev.at, ev.absorb, ev.rot) not in moves:
             raise InvalidCutting(f"{ev} is not a legal gluing here")
         scan.apply_cross(ci, ev.at, ev.absorb, ev.rot)
         # the prefix before this crossing already matched

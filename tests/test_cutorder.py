@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -10,7 +11,7 @@ import pytest
 from skeinscan import cutorder
 from skeinscan.construct import braid_closure, braid_tangle, torus_link
 from skeinscan.cutorder import (
-    SQRT_BOUND_CONST, Cutting, InvalidCutting, TooLarge, compile_order,
+    SQRT_BOUND_CONST, Cutting, InvalidCutting, InvalidOrder, TooLarge, compile_order,
     exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check,
     verify_cutting,
 )
@@ -327,6 +328,27 @@ def test_benchmark_greedy_cuttings_are_unchanged(name):
     assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
+def _braid_closures(count, seed=13):
+    """Seeded random braid closures on 4-7 strands with 6-60 crossings."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(4, 7)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(6, 60))]
+        out.append(braid_closure(word, strands))
+    return out
+
+
+def test_braid_and_tangle_fixture_greedy_cuttings_are_unchanged():
+    # SHA-256 over the greedy cutting JSON of 60 braid closures and of
+    # tangle_fixtures(0..3), taken before the one-pass frontier scan
+    digest = hashlib.sha256()
+    tangles = [d for seed in range(4) for _, d in sorted(tangle_fixtures(seed).items())]
+    for d in _braid_closures(60) + tangles:
+        digest.update(json.dumps(greedy_cutting(d).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == "79a9454ec003e98c5e229d6360526069089eb5fc0bb12ee6291e69fad82ae830"
+
+
 def test_greedy_runs_on_one_scan_without_clones(corpus, monkeypatch):
     def refuse(self):
         raise AssertionError("greedy_cutting cloned its scan")
@@ -338,8 +360,61 @@ def test_greedy_runs_on_one_scan_without_clones(corpus, monkeypatch):
 
 def _legal_moves(scan):
     """Every run move of every frontier crossing and every fresh start."""
-    moves = [(ci, mv) for ci in cutorder._frontier_crossings(scan) for mv in scan.run_moves(ci)]
+    moves = [(ci, mv) for ci, mvs in scan.frontier_moves().items() for mv in mvs]
     return moves + cutorder._fresh_moves(scan, first_only=False)
+
+
+def reference_token_runs(scan, ci):
+    """Maximal circular runs of frontier positions holding arcs of ci,
+    read by a full scan of the frontier per crossing."""
+    g = len(scan.frontier)
+    flags = [h >> 2 == ci for h in scan.frontier]
+    if not any(flags):
+        return []
+    if all(flags):
+        return [list(range(g))]
+    runs = []
+    start = flags.index(False) + 1  # just after a gap
+    for i in (j % g for j in range(start, start + g)):
+        if flags[i] and flags[i - 1]:
+            runs[-1].append(i)
+        elif flags[i]:
+            runs.append([i])
+    return runs
+
+
+def reference_run_moves(scan, ci):
+    """All (at, k, rot) sub-run absorptions of crossing ci, run by run."""
+    moves = []
+    f = scan.frontier
+    for run in reference_token_runs(scan, ci):
+        for start in range(len(run)):
+            r0 = f[run[start]] & 3
+            for j, pos in enumerate(run[start:start + 4]):
+                if f[pos] & 3 != (r0 - j) % 4:
+                    break
+                moves.append((run[start], j + 1, r0))
+    return moves
+
+
+def reference_frontier_moves(scan):
+    """The unprocessed crossings with frontier tokens, in id order, each
+    with its moves from its own scan of the frontier."""
+    n4 = 4 * scan.d.n
+    crossings = sorted({h >> 2 for h in scan.frontier if h < n4 and h >> 2 not in scan.processed})
+    return [(ci, reference_run_moves(scan, ci)) for ci in crossings]
+
+
+def reference_cascade_caps(scan):
+    """Cap the first pair from position 0 on, rescanning the whole frontier
+    after every cap; a pair across the seam leaves f[1:-1]."""
+    other = scan.d.other
+    while len(f := scan.frontier) > 1:
+        i = next((i for i in range(len(f)) if other[f[i]] == f[(i + 1) % len(f)]), None)
+        if i is None:
+            return
+        scan.events.append(Cap(i))
+        scan.frontier = f[1:-1] if i == len(f) - 1 else f[:i] + f[i + 2:]
 
 
 def _walk_diagrams(corpus):
@@ -383,3 +458,63 @@ def test_undo_restores_the_marked_scan(corpus):
                 assert fields(scan) == fields(before)
             ci, mv = rng.choice(moves)
             scan.apply_cross(ci, *mv)
+
+
+def test_frontier_moves_and_caps_match_the_full_scans(corpus):
+    rng = random.Random(5)
+    tangles = [d for seed in range(4) for d in tangle_fixtures(seed).values()]
+    states = stubbed = caps = 0
+    for d in [*corpus.values(), *tangles, *_braid_closures(12)] * 6:
+        scan = cutorder._Scan(d)
+        while moves := _legal_moves(scan):
+            assert list(scan.frontier_moves().items()) == reference_frontier_moves(scan), scan.frontier
+            states += 1
+            stubbed += any(h < 4 * d.n and h >> 2 in scan.processed for h in scan.frontier)
+            for ci, mv in rng.sample(moves, min(4, len(moves))):
+                probe, ref = scan.clone(), scan.clone()
+                probe.apply_cross(ci, *mv)
+                ref.cascade_caps = lambda joins, ref=ref: reference_cascade_caps(ref)
+                ref.apply_cross(ci, *mv)
+                assert (probe.frontier, probe.events) == (ref.frontier, ref.events), (ci, mv, scan.frontier)
+                assert scan.size_after(ci, *mv) == len(ref.frontier)
+                caps += len(ref.events) - len(scan.events) - 1
+            # one-token absorptions leave stubs of the crossing on the frontier
+            ones = [m for m in moves if m[1][1] == 1]
+            ci, mv = rng.choice(ones if ones and rng.random() < 0.5 else moves)
+            scan.apply_cross(ci, *mv)
+    # the walks pass states holding stubs of processed crossings (which
+    # frontier_moves must not offer) and moves that cap
+    assert states > 5000 and stubbed > 100 and caps > 10000, (states, stubbed, caps)
+
+
+def test_apply_cross_refuses_a_processed_crossing():
+    scan = cutorder._Scan(TREFOIL)
+    ci, mv = _legal_moves(scan)[0]
+    scan.apply_cross(ci, *mv)
+    before = scan.clone()
+    with pytest.raises(InvalidOrder, match=f"crossing {ci} is already processed"):
+        scan.apply_cross(ci, *mv)
+    assert (scan.frontier, scan.events, scan.processed) == (before.frontier, before.events, before.processed)
+
+
+# greedy's whole-frontier passes (``frontier_moves``) and applied moves,
+# bounded at the counts of the one-pass scan: per committed crossing 2.95
+# and 4.9 on T(2,60), 3.8 and 5.2 on the closure.  Scanning the frontier
+# per crossing took 5.75 and 23.9 ``token_runs`` scans (plus as many
+# ``run_moves`` scans) and 6.8 and 7.3 applies
+GREEDY_CALLS = [
+    (lambda: torus_link(60), 177, 292),
+    (lambda: braid_closure([1, -2, 3, 3, -1, 2, 4, -3, 2, 2, -1, 4, 3, -2, 1, 1, -4, 3] * 2, 5), 137, 188),
+]
+
+
+@pytest.mark.parametrize("make, passes, applies", GREEDY_CALLS, ids=["T(2,60)", "braid"])
+def test_greedy_reads_each_state_once(monkeypatch, make, passes, applies):
+    counts = collections.Counter()
+    for name in ("frontier_moves", "apply_cross"):
+        def counted(self, *args, real=getattr(cutorder._Scan, name), name=name):
+            counts[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(cutorder._Scan, name, counted)
+    greedy_cutting(make())
+    assert counts["frontier_moves"] <= passes and counts["apply_cross"] <= applies, counts
