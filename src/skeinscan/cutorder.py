@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .planar import Diagram, crossing_pieces
-from .skein import Birth, Cap, Cross, Event
+from .skein import Birth, Cap, Cross, Event, InvariantViolation
 
 # Cutwidth of a 4-valent planar graph is at most this constant times sqrt(n).
 SQRT_BOUND_CONST = 6 * math.sqrt(2) + 5 * math.sqrt(3)
@@ -337,7 +337,7 @@ class _Scan:
 
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
         if ci in self.processed:
-            raise InvalidOrder(f"crossing {ci} is already processed")
+            raise InvariantViolation(f"crossing {ci} is already processed")
         over_first = (rot if k else rot + 1) % 2 == self.d.crossings[ci].over
         self.events.append(Cross(at, k, over_first, ci, rot))
         # after absorbing k tokens at slot rot, ci emits its next 4 - k slots' arcs
@@ -418,7 +418,7 @@ def greedy_cutting(d: Diagram) -> Cutting:
     sized: dict[tuple[int, ...], list] = {}
     while len(scan.processed) < d.n:
         if (step := _greedy_move(scan, LOOKAHEAD, sized)) is None:
-            raise InvalidOrder("greedy scan has no glueable crossing (unexpected)")
+            raise InvariantViolation("greedy scan has no glueable crossing (unexpected)")
         ci, mv = step
         scan.apply_cross(ci, *mv)
         order.append(ci)

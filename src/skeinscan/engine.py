@@ -7,7 +7,8 @@ tangle's crossing count n, component count c and frontier size g, and any
 violation is recorded in the diagnostics (they all encode theorems, so a
 violation means an engine bug or a deliberately mutated build):
 
-* every coefficient's exponents agree mod 4, and its span is a multiple of 4;
+* no merge met two contributions whose exponents differ mod 4 (the state
+  leaves such a contribution out and counts it, ``SkeinState.mixed``);
 * every coefficient's span is at most 4(n + c) - 2g;
 * the total spread of exponents is at most 4(n + c) (positive mode, where
   no cancellation can hide a violation);
@@ -15,19 +16,14 @@ violation means an engine bug or a deliberately mutated build):
   at most n + c - g/2 + 1 terms;
 * in positive mode every integer coefficient is strictly positive.
 
-Each check reads a coefficient, A^r * sum_i c_i A^(4i) packed as
-P = sum_i c_i 2^(b*i) (``laurent.PackedPoly``), with a few bigint operations
-on P and no scan of its terms.  The lowest term's slot is the number of
-trailing zero bits of P divided by b, and the highest is
-|P|.bit_length() // b, so the span is 4 * (top - low).  The grade is
-r mod 4: a sum of coefficients whose offsets differ by a non-multiple of 4
-is repacked with exponents spaced 1 or 2 apart, and only such a value is
-decoded to find its residues.  A coefficient has at most span/4 + 1 terms,
-and span <= 4(n + c) - 2g gives span/4 + 1 <= n + c - g/2 + 1, so the term
-bound follows from the span bound; terms are counted one by one only when
-the slots between the lowest and highest term exceed it.  Positivity is
-P >= 0 with no slot's sign bit set, since a negative slot borrows from the
-one above it.
+The checks read each coefficient's lowest and highest exponent, its term
+count and its positivity through ``SkeinState``, which finds them with a
+few bigint operations on the packed coefficient and no scan of its terms.
+Every coefficient is A^r times a polynomial in A^4, so its span is a
+multiple of 4 by construction, and it has at most span/4 + 1 terms;
+span <= 4(n + c) - 2g gives span/4 + 1 <= n + c - g/2 + 1, so the term
+bound follows from the span bound, and terms are counted one by one only
+when the span allows more.
 
 n counts the Cross events so far.  c is the number of pieces of the diagram
 (connected sets of crossings, ``crossing_pieces``) that some Cross event so
@@ -54,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check, verify_cutting
-from .laurent import MIXED, LaurentPoly
+from .laurent import LaurentPoly
 from .matchings import Matching, catalan
 from .planar import DARK, LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
 from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, InvariantViolation, SkeinState
@@ -113,34 +109,30 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
         report["storage"]["violations"].append(
             f"{state.size()} matchings exceed Catalan({g // 2}) = {cat}"
         )
-    lo = hi = None
-    for poly in state.coeffs.values():
-        mn, mx = poly.exp_range()
-        span = mx - mn
-        if poly.grade() == MIXED:
-            report["mod4"]["violations"].append(
-                f"mixed exponent residues at n={n}, g={g}: {poly}"
-            )
-        if span % 4:
+    if state.mixed:
+        report["mod4"]["violations"].append(
+            f"{state.mixed} contributions with mixed exponent residues left out at n={n}, g={g}"
+        )
+    ranges = state.exponent_ranges()
+    for idx, mn, mx in ranges:
+        if mx - mn > span_bound:
             report["span"]["violations"].append(
-                f"span {span} not a multiple of 4 at n={n}, g={g}"
+                f"span {mx - mn} > 4(n+c)-2g = {span_bound} at n={n}, c={c}, g={g}"
             )
-        if span > span_bound:
-            report["span"]["violations"].append(
-                f"span {span} > 4(n+c)-2g = {span_bound} at n={n}, c={c}, g={g}"
-            )
-        # the slots from the lowest term to the highest bound the term count
-        if span // poly.step >= term_bound and len(poly) > term_bound:
-            report["storage"]["violations"].append(
-                f"{len(poly)} terms > n+c-g/2+1 = {term_bound} at n={n}, c={c}, g={g}"
-            )
-        if state.mode == PKBP and not poly.is_positive():
+            # more than term_bound terms need a span of 4 * term_bound = span_bound + 4
+            if (terms := state.term_count(idx)) > term_bound:
+                report["storage"]["violations"].append(
+                    f"{terms} terms > n+c-g/2+1 = {term_bound} at n={n}, c={c}, g={g}"
+                )
+        if state.mode == PKBP and not state.is_positive(idx):
             report["positivity"]["violations"].append(
-                f"nonpositive coefficient at n={n}, g={g}: {poly}"
+                f"nonpositive coefficient at n={n}, g={g}"
             )
-        lo = mn if lo is None else min(lo, mn)
-        hi = mx if hi is None else max(hi, mx)
-    if lo is not None and hi - lo > 4 * (n + c):
+    if not ranges:
+        return
+    _, lows, highs = zip(*ranges)
+    lo, hi = min(lows), max(highs)
+    if hi - lo > 4 * (n + c):
         report["total_span"]["violations"].append(
             f"total span {hi - lo} > 4(n+c) = {4 * (n + c)} at n={n}, c={c}, g={g}"
         )
@@ -210,7 +202,7 @@ def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult
     t1 = time.perf_counter()
     state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
     t2 = time.perf_counter()
-    raw = state.coeffs[0].to_laurent() if state.coeffs else LaurentPoly.zero()
+    raw = state.coeffs.get(0, LaurentPoly.zero())
     polynomial = raw.exact_div(LOOP_VALUES[mode])
     report["sqrt_bound"] = sqrt_bound_check(d, cutting)
     report["storage"]["peak_matchings"] = peak

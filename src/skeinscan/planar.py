@@ -151,22 +151,6 @@ class Diagram:
             self.boundary_arcs,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "crossings": [{"arcs": list(c.arcs), "over": c.over} for c in self.crossings],
-            "free_loops": self.free_loops,
-            "boundary_arcs": list(self.boundary_arcs),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Diagram":
-        crossings = tuple(
-            Crossing(tuple(item["arcs"]), int(item["over"])) for item in data.get("crossings", [])
-        )
-        d = cls(crossings, int(data.get("free_loops", 0)), tuple(data.get("boundary_arcs", ())))
-        validate(d)
-        return d
-
 
 class DiagramStats(NamedTuple):
     n: int        # crossings

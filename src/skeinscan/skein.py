@@ -52,14 +52,37 @@ nothing behind.  Tables hold loop counts, not loop values, so every mode
 shares them.  Canonical order is the lexicographic order of the
 matchings themselves, restored by sorting whenever a state is listed.
 
-Coefficients are ``laurent.PackedPoly`` values: by the mod-4 theorem each is
-A^r * p(A^4), held as the offset r and one integer with p's coefficients in
-signed slots of b bits.  A fold step on one coefficient is a few C-level
-bigint operations, whatever its number of terms: the smoothing's power of A
-changes r; each closed loop, e * A^-2 * (1 + A^4) with e the sign of the
-mode's loop value, is one shift by b and one add (negated when e^loops is
--1); and the merge into the output is one aligned shift and one add.  The
-state reads out as ``LaurentPoly`` in ``items``.
+Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
+By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
+(r, P) with P = sum_i c_i 2^(b*i) in signed slots of b bits, a multiple of
+64.  The slot width b and one proven bound ``mass`` on the sum of |c_i|
+over every coefficient belong to the whole state.  While mass < 2^(b-1),
+every slot and every partial sum of slots fits its slot, so the digits of
+P in base 2^b with bias 2^(b-1) are exactly c_i + 2^(b-1); the lowest
+nonzero slot is the number of trailing zero bits of P divided by b, the
+highest is |P|.bit_length() // b, and every c_i is positive exactly when
+P >= 0 and no slot's sign bit is set, since a negative slot borrows from
+the one above it.  Zero low slots are not stripped; readers skip them.
+
+An event multiplies mass by len(smoothings) << (k // 2): each closed loop
+uses an old chord between two absorbed points, so one smoothing closes at
+most k // 2 loops; a loop factor at most doubles the sum of |c_i|; a shift
+or a sign change keeps it; and a merge is never larger than the sum of its
+parts.  When mass times that growth would reach 2^(b-2), the state is
+decoded once, mass becomes the true sum, and the slots widen if they must
+(``SkeinState._widened``).
+
+A fold step on one coefficient is then a few C-level bigint operations,
+whatever its number of terms: the smoothing's power of A changes r; each
+closed loop, e * A^-2 * (1 + A^4) with e the sign of the mode's loop value,
+is P += P << b, negated when e^loops is -1; and a merge into the output
+shifts the operand with the higher offset by b * d / 4 bits, d the offsets'
+difference, and adds, deleting a zero sum.  Two contributions whose offsets
+differ by a non-multiple of 4 cannot share step-4 slots.  Only a broken
+build makes them, by the mod-4 theorem, so the merge leaves the later one
+out, counts it in ``mixed`` for the fold's mod-4 check, and goes on; the
+result is then no longer exact.  ``SkeinState`` takes and reads out
+``LaurentPoly`` coefficients, and no other module sees b or P.
 """
 
 from __future__ import annotations
@@ -68,8 +91,9 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import Mapping
 
-from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly, PackedPoly
+from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
 BRACKET = "bracket"
@@ -120,7 +144,7 @@ Event = Birth | Cap | Cross
 def _loop_power(mode: str, k: int) -> int:
     """The sign of the loop value's k-th power.  The loop value must be
     e * (A^2 + A^-2) with e = +-1; its power is e^k * A^-2k * (1 + A^4)^k,
-    and ``PackedPoly.times_loops`` applies the rest as shift-adds."""
+    and ``SkeinState._glue`` applies the rest as shift-adds."""
     e = dict(LOOP_VALUES[mode]).get(2)
     if e not in (1, -1) or LOOP_VALUES[mode] != LaurentPoly({2: e, -2: e}):
         raise ValueError(f"loop value {LOOP_VALUES[mode]} is not +-(A^2 + A^-2)")
@@ -273,34 +297,115 @@ def _transition_table(g: int, at: int, k: int, smoothings) -> array:
     return table
 
 
+def _slot_width(bound: int) -> int:
+    """The slot width, in bits, for a mass up to `bound`: a multiple of 64,
+    at least 64, with room for the sign bit, the margin bit and a quarter
+    more bits of growth.  Cancellation keeps the true mass of a bracket fold
+    far below its bound, and the wide minimum spares such a state a widening
+    every few events; it costs little, since the bigint operations are
+    C-level either way."""
+    bits = bound.bit_length()
+    return max(64, (bits + bits // 4 + 4) // 64 * 64 + 64)
+
+
+def _bias(b: int, n: int) -> int:
+    """2^(b-1) in each of n slots of b bits, built from bytes."""
+    return int.from_bytes((bytes(b // 8 - 1) + b"\x80") * n, "little")
+
+
+def _encode(vals, b: int) -> int:
+    """Sum of vals[i] * 2^(b*i), for signed values with |v| < 2^(b-1)."""
+    w = b // 8
+    raw = b"".join(v.to_bytes(w, "little", signed=True) for v in vals)
+    # raw holds each value in two's complement, which is the value plus the
+    # slot bias with the bias bit flipped
+    bias = _bias(b, len(vals))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _slots(P: int, b: int) -> list[int]:
+    """Signed slot values c_0 .. c_top of P (zeros included); empty for 0."""
+    if not P:
+        return []
+    n = abs(P).bit_length() // b + 1
+    bias = _bias(b, n)
+    raw = ((P + bias) ^ bias).to_bytes(n * b // 8, "little")
+    w = b // 8
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+
+
+def _pack(poly: LaurentPoly, b: int) -> tuple[int, int]:
+    """(r, P) for a nonzero poly = A^r * sum_i c_i A^(4i)."""
+    terms = dict(poly)
+    r = min(terms)
+    vals = [0] * ((max(terms) - r) // 4 + 1)
+    for e, c in terms.items():
+        if (e - r) % 4:
+            raise ValueError(f"coefficient {poly} mixes exponent residues mod 4")
+        vals[(e - r) // 4] = c
+    return r, _encode(vals, b)
+
+
 class SkeinState:
     """Sparse map from matchings of g frontier points to coefficients.
 
-    ``coeffs`` maps matching ids to ``PackedPoly`` values, stored as given;
-    ``items`` reads them out as ``LaurentPoly``."""
+    Built from ``LaurentPoly`` coefficients keyed by matching id, which it
+    packs (see the module docstring); ``coeffs`` and ``items`` decode them.
+    ``mixed`` counts the contributions the event that made the state left
+    out for mixed exponent residues."""
 
-    __slots__ = ("mode", "g", "coeffs")
+    __slots__ = ("mode", "g", "b", "mass", "mixed", "_packed")
 
-    def __init__(self, mode: str, g: int, coeffs: dict[int, PackedPoly]):
+    def __init__(self, mode: str, g: int, coeffs: Mapping[int, LaurentPoly]):
         if mode not in LOOP_VALUES:
             raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.g = g
-        self.coeffs = coeffs
+        mass = sum(abs(c) for poly in coeffs.values() for _, c in poly)
+        b = _slot_width(mass)
+        self.mode, self.g, self.b, self.mass, self.mixed = mode, g, b, mass, 0
+        self._packed = {idx: _pack(poly, b) for idx, poly in coeffs.items() if poly}
+
+    def _of(self, g: int, b: int, mass: int, packed: dict, mixed: int = 0) -> "SkeinState":
+        """A state of this mode from packed coefficients."""
+        out = SkeinState.__new__(SkeinState)
+        out.mode, out.g, out.b, out.mass, out.mixed, out._packed = self.mode, g, b, mass, mixed, packed
+        return out
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
-        return cls(mode, 0, {basis(0).index_of(()): PackedPoly.from_laurent(ONE)})
+        return cls(mode, 0, {basis(0).index_of(()): ONE})
+
+    @property
+    def coeffs(self) -> dict[int, LaurentPoly]:
+        """Every coefficient, decoded, by matching id."""
+        b = self.b
+        return {idx: LaurentPoly({r + 4 * i: c for i, c in enumerate(_slots(P, b)) if c})
+                for idx, (r, P) in self._packed.items()}
 
     def items(self) -> list[tuple[Matching, LaurentPoly]]:
         """(matching, coefficient) pairs in canonical order: the matchings
         sorted lexicographically, whatever order their ids were issued in."""
         b = basis(self.g)
-        return sorted(((b.matching(idx), poly.to_laurent()) for idx, poly in self.coeffs.items()),
+        return sorted(((b.matching(idx), poly) for idx, poly in self.coeffs.items()),
                       key=lambda item: item[0])
 
     def size(self) -> int:
-        return len(self.coeffs)
+        return len(self._packed)
+
+    def exponent_ranges(self) -> list[tuple[int, int, int]]:
+        """(matching id, lowest exponent, highest exponent) of every
+        coefficient, from the trailing zero bits and the bit length of P."""
+        b = self.b
+        return [(idx, r + 4 * (((P & -P).bit_length() - 1) // b), r + 4 * (abs(P).bit_length() // b))
+                for idx, (r, P) in self._packed.items()]
+
+    def term_count(self, idx: int) -> int:
+        """The number of nonzero terms of one coefficient (decodes it)."""
+        return sum(1 for c in _slots(self._packed[idx][1], self.b) if c)
+
+    def is_positive(self, idx: int) -> bool:
+        """Every nonzero term of one coefficient is > 0."""
+        P, b = self._packed[idx][1], self.b
+        return P >= 0 and not P & _bias(b, P.bit_length() // b + 1)
 
     def dump_lines(self) -> list[str]:
         return [f"{format_matching(m)} : {p}" for m, p in self.items()]
@@ -313,6 +418,17 @@ class SkeinState:
     def __repr__(self) -> str:
         return f"SkeinState({self.mode}, g={self.g}, {self.size()} matchings)"
 
+    def _widened(self, growth: int) -> "SkeinState":
+        """This state with its true mass, in slots that hold that mass times
+        `growth` below 2^(b-2): the same slots if they do, else wider ones."""
+        b = self.b
+        slots = {idx: (r, _slots(P, b)) for idx, (r, P) in self._packed.items()}
+        mass = sum(abs(c) for _, vals in slots.values() for c in vals)
+        wide = _slot_width(mass * growth)
+        if wide <= b:
+            return self._of(self.g, b, mass, self._packed)
+        return self._of(self.g, wide, mass, {idx: (r, _encode(vals, wide)) for idx, (r, vals) in slots.items()})
+
     # -- elementary events ---------------------------------------------------
 
     def rotated(self, r: int) -> "SkeinState":
@@ -322,12 +438,12 @@ class SkeinState:
         if r == 0 or g == 0:
             return self
         b = basis(g)
-        out: dict[int, PackedPoly] = {}
-        for idx, poly in self.coeffs.items():
+        out = {}
+        for idx, coeff in self._packed.items():
             mu = b.matching(idx)
             rot = tuple((mu[(i + r) % g] - r) % g for i in range(g))
-            out[b.index_of(rot)] = poly
-        return SkeinState(self.mode, g, out)
+            out[b.index_of(rot)] = coeff
+        return self._of(g, self.b, self.mass, out)
 
     def birth(self, at: int) -> "SkeinState":
         return self._glue(at, 0, _ARC)
@@ -354,34 +470,51 @@ class SkeinState:
             if at + k > g:  # run wraps the seam: rotate it to 0
                 return self.rotated(at)._glue(0, k, smoothings)
 
+        growth = len(smoothings) << k // 2
+        state = self._widened(growth) if (self.mass * growth) >> (self.b - 2) else self
+        b = state.b
+        unit = b // 4  # bits per unit of exponent difference
+        # one smoothing closes at most k // 2 loops, as growth assumes; an
+        # entry with more finds no sign and raises IndexError
+        negate = [_loop_power(self.mode, loops) < 0 for loops in range(k // 2 + 1)]
         table = _transition_table(g, at, k, smoothings)
         width = len(smoothings)
         bold = basis(g)
-        mode = self.mode
-        out: dict[int, PackedPoly] = {}
-        for idx, poly in self.coeffs.items():
+        out: dict[int, tuple[int, int]] = {}
+        mixed = 0
+        for idx, (r, P) in state._packed.items():
             slot = width * idx
             if table[slot] < 0:
                 # a raise leaves the entry unbuilt: its slots are written
                 # only once every output passed the noncrossing check
                 table[slot:slot + width] = array("q", _surgery(g, at, k, smoothings, bold.matching(idx)))
             for (_, shift), packed in zip(smoothings, table[slot:slot + width]):
+                q, Q = r + shift, P
                 loops = packed & 7
                 if loops:
-                    contrib = poly.times_loops(shift, loops, _loop_power(mode, loops))
-                else:
-                    contrib = poly.shifted(shift) if shift else poly
+                    q -= 2 * loops
+                    for _ in range(loops):
+                        Q += Q << b
+                    if negate[loops]:
+                        Q = -Q
                 key = packed >> 3
                 acc = out.get(key)
                 if acc is None:
-                    out[key] = contrib
+                    out[key] = q, Q
+                    continue
+                p, S = acc
+                d = q - p
+                if d % 4:
+                    mixed += 1  # left out (see the module docstring)
+                    continue
+                if d < 0:
+                    p, S, Q, d = q, Q, S, -d
+                S += Q << unit * d
+                if S:
+                    out[key] = p, S
                 else:
-                    merged = acc + contrib
-                    if merged.P:
-                        out[key] = merged
-                    else:
-                        del out[key]
-        return SkeinState(self.mode, g + ends - 2 * k, out)
+                    del out[key]
+        return self._of(g + ends - 2 * k, b, state.mass * growth, out, mixed)
 
     def apply(self, ev: Event) -> "SkeinState":
         if isinstance(ev, Birth):

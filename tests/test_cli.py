@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import skeinscan.cli as cli
+import skeinscan.cutorder as cutorder
 import skeinscan.engine as engine
 from skeinscan.cutorder import Cutting, greedy_cutting
 from skeinscan.planar import parse_pd
@@ -172,6 +173,26 @@ def test_engine_frontier_fault_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(engine, "make_cutting", lambda *args: Cutting([Cap(0)], 2, []))
     assert cli.main(["compute", "--pd", HOPF]) == cli.EXIT_INTERNAL
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["processed crossing", "no crossing"])
+def test_greedy_fault_exits_three(monkeypatch, capsys, fault):
+    # greedy offering a processed crossing, or none while some are left, is
+    # an engine fault, not an input error
+    greedy_move, first = cutorder._greedy_move, []
+
+    def faulty_move(scan, lookahead, sized, path=()):
+        if fault == "no crossing":
+            return None
+        if not first:  # no lookahead, so no rollout calls back in here
+            first.append(greedy_move(scan, 0, sized, path))
+        return first[0]
+
+    monkeypatch.setattr(cutorder, "_greedy_move", faulty_move)
+    assert cli.main(["compute", "--pd", HOPF]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal invariant violation: InvariantViolation" in err
+    assert ("is already processed" if fault == "processed crossing" else "no glueable crossing") in err
 
 
 def test_tangle_frontier_fault_exits_three(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from skeinscan.cutorder import (
 from skeinscan.engine import compute_bracket, expand_tangle, make_cutting
 from skeinscan.oracle import brute_force_tangle_expansion
 from skeinscan.planar import crossing_pieces, parse_pd
-from skeinscan.skein import Birth, Cap, Cross
+from skeinscan.skein import Birth, Cap, Cross, InvariantViolation
 from skeinscan.verify import tangle_fixtures
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -492,7 +492,7 @@ def test_apply_cross_refuses_a_processed_crossing():
     ci, mv = _legal_moves(scan)[0]
     scan.apply_cross(ci, *mv)
     before = scan.clone()
-    with pytest.raises(InvalidOrder, match=f"crossing {ci} is already processed"):
+    with pytest.raises(InvariantViolation, match=f"crossing {ci} is already processed"):
         scan.apply_cross(ci, *mv)
     assert (scan.frontier, scan.events, scan.processed) == (before.frontier, before.events, before.processed)
 

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from skeinscan.laurent import (
     A, A_INV, DELTA, DELTA_PLUS, MIXED, ONE,
-    EmptyPolynomial, LaurentPoly, NotDivisible, PackedPoly, _encode,
+    EmptyPolynomial, LaurentPoly, NotDivisible,
 )
 
 
@@ -129,40 +129,3 @@ def test_big_coefficients_stay_exact(p):
     assert all(c % 10**30 == 0 for _, c in huge)
     if not p.is_zero():
         assert huge.exact_div(LaurentPoly.monomial(10**30)) == p
-
-
-@pytest.mark.parametrize("shift", [0, 4, 8])
-def test_packed_sum_of_mixed_slot_widths(shift):
-    # a 256-bit operand near the top of its range meets a 320-bit one: the
-    # sum's bound stays far below 2^317, so the narrow operand is only
-    # widened, and it must land in exactly 320-bit slots
-    wide = 2 ** 252
-    x = PackedPoly(0, 4, 256, wide, _encode([wide, -wide + 1, 3], 256))
-    y = PackedPoly(shift, 4, 320, 5, _encode([1, -5, 0, 2], 320))
-    assert x.to_laurent() == P({0: wide, 4: 1 - wide, 8: 3})
-    expected = x.to_laurent() + y.to_laurent()
-    assert (x + y).to_laurent() == expected
-    assert (y + x).to_laurent() == expected
-
-
-@st.composite
-def packed_polys(draw):
-    """A packed value in slots of any width, with values anywhere in range
-    and any offset, so sums also meet other widths and residues."""
-    b = draw(st.sampled_from([64, 128, 192, 256, 320]))
-    top = 2 ** (b - 1) - 1
-    vals = draw(st.lists(st.integers(-top, top) | st.integers(-40, 40), min_size=1, max_size=5))
-    r = draw(st.integers(min_value=-12, max_value=12))
-    return PackedPoly(r, 4, b, max(abs(v) for v in vals), _encode(vals, b))
-
-
-@given(packed_polys(), packed_polys(), st.integers(min_value=1, max_value=2), st.sampled_from([1, -1]))
-def test_packed_arithmetic_matches_laurent(x, y, loops, sign):
-    lx, ly = x.to_laurent(), y.to_laurent()
-    factor = DELTA_PLUS if loops == 1 else DELTA_PLUS * DELTA_PLUS
-    assert (x + y).to_laurent() == lx + ly
-    looped = x.times_loops(1, loops, sign)
-    assert looped.to_laurent() == (lx * factor).shifted(1).scaled(sign)
-    # the bounds the results carry must keep holding through further steps
-    assert ((x + y).times_loops(-1, loops, sign) + looped).to_laurent() == (
-        ((lx + ly) * factor).shifted(-1).scaled(sign) + looped.to_laurent())

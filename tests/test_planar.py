@@ -4,7 +4,7 @@ import pytest
 
 from skeinscan.construct import braid_tangle
 from skeinscan.planar import (
-    DARK, LIGHT, ArcMultiplicityError, Crossing, Diagram, MissingOrientation,
+    DARK, LIGHT, ArcMultiplicityError, Crossing, MissingOrientation,
     NonPlanarError, ParseError, checkerboard, graph_components, parse_pd,
     render_pd, stats, trace_faces, writhe,
 )
@@ -52,11 +52,6 @@ def test_render_roundtrip():
     for text in (HOPF, TREFOIL, KINK, "O O", "X[1,2,3,4]o1 B[1,2,3,4]"):
         d = parse_pd(text)
         assert parse_pd(render_pd(d)) == d
-
-
-def test_json_roundtrip():
-    d = parse_pd(TREFOIL)
-    assert Diagram.from_json(d.to_json()) == d
 
 
 def test_face_counts():

@@ -2,13 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skeinscan.matchings as matchings
 import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import fold_cutting
-from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly, PackedPoly
+from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly
 from skeinscan.matchings import basis, catalan, is_noncrossing, noncrossing_matchings
 from skeinscan.skein import (
     BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, FrontierTooSmall, InvariantViolation,
@@ -47,7 +48,7 @@ def test_double_birth_at_zero_nests():
 
 
 def test_birth_never_touches_coefficients():
-    s = SkeinState(BRACKET, 2, {basis(2).index_of((1, 0)): PackedPoly.from_laurent(LaurentPoly({3: 7}))})
+    s = SkeinState(BRACKET, 2, {basis(2).index_of((1, 0)): LaurentPoly({3: 7})})
     s2 = s.birth(1)
     assert list(s2.coeffs.values()) == [LaurentPoly({3: 7})]
 
@@ -66,8 +67,8 @@ def test_cap_positive_mode():
 def test_cap_reconnects_partners():
     # (0 1)(2 3) capped at position 1 joins the partners 0 and 3
     idx = basis(4).index_of((1, 0, 3, 2))
-    s = SkeinState(BRACKET, 4, {idx: PackedPoly.from_laurent(LaurentPoly.one())})
-    assert SkeinState(BRACKET, 4, {idx: PackedPoly.from_laurent(LaurentPoly.one())}).g == 4
+    s = SkeinState(BRACKET, 4, {idx: LaurentPoly.one()})
+    assert SkeinState(BRACKET, 4, {idx: LaurentPoly.one()}).g == 4
     s2 = s.cap(1)
     assert coeffs_of(s2) == {(1, 0): LaurentPoly.one()}
 
@@ -209,6 +210,79 @@ def test_random_event_sequences_keep_invariants(seed):
                         assert all(c > 0 for _, c in p)
 
 
+def _linear_image(state, ev):
+    """ev applied to the unit state of each matching of state, combined with
+    state's coefficients in LaurentPoly arithmetic."""
+    out = {}
+    for idx, poly in state.coeffs.items():
+        for m, p in SkeinState(state.mode, state.g, {idx: LaurentPoly.one()}).apply(ev).items():
+            out[m] = out.get(m, LaurentPoly.zero()) + poly * p
+    return {m: p for m, p in out.items() if p}
+
+
+def _mass(state):
+    return sum(abs(c) for p in state.coeffs.values() for _, c in p)
+
+
+# the event under test: its kind, the points it absorbs, and whether its run
+# wraps the seam between the last frontier position and position 0
+EVENT_CASES = [("birth", 0, False), ("cap", 2, False), ("cap", 2, True),
+               *(("cross", k, False) for k in range(5)), *(("cross", k, True) for k in range(2, 5))]
+
+
+@pytest.mark.parametrize("kind, k, wrap", EVENT_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_event_matches_linear_combination_of_unit_states(kind, k, wrap, data):
+    # a fold state's matchings, whose exponent residues differ from matching
+    # to matching, with random coefficients of the same residues: both signs,
+    # and values beyond 64 bits
+    mode = data.draw(st.sampled_from([BRACKET, PKBP]))
+    events, _ = _random_events(random.Random(data.draw(st.integers(0, 2**16))), data.draw(st.integers(0, 6)))
+    state = fold_events(mode, events)
+    while state.g < k:
+        state = state.birth(0)
+    values = st.lists(st.integers(-2**80, 2**80) | st.integers(-9, 9), min_size=1, max_size=4).filter(any)
+    coeffs = {}
+    for idx, poly in state.coeffs.items():
+        r = poly.min_exp() + 4 * data.draw(st.integers(-3, 3))
+        coeffs[idx] = LaurentPoly({r + 4 * i: c for i, c in enumerate(data.draw(values))})
+    state = SkeinState(mode, state.g, coeffs)
+    g = state.g
+    if kind == "birth":
+        ev = Birth(data.draw(st.integers(0, g)))
+    else:
+        at = data.draw(st.integers(g - k + 1, g - 1) if wrap else st.integers(0, g - k))
+        ev = Cap(at) if kind == "cap" else Cross(at, k, data.draw(st.booleans()))
+    out = state.apply(ev)
+    assert out.mixed == 0
+    assert dict(out.items()) == _linear_image(state, ev)
+    assert _mass(out) <= out.mass < 2 ** (out.b - 2)
+
+
+def test_event_that_must_widen_the_slots_stays_exact():
+    # 47-bit coefficients fit 64-bit slots with 15 bits to spare; crossings
+    # absorbing two points of a frontier of 4 at most quadruple the mass,
+    # until one event must widen the slots before it runs
+    state = SkeinState.initial(PKBP).cross(Cross(0, 0, True))
+    state = SkeinState(PKBP, 4, {idx: p.scaled(2**45 + 7) for idx, p in state.coeffs.items()})
+    assert state.b == 64
+    for step in range(20):
+        ev = Cross(step % 4, 2, step % 3 == 0)
+        out = state.apply(ev)
+        assert dict(out.items()) == _linear_image(state, ev)
+        assert _mass(out) <= out.mass < 2 ** (out.b - 2)
+        if out.b > state.b:
+            break
+        state = out
+    assert out.b == 128
+
+
+def test_state_refuses_a_coefficient_of_mixed_residues():
+    with pytest.raises(ValueError, match="mixes exponent residues"):
+        SkeinState(BRACKET, 0, {basis(0).index_of(()): LaurentPoly({0: 1, 2: 1})})
+
+
 @pytest.mark.parametrize("s", range(4, 8))
 def test_transition_tables_cold_warm_and_cross_mode_agree(s):
     # T(s, s+1): girth 2s, every fold step goes through the tables
@@ -299,7 +373,7 @@ def _table_entries(max_g):
                 for at in range(g + 1 if k == 0 else g - k + 1):
                     for mu in noncrossing_matchings(g):
                         idx = b.index_of(mu)
-                        state = SkeinState(BRACKET, g, {idx: PackedPoly.from_laurent(LaurentPoly.one())})
+                        state = SkeinState(BRACKET, g, {idx: LaurentPoly.one()})
                         state._glue(at, k, smoothings)
                         table = skein._TABLES[(g, at, k, smoothings)]
                         width = len(smoothings)
