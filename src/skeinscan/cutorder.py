@@ -411,16 +411,17 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
 
 def greedy_cutting(d: Diagram) -> Cutting:
     """Deterministic greedy scan: every step applies ``_greedy_move`` with a
-    lookahead of LOOKAHEAD steps, on one scan.  Committing ci keeps the
-    sized candidates of the states reached through ci, keyed from there."""
+    lookahead of LOOKAHEAD steps (unless its rollout kept it), on one scan.
+    Committing ci keeps the sized candidates reached through ci."""
     scan = _Scan(d)
     order: list[int] = []
     sized: dict[tuple[int, ...], list] = {}
-    while len(scan.processed) < d.n:
+    while (done := len(scan.processed)) < d.n:
         if (step := _greedy_move(scan, LOOKAHEAD, sized)) is None:
             raise InvariantViolation("greedy scan has no glueable crossing (unexpected)")
         ci, mv = step
-        scan.apply_cross(ci, *mv)
+        if len(scan.processed) == done:
+            scan.apply_cross(ci, *mv)
         order.append(ci)
         sized = {key[1:]: cands for key, cands in sized.items() if key and key[0] == ci}
     rot = scan.finish()
@@ -438,11 +439,15 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
     candidate.
 
     Candidates are sized by ``_Scan.size_after``, without applying them.
-    A tied candidate's rollout applies its moves on ``scan`` but only sizes
-    the last, then undoes them.  ``sized`` keeps each state's candidates,
-    sized, under ``path``, the crossings applied since the greedy step began
-    (a candidate crossing has one move per state, so ``path`` determines
-    the state), for the later steps and rollouts that reach it."""
+    Tied candidates roll out in id order on ``scan``, applying their moves
+    but sizing the last.  No peak is below the floor, the larger of the
+    girth and the least frontier, and ties go to the lower id: so the
+    rollouts stop at one that reaches the floor, and a rollout stops once
+    its girth reaches the best peak.  A winner that ran last keeps its
+    first move applied (the caller sees ``scan.processed`` grow); other
+    rollouts are undone.  ``sized`` keeps each state's sized candidates
+    under ``path``, the crossings applied since the greedy step began (a
+    candidate crossing has one move per state, so ``path`` fixes the state)."""
     if path not in sized:
         candidates = [(ci, max(moves, key=lambda m: m[1])) for ci, moves in scan.frontier_moves().items()]
         candidates += _fresh_moves(scan, first_only=True)
@@ -450,22 +455,27 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
     if not (ranked := sized[path]):
         return None
     least = min(ranked)[0]
-    tied = [t for t in ranked if t[0] == least]
+    tied = sorted(t for t in ranked if t[0] == least)  # crossing ids are unique, so no move is compared
     if not lookahead or len(tied) == 1:
-        return min(tied)[1:]  # crossing ids are unique, so no move is compared
-    mark, peaks = scan.mark(), []
-    for _, ci, mv in tied:
+        return tied[0][1:]
+    mark, floor, best = scan.mark(), max(scan.girth, least), (1 << 30,)
+    for i, (_, ci, mv) in enumerate(tied):
         step, reached = (ci, mv), path
         for _ in range(lookahead):
             scan.apply_cross(step[0], *step[1])
+            first = scan.mark() if reached == path else first
             reached += (step[0],)
-            if (step := _greedy_move(scan, 0, sized, reached)) is None:
+            if scan.girth >= best[0] or (step := _greedy_move(scan, 0, sized, reached)) is None:
                 break
-        # the last step's peak is its spliced frontier, before its caps
+        # the last step's peak is its spliced frontier, before its caps; an aborted rollout's loses
         peak = scan.girth if step is None else max(scan.girth, len(scan.frontier) + 4 - 2 * step[1][1])
-        peaks.append((peak, ci, mv))
+        if peak < best[0]:
+            best = (peak, ci, mv)
+            if peak == floor or i == len(tied) - 1:
+                scan.undo(first)  # the winner keeps its first move
+                return ci, mv
         scan.undo(mark)
-    return min(peaks)[1:]
+    return best[1:]
 
 
 def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:

@@ -113,6 +113,8 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
         report["mod4"]["violations"].append(
             f"{state.mixed} contributions with mixed exponent residues left out at n={n}, g={g}"
         )
+    if state.mode == PKBP:
+        report["positivity"]["violations"] += [f"nonpositive coefficient at n={n}, g={g}"] * state.nonpositive()
     ranges = state.exponent_ranges()
     for idx, mn, mx in ranges:
         if mx - mn > span_bound:
@@ -124,10 +126,6 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
                 report["storage"]["violations"].append(
                     f"{terms} terms > n+c-g/2+1 = {term_bound} at n={n}, c={c}, g={g}"
                 )
-        if state.mode == PKBP and not state.is_positive(idx):
-            report["positivity"]["violations"].append(
-                f"nonpositive coefficient at n={n}, g={g}"
-            )
     if not ranges:
         return
     _, lows, highs = zip(*ranges)

@@ -9,9 +9,7 @@ its own (see ``skein``) and reads them out as ``LaurentPoly``.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple
-
-MIXED = "mixed"
+from typing import Iterator, Mapping
 
 
 class EmptyPolynomial(ValueError):
@@ -20,11 +18,6 @@ class EmptyPolynomial(ValueError):
 
 class NotDivisible(ArithmeticError):
     """Raised when no exact quotient exists in Z[A, A^-1]."""
-
-
-class SpanGrade(NamedTuple):
-    span: int
-    grade: int | str  # residue 0..3, or MIXED
 
 
 class LaurentPoly:
@@ -72,17 +65,6 @@ class LaurentPoly:
         if not self._terms:
             raise EmptyPolynomial("zero polynomial has no exponents")
         return min(self._terms)
-
-    def span_and_grade(self) -> SpanGrade:
-        """Span = max exponent - min exponent; grade = the common residue of
-        all exponents mod 4, or MIXED when they disagree."""
-        if not self._terms:
-            raise EmptyPolynomial("span_and_grade of the zero polynomial")
-        exps = self._terms.keys()
-        lo, hi = min(exps), max(exps)
-        residues = {e % 4 for e in exps}
-        grade = residues.pop() if len(residues) == 1 else MIXED
-        return SpanGrade(hi - lo, grade)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

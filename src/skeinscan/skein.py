@@ -402,10 +402,15 @@ class SkeinState:
         """The number of nonzero terms of one coefficient (decodes it)."""
         return sum(1 for c in _slots(self._packed[idx][1], self.b) if c)
 
-    def is_positive(self, idx: int) -> bool:
-        """Every nonzero term of one coefficient is > 0."""
-        P, b = self._packed[idx][1], self.b
-        return P >= 0 and not P & _bias(b, P.bit_length() // b + 1)
+    def nonpositive(self) -> int:
+        """How many coefficients have a term < 0.  One bias mask, at the
+        widest coefficient's slot count, serves them all: a P >= 0 has no
+        bits above its top slot."""
+        if not self._packed:
+            return 0
+        b, packed = self.b, self._packed.values()
+        bias = _bias(b, max(P.bit_length() for _, P in packed) // b + 1)
+        return sum(P < 0 or P & bias != 0 for _, P in packed)
 
     def dump_lines(self) -> list[str]:
         return [f"{format_matching(m)} : {p}" for m, p in self.items()]

@@ -498,13 +498,14 @@ def test_apply_cross_refuses_a_processed_crossing():
 
 
 # greedy's whole-frontier passes (``frontier_moves``) and applied moves,
-# bounded at the counts of the one-pass scan: per committed crossing 2.95
-# and 4.9 on T(2,60), 3.8 and 5.2 on the closure.  Scanning the frontier
-# per crossing took 5.75 and 23.9 ``token_runs`` scans (plus as many
-# ``run_moves`` scans) and 6.8 and 7.3 applies
+# bounded at the counts of the cut rollouts: per committed crossing 1.02
+# and 1.97 on T(2,60), 1.19 and 1.92 on the closure.  Rolling out every
+# tied candidate in full, and applying the winner again, took 2.95 and 4.9,
+# and 3.8 and 5.2; scanning the frontier per crossing took 5.75 and 23.9
+# ``token_runs`` scans (plus as many ``run_moves`` scans)
 GREEDY_CALLS = [
-    (lambda: torus_link(60), 177, 292),
-    (lambda: braid_closure([1, -2, 3, 3, -1, 2, 4, -3, 2, 2, -1, 4, 3, -2, 1, 1, -4, 3] * 2, 5), 137, 188),
+    (lambda: torus_link(60), 61, 118),
+    (lambda: braid_closure([1, -2, 3, 3, -1, 2, 4, -3, 2, 2, -1, 4, 3, -2, 1, 1, -4, 3] * 2, 5), 43, 69),
 ]
 
 
@@ -518,3 +519,81 @@ def test_greedy_reads_each_state_once(monkeypatch, make, passes, applies):
         monkeypatch.setattr(cutorder._Scan, name, counted)
     greedy_cutting(make())
     assert counts["frontier_moves"] <= passes and counts["apply_cross"] <= applies, counts
+
+
+def _ranked(scan):
+    """Greedy's candidates, each (frontier size after it, crossing, move)."""
+    candidates = [(ci, max(mvs, key=lambda m: m[1])) for ci, mvs in scan.frontier_moves().items()]
+    candidates += cutorder._fresh_moves(scan, first_only=True)
+    return [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
+
+
+def _tied(scan):
+    ranked = _ranked(scan)
+    return [t for t in ranked if t[0] == min(ranked)[0]]
+
+
+def reference_greedy_move(scan, lookahead=cutorder.LOOKAHEAD):
+    """The greedy rule with full rollouts: every tied candidate rolls out on
+    a clone, applying lookahead greedy steps and the step after them, and
+    the least (peak girth, crossing, move) wins."""
+    if not (tied := _tied(scan)):
+        return None
+    if not lookahead or len(tied) == 1:
+        return min(tied)[1:]
+    peaks = []
+    for _, ci, mv in tied:
+        probe, step = scan.clone(), (ci, mv)
+        for _ in range(lookahead):
+            probe.apply_cross(step[0], *step[1])
+            if (step := reference_greedy_move(probe, 0)) is None:
+                break
+        else:
+            probe.apply_cross(step[0], *step[1])  # its splice, before its caps, counts
+        peaks.append((probe.girth, ci, mv))
+    return min(peaks)[1:]
+
+
+def test_cut_rollouts_choose_what_full_rollouts_choose(corpus, monkeypatch):
+    def fields(scan):
+        return scan.frontier, scan.events, scan.processed, scan.started_pieces, scan.girth
+
+    calls, base = collections.Counter(), [0]
+    real_move, real_apply = cutorder._greedy_move, cutorder._Scan.apply_cross
+
+    def counted_move(scan, lookahead, sized, path=()):
+        calls["sized"] += not lookahead
+        return real_move(scan, lookahead, sized, path)
+
+    def counted_apply(self, ci, *mv):
+        calls["first" if len(self.processed) == base[0] else "later"] += 1
+        real_apply(self, ci, *mv)
+
+    monkeypatch.setattr(cutorder, "_greedy_move", counted_move)
+    monkeypatch.setattr(cutorder._Scan, "apply_cross", counted_apply)
+    rng = random.Random(6)
+    tangles = [d for seed in range(4) for d in tangle_fixtures(seed).values()]
+    states = floor_stops = aborts = kept = 0
+    for d in [*corpus.values(), *tangles, *_braid_closures(60)] * 4:
+        scan = cutorder._Scan(d)
+        while moves := _legal_moves(scan):
+            expected, tied = reference_greedy_move(scan), _tied(scan)
+            mark, before, base[0] = scan.mark(), scan.clone(), len(scan.processed)
+            calls.clear()
+            step = cutorder._greedy_move(scan, cutorder.LOOKAHEAD, {})
+            assert step == expected, (scan.frontier, step, expected)
+            states += 1
+            if len(tied) > 1:
+                floor_stops += calls["first"] < len(tied)  # whole rollouts skipped
+                # every apply is sized, but an aborted rollout's last
+                aborts += calls["first"] + calls["later"] - calls["sized"]
+            if len(scan.processed) > base[0]:  # the winner kept its first move
+                before.apply_cross(step[0], *step[1])
+                assert fields(scan) == fields(before)
+                kept += 1
+            scan.undo(mark)
+            ci, mv = rng.choice(moves)
+            scan.apply_cross(ci, *mv)
+    # an abort needs a first rollout above the floor and a later one that
+    # climbs to its peak early: 59 rollouts in 43 of the 9780 states
+    assert states > 9000 and floor_stops > 4000 and aborts > 40 and kept > 4000, (states, floor_stops, aborts, kept)

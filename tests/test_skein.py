@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from grading import span_and_grade
 from hypothesis import given, settings, strategies as st
 
 import skeinscan.matchings as matchings
@@ -9,7 +10,7 @@ import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import fold_cutting
-from skeinscan.laurent import DELTA, DELTA_PLUS, MIXED, LaurentPoly
+from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly
 from skeinscan.matchings import basis, catalan, is_noncrossing, noncrossing_matchings
 from skeinscan.skein import (
     BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, FrontierTooSmall, InvariantViolation,
@@ -203,9 +204,9 @@ def test_random_event_sequences_keep_invariants(seed):
             for m, p in state.items():
                 assert is_noncrossing(m)
                 if not p.is_zero():
-                    sg = p.span_and_grade()
-                    assert sg.grade != MIXED
-                    assert sg.span % 4 == 0
+                    span, grade = span_and_grade(p)
+                    assert grade is not None
+                    assert span % 4 == 0
                     if mode == PKBP:
                         assert all(c > 0 for _, c in p)
 
@@ -281,6 +282,19 @@ def test_event_that_must_widen_the_slots_stays_exact():
 def test_state_refuses_a_coefficient_of_mixed_residues():
     with pytest.raises(ValueError, match="mixes exponent residues"):
         SkeinState(BRACKET, 0, {basis(0).index_of(()): LaurentPoly({0: 1, 2: 1})})
+
+
+def test_nonpositive_counts_coefficients_with_a_negative_term():
+    # one mask, sized by the widest coefficient, reads every slot of the
+    # narrower ones too: a negative low slot borrows from the slot above
+    ids = [basis(6).index_of(m) for m in noncrossing_matchings(6)]
+    wide = LaurentPoly({4 * i: 3 ** i for i in range(40)})
+    polys = [wide, LaurentPoly({0: -1, 4: 2}), LaurentPoly({1: 5, 5: -1, 9: 7}),
+             LaurentPoly({-2: -4}), LaurentPoly({3: 1, 11: 1})]
+    state = SkeinState(PKBP, 6, dict(zip(ids, polys)))
+    assert state.nonpositive() == 3
+    assert SkeinState(PKBP, 6, {ids[0]: wide}).nonpositive() == 0
+    assert SkeinState(PKBP, 0, {}).nonpositive() == 0
 
 
 @pytest.mark.parametrize("s", range(4, 8))
