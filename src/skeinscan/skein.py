@@ -313,6 +313,12 @@ def _bias(b: int, n: int) -> int:
     return int.from_bytes((bytes(b // 8 - 1) + b"\x80") * n, "little")
 
 
+@lru_cache(maxsize=16)
+def _sign_bits(b: int, n: int) -> int:
+    """``_bias(b, n)``, kept; asked for n a power of two, so few per width."""
+    return _bias(b, n)
+
+
 def _encode(vals, b: int) -> int:
     """Sum of vals[i] * 2^(b*i), for signed values with |v| < 2^(b-1)."""
     w = b // 8
@@ -403,13 +409,12 @@ class SkeinState:
         return sum(1 for c in _slots(self._packed[idx][1], self.b) if c)
 
     def nonpositive(self) -> int:
-        """How many coefficients have a term < 0.  One bias mask, at the
-        widest coefficient's slot count, serves them all: a P >= 0 has no
-        bits above its top slot."""
-        if not self._packed:
-            return 0
+        """How many coefficients have a term < 0.  One mask of slot sign
+        bits, at least as wide as the widest coefficient, serves them all:
+        a P >= 0 has no bits above its top slot."""
         b, packed = self.b, self._packed.values()
-        bias = _bias(b, max(P.bit_length() for _, P in packed) // b + 1)
+        slots = max((P.bit_length() for _, P in packed), default=0) // b + 1
+        bias = _sign_bits(b, 1 << (slots - 1).bit_length())
         return sum(P < 0 or P & bias != 0 for _, P in packed)
 
     def dump_lines(self) -> list[str]:

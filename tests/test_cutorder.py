@@ -521,15 +521,12 @@ def test_greedy_reads_each_state_once(monkeypatch, make, passes, applies):
     assert counts["frontier_moves"] <= passes and counts["apply_cross"] <= applies, counts
 
 
-def _ranked(scan):
-    """Greedy's candidates, each (frontier size after it, crossing, move)."""
+def _tied(scan):
+    """Greedy's candidates that leave the smallest frontier, each as
+    (frontier size after it, crossing, move)."""
     candidates = [(ci, max(mvs, key=lambda m: m[1])) for ci, mvs in scan.frontier_moves().items()]
     candidates += cutorder._fresh_moves(scan, first_only=True)
-    return [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
-
-
-def _tied(scan):
-    ranked = _ranked(scan)
+    ranked = [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
     return [t for t in ranked if t[0] == min(ranked)[0]]
 
 
