@@ -127,28 +127,28 @@ class Basis:
     Starts empty; ``index_of`` issues ids 0, 1, 2, ... in order of first
     sight, so state maps and transition tables can be keyed by small
     integers.  Only noncrossing matchings are interned, so ids stay below
-    Catalan(g/2), and each is stored as the tuple ``is_noncrossing`` decoded
-    from its opener word, which that check's memo holds too.
+    Catalan(g/2) and a tuple found in ``ids`` is noncrossing; each is stored
+    as the tuple ``is_noncrossing`` decoded from its opener word.
     """
 
-    __slots__ = ("g", "matchings", "_index")
+    __slots__ = ("g", "matchings", "ids")
 
     def __init__(self, g: int):
         self.g = g
         self.matchings: list[Matching] = []
-        self._index: dict[Matching, int] = {}
+        self.ids: dict[Matching, int] = {}
 
     def __len__(self) -> int:
         return len(self.matchings)
 
     def index_of(self, m: Matching) -> int:
-        idx = self._index.get(m)
+        idx = self.ids.get(m)
         if idx is None:
             shared = _DECODED[_word(m)]
             if shared != m:
                 raise ValueError(f"{m} is not a noncrossing matching")
             m = shared
-            idx = self._index[m] = len(self.matchings)
+            idx = self.ids[m] = len(self.matchings)
             self.matchings.append(m)
         return idx
 

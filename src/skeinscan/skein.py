@@ -39,18 +39,18 @@ i as ``index << 3 | loops`` (the output's id and the number of closed
 loops), and -1 until first needed.  Ids come from ``matchings.basis``, which
 interns each matching the first time it is seen, so the tables and the
 state maps share one id space and no frontier's matchings are enumerated up
-front.  An entry is built the first time a fold meets its matching, from
-the absorbed window only: the points outside it keep their partners,
-renumbered by one cached shift per signature, and a memoized window rule,
-keyed by the piece's pairing and by which absorbed points were paired to
-each other, rewrites the few positions whose partners change and counts the
-closed loops.  The entry is written only after every output has passed
-``is_noncrossing``, which compares the output with the matching decoded
-from its opener word (decoded once per word), so the check runs once per
-table entry rather than once per fold step, and a failed check leaves
-nothing behind.  Tables hold loop counts, not loop values, so every mode
-shares them.  Canonical order is the lexicographic order of the
-matchings themselves, restored by sorting whenever a state is listed.
+front.  Before an event merges anything, it builds in one pass the entries
+of all its matchings that have none yet, from the absorbed window only: the
+points outside it keep their partners, renumbered by one cached shift per
+signature, and a memoized window rule, keyed by the piece's pairing and by
+which absorbed points were paired to each other, rewrites the few positions
+whose partners change and counts the closed loops.  Only tuples that passed
+``is_noncrossing`` (equal to the decode of their opener word) are interned,
+so an output is checked only when its frontier's intern table misses it:
+once per distinct matching.  An entry is written only after all its outputs
+passed, so a failed check leaves nothing behind.  Tables hold loop counts,
+not loop values, so every mode shares them.  Canonical order is the
+lexicographic order of the matchings, restored by sorting on listing.
 
 Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
 By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
@@ -243,57 +243,63 @@ def _window_rule(pairing: tuple[int, ...], inner: tuple[int, ...]) -> Rule:
 # Window rules by (pairing, inner), built on first use.
 _RULES: dict[tuple, Rule] = {}
 
-
-def _surgery(g: int, at: int, k: int, smoothings, mu: Matching) -> list[int]:
-    """Glue a piece onto one matching: absorb the k points at..at+k-1 of mu
-    and emit the piece's other ends at `at`.
-
-    Points outside the window keep their partners, moved to their new
-    positions; one base holds them for every smoothing.  Each smoothing's
-    window rule then rewrites only the positions whose partner changed.
-    Returns one packed table entry, output id << 3 | closed loops, per
-    smoothing, in the order of `smoothings`.  Every output is checked with
-    is_noncrossing before it is interned or anything is returned.
-    """
-    shift, rel, emitted, holes = _frame(g, at, k, len(smoothings[0][0]))
-    window = mu[at:at + k]
-    inner = tuple(map(rel.__getitem__, window))
-    pos = (*map(shift.__getitem__, window), *emitted)
-    base = [*itemgetter(*mu)(shift)] if mu else []  # itemgetter needs an index
-    base[at:at + k] = holes
-    b2 = basis(len(base))
-    outputs = []
-    for pairing, _ in smoothings:
-        rule = _RULES.get((pairing, inner))
-        if rule is None:
-            rule = _RULES[pairing, inner] = _window_rule(pairing, inner)
-        writes, loops = rule
-        new = base.copy()
-        for dst, src in writes:
-            new[pos[dst]] = pos[src]
-        new = tuple(new)
-        if not is_noncrossing(new):
-            raise InvariantViolation(
-                f"surgery produced a crossing matching {new} (engine bug)"
-            )
-        # a piece closes at most ends // 2 <= 2 loops, so three bits hold them
-        outputs.append(b2.index_of(new) << 3 | loops)
-    return outputs
-
-
 # Transition tables, one per event signature (g, at, k, smoothings), shared
 # by every mode and every fold in the process.  Slot width * i + j holds the
-# output of smoothing j on the matching with id i, as packed by _surgery; -1
-# marks an entry not built yet.  Entries hold ids of ``basis``, so the tables
-# are only valid together with the intern tables that issued them.
+# output of smoothing j on the matching with id i, as output id << 3 | closed
+# loops; -1 marks an entry not built yet.  Entries hold ids of ``basis``, so
+# the tables are only valid together with the intern tables that issued them.
 _TABLES: dict[tuple, array] = {}
 
 
-def _transition_table(g: int, at: int, k: int, smoothings) -> array:
+def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
+    """The table of one event signature, with the entries of the matchings
+    with ids `ids` built (see the module docstring).  One base per matching
+    holds the shifted partners; each smoothing's window rule, resolved to
+    positions once per window, rewrites those whose partners change.  Only
+    an output the intern table misses is checked, then interned; an entry
+    is written once all its outputs passed, so a raise leaves it -1.
+    """
+    width, ends = len(smoothings), len(smoothings[0][0])
     key = (g, at, k, smoothings)
     table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[key] = array("q", [-1]) * (len(smoothings) * catalan(g // 2))
+        table = _TABLES[key] = array("q", [-1]) * (width * catalan(g // 2))
+    shift, rel, emitted, holes = _frame(g, at, k, ends)
+    mus = basis(g).matchings
+    b2 = basis(g + ends - 2 * k)
+    interned = b2.ids
+    by_window: dict[tuple, list] = {}  # per window: (writes as positions, loops)
+    for idx in [idx for idx in ids if table[width * idx] < 0]:
+        mu = mus[idx]
+        window = mu[at:at + k]
+        rules = by_window.get(window)
+        if rules is None:
+            inner = tuple(map(rel.__getitem__, window))
+            pos = (*map(shift.__getitem__, window), *emitted)
+            rules = by_window[window] = []
+            for pairing, _ in smoothings:
+                rule = _RULES.get((pairing, inner))
+                if rule is None:
+                    rule = _RULES[pairing, inner] = _window_rule(pairing, inner)
+                rules.append(([(pos[dst], pos[src]) for dst, src in rule[0]], rule[1]))
+        base = [*itemgetter(*mu)(shift)] if mu else []  # itemgetter needs an index
+        base[at:at + k] = holes
+        entry = []
+        for writes, loops in rules:
+            new = base.copy()
+            for dst, src in writes:
+                new[dst] = src
+            new = tuple(new)
+            out = interned.get(new)
+            if out is None:
+                if not is_noncrossing(new):
+                    raise InvariantViolation(
+                        f"surgery produced a crossing matching {new} (engine bug)"
+                    )
+                out = b2.index_of(new)
+            # a piece closes at most ends // 2 <= 2 loops, so three bits hold them
+            entry.append(out << 3 | loops)
+        table[width * idx:width * idx + width] = array("q", entry)
     return table
 
 
@@ -401,7 +407,7 @@ class SkeinState:
         """(matching id, lowest exponent, highest exponent) of every
         coefficient, from the trailing zero bits and the bit length of P."""
         b = self.b
-        return [(idx, r + 4 * (((P & -P).bit_length() - 1) // b), r + 4 * (abs(P).bit_length() // b))
+        return [(idx, r + 4 * (((P & -P).bit_length() - 1) // b), r + 4 * (P.bit_length() // b))
                 for idx, (r, P) in self._packed.items()]
 
     def term_count(self, idx: int) -> int:
@@ -469,7 +475,7 @@ class SkeinState:
     def _glue(self, at: int, k: int, smoothings) -> "SkeinState":
         """Glue a piece absorbing the k points from `at` on, and expand the
         result over its smoothings (see the module docstring)."""
-        g, ends = self.g, len(smoothings[0][0])
+        g, ends, width = self.g, len(smoothings[0][0]), len(smoothings)
         if not 0 <= k <= min(ends, g):
             raise FrontierTooSmall(f"piece absorbing {k} points on frontier of {g}")
         if k == 0:
@@ -480,25 +486,19 @@ class SkeinState:
             if at + k > g:  # run wraps the seam: rotate it to 0
                 return self.rotated(at)._glue(0, k, smoothings)
 
-        growth = len(smoothings) << k // 2
+        growth = width << k // 2
         state = self._widened(growth) if (self.mass * growth) >> (self.b - 2) else self
         b = state.b
         unit = b // 4  # bits per unit of exponent difference
         # one smoothing closes at most k // 2 loops, as growth assumes; an
         # entry with more finds no sign and raises IndexError
         negate = [_loop_power(self.mode, loops) < 0 for loops in range(k // 2 + 1)]
-        table = _transition_table(g, at, k, smoothings)
-        width = len(smoothings)
-        bold = basis(g)
+        table = _transition_table(g, at, k, smoothings, state._packed)
         out: dict[int, tuple[int, int]] = {}
         mixed = 0
-        for idx, (r, P) in state._packed.items():
-            slot = width * idx
-            if table[slot] < 0:
-                # a raise leaves the entry unbuilt: its slots are written
-                # only once every output passed the noncrossing check
-                table[slot:slot + width] = array("q", _surgery(g, at, k, smoothings, bold.matching(idx)))
-            for (_, shift), packed in zip(smoothings, table[slot:slot + width]):
+        for j, (_, shift) in enumerate(smoothings):
+            for idx, (r, P) in state._packed.items():
+                packed = table[width * idx + j]
                 q, Q = r + shift, P
                 loops = packed & 7
                 if loops:

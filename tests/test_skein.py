@@ -314,10 +314,11 @@ def test_transition_tables_cold_warm_and_cross_mode_agree(s):
         assert shared == cold
 
 
-def test_failed_surgery_check_leaves_no_table_entry(monkeypatch):
-    skein._TABLES.clear()
+def test_failed_surgery_check_leaves_no_table_entry(monkeypatch, fresh_ids):
+    # every event's outputs land on a frontier with nothing interned yet, so
+    # each output misses the intern table and meets the patched check
     state = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
-    events = (Cross(1, 2, True), Birth(1), Cap(1))
+    events = (Cross(1, 1, True), Birth(1), Cap(1))
     monkeypatch.setattr(skein, "is_noncrossing", lambda m: False)
     for ev in events:
         with pytest.raises(InvariantViolation):
@@ -328,6 +329,23 @@ def test_failed_surgery_check_leaves_no_table_entry(monkeypatch):
         after = state.apply(ev)
         skein._TABLES.clear()
         assert after == state.apply(ev)
+
+
+def test_noncrossing_check_runs_once_per_interned_matching(monkeypatch, fresh_ids):
+    # an output found in the intern table passed the check when it was
+    # interned; only the misses are checked, and each miss is interned
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_noncrossing(m)
+
+    monkeypatch.setattr(skein, "is_noncrossing", counted)
+    d = braid_closure(list(range(1, 6)) * 7, 6)
+    cutting = greedy_cutting(d)
+    _, report, _ = fold_cutting(d, cutting, BRACKET)
+    assert all(check["ok"] for check in report.values())
+    assert 0 < len(calls) <= sum(len(basis(g)) for g in range(0, cutting.girth + 1, 2))
 
 
 @pytest.fixture

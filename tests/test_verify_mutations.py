@@ -4,7 +4,8 @@ or the component count each has to turn at least one suite red, and so must
 a transition table that answers for the wrong smoothing class or holds a
 corrupted entry, a smoothing weight that breaks the mod-4 grading, and
 coefficient slots that are too narrow for their values.  A window rule that
-builds a crossing matching must stop the fold before any table holds it."""
+builds a crossing matching must stop the fold before any table holds it,
+also when every sound output is already interned."""
 
 import pytest
 
@@ -14,7 +15,7 @@ from skeinscan.construct import braid_closure, torus_link
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import compute_bracket, fold_cutting
 from skeinscan.laurent import DELTA_PLUS
-from skeinscan.matchings import basis
+from skeinscan.matchings import basis, noncrossing_matchings
 from skeinscan.verify import run_verify
 
 
@@ -105,6 +106,16 @@ def test_corrupted_window_rule_detected(monkeypatch, fresh_tables):
     monkeypatch.undo()
     _, report, _ = fold_cutting(d, cutting, skein.BRACKET)
     assert all(check["ok"] for check in report.values())
+
+
+def test_corrupted_window_rule_detected_with_every_matching_interned(monkeypatch, fresh_tables):
+    # with every matching of g <= 8 interned, each sound output is found in
+    # the intern table; the crossing output of the corrupted rule never is,
+    # so the check still runs on it and no entry is written
+    for g in range(0, 9, 2):
+        for m in noncrossing_matchings(g):
+            basis(g).index_of(m)
+    test_corrupted_window_rule_detected(monkeypatch, fresh_tables)
 
 
 def test_mixed_residues_detected(monkeypatch):
