@@ -30,7 +30,7 @@ from .engine import (
 from .laurent import DELTA, DELTA_PLUS, LaurentPoly
 from .matchings import Matching, catalan, glue_loop_count
 from .oracle import brute_force_bracket, brute_force_tangle_expansion
-from .planar import Checkerboarding, Diagram, DiagramStats, checkerboard, parse_pd, stats, trace_faces, writhe
+from .planar import Checkerboarding, Diagram, checkerboard, parse_pd, trace_faces, writhe
 from .skein import BRACKET, PKBP, Birth, Cap, Cross, SkeinState
 from .verify import run_verify
 
@@ -48,7 +48,6 @@ __all__ = [
     "DELTA",
     "DELTA_PLUS",
     "Diagram",
-    "DiagramStats",
     "LaurentPoly",
     "Matching",
     "SkeinState",
@@ -75,7 +74,6 @@ __all__ = [
     "pretzel",
     "run_verify",
     "sqrt_bound_check",
-    "stats",
     "torus_link",
     "trace_faces",
     "twist_region_tangle",

@@ -16,14 +16,21 @@ violation means an engine bug or a deliberately mutated build):
   at most n + c - g/2 + 1 terms;
 * in positive mode every integer coefficient is strictly positive.
 
-The checks read each coefficient's lowest and highest exponent, its term
-count and its positivity through ``SkeinState``, which finds them with a
-few bigint operations on the packed coefficient and no scan of its terms.
 Every coefficient is A^r times a polynomial in A^4, so its span is a
 multiple of 4 by construction, and it has at most span/4 + 1 terms;
 span <= 4(n + c) - 2g gives span/4 + 1 <= n + c - g/2 + 1, so the term
-bound follows from the span bound, and terms are counted one by one only
-when the span allows more.
+bound follows from the span bound.  The span checks start from one
+state-wide bound, ``SkeinState.span_bound``, found by C-level passes over
+the packed coefficients: no span exceeds w, four times the widest
+coefficient's top slot, and every exponent lies between the lowest offset r
+and the highest r plus w.  A state is clean when w meets the span bound
+and that spread meets the total bound; failing the spread, the highest
+exponent of each coefficient is compared with the lowest r.  Only when w
+exceeds the span bound, or both spreads exceed the total bound, does the
+exact pass read every coefficient's lowest and highest exponent, counting
+terms one by one only when the span allows more, and write the reports.
+Cancellation can leave zero low slots that make w overstate a span, so
+the exact pass, not the bound, decides what is reported.
 
 n counts the Cross events so far.  c is the number of pieces of the diagram
 (connected sets of crossings, ``crossing_pieces``) that some Cross event so
@@ -102,8 +109,7 @@ class TangleExpansion:
 
 def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
     g = state.g
-    span_bound = 4 * (n + c) - 2 * g
-    term_bound = n + c - g // 2 + 1
+    span_bound, total_bound = 4 * (n + c) - 2 * g, 4 * (n + c)
     cat = catalan(g // 2)
     if state.size() > cat:
         report["storage"]["violations"].append(
@@ -115,6 +121,12 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
         )
     if state.mode == PKBP:
         report["positivity"]["violations"] += [f"nonpositive coefficient at n={n}, g={g}"] * state.nonpositive()
+    # the state-wide bound clears most states (see the module docstring);
+    # the exact pass below decides the rest
+    width, lo, hi = state.span_bound()
+    if width <= span_bound and (hi + width - lo <= total_bound or state.top_exponent() - lo <= total_bound):
+        return
+    term_bound = n + c - g // 2 + 1
     ranges = state.exponent_ranges()
     for idx, mn, mx in ranges:
         if mx - mn > span_bound:
@@ -130,9 +142,9 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
         return
     _, lows, highs = zip(*ranges)
     lo, hi = min(lows), max(highs)
-    if hi - lo > 4 * (n + c):
+    if hi - lo > total_bound:
         report["total_span"]["violations"].append(
-            f"total span {hi - lo} > 4(n+c) = {4 * (n + c)} at n={n}, c={c}, g={g}"
+            f"total span {hi - lo} > 4(n+c) = {total_bound} at n={n}, c={c}, g={g}"
         )
 
 

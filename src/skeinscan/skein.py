@@ -96,6 +96,8 @@ from typing import Mapping
 from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
+_first, _second = itemgetter(0), itemgetter(1)
+
 BRACKET = "bracket"
 PKBP = "pkbp"
 
@@ -282,7 +284,9 @@ def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
                 if rule is None:
                     rule = _RULES[pairing, inner] = _window_rule(pairing, inner)
                 rules.append(([(pos[dst], pos[src]) for dst, src in rule[0]], rule[1]))
-        base = [*itemgetter(*mu)(shift)] if mu else []  # itemgetter needs an index
+        # shift is the identity when the piece emits as many ends as it
+        # absorbs; itemgetter needs at least one index
+        base = list(mu) if ends == 2 * k or not mu else [*itemgetter(*mu)(shift)]
         base[at:at + k] = holes
         entry = []
         for writes, loops in rules:
@@ -323,6 +327,12 @@ def _bias(b: int, n: int) -> int:
 def _sign_bits(b: int, n: int) -> int:
     """``_bias(b, n)``, kept; asked for n a power of two, so few per width."""
     return _bias(b, n)
+
+
+def _widest(Ps: list[int]) -> int:
+    """The largest |P|.bit_length() of a nonempty list: that of its largest
+    or its smallest P."""
+    return max(max(Ps).bit_length(), min(Ps).bit_length())
 
 
 def _encode(vals, b: int) -> int:
@@ -403,6 +413,22 @@ class SkeinState:
     def size(self) -> int:
         return len(self._packed)
 
+    def span_bound(self) -> tuple[int, int, int]:
+        """(w, lo, hi) in C-level passes: every coefficient's span is at most
+        w = 4 * (widest |P|.bit_length() // b), since its lowest exponent is
+        at least r (zero low slots are kept); lo and hi are the lowest and
+        highest offset r.  (0, 0, 0) for an empty state."""
+        if not self._packed:
+            return 0, 0, 0
+        packed = self._packed.values()
+        rs, Ps = set(map(_first, packed)), list(map(_second, packed))
+        return 4 * (_widest(Ps) // self.b), min(rs), max(rs)
+
+    def top_exponent(self) -> int:
+        """The highest exponent of any coefficient, from bit lengths only."""
+        b = self.b
+        return max(r + 4 * (P.bit_length() // b) for r, P in self._packed.values())
+
     def exponent_ranges(self) -> list[tuple[int, int, int]]:
         """(matching id, lowest exponent, highest exponent) of every
         coefficient, from the trailing zero bits and the bit length of P."""
@@ -418,10 +444,12 @@ class SkeinState:
         """How many coefficients have a term < 0.  One mask of slot sign
         bits, at least as wide as the widest coefficient, serves them all:
         a P >= 0 has no bits above its top slot."""
-        b, packed = self.b, self._packed.values()
-        slots = max((P.bit_length() for _, P in packed), default=0) // b + 1
+        if not self._packed:
+            return 0
+        b, Ps = self.b, list(map(_second, self._packed.values()))
+        slots = _widest(Ps) // b + 1
         bias = _sign_bits(b, 1 << (slots - 1).bit_length())
-        return sum(P < 0 or P & bias != 0 for _, P in packed)
+        return sum(P < 0 or P & bias != 0 for P in Ps)
 
     def dump_lines(self) -> list[str]:
         return [f"{format_matching(m)} : {p}" for m, p in self.items()]
@@ -454,11 +482,11 @@ class SkeinState:
         if r == 0 or g == 0:
             return self
         b = basis(g)
+        label = tuple((q - r) % g for q in range(g)).__getitem__  # old point -> new
         out = {}
         for idx, coeff in self._packed.items():
             mu = b.matching(idx)
-            rot = tuple((mu[(i + r) % g] - r) % g for i in range(g))
-            out[b.index_of(rot)] = coeff
+            out[b.index_of(tuple(map(label, mu[r:] + mu[:r])))] = coeff
         return self._of(g, self.b, self.mass, out)
 
     def birth(self, at: int) -> "SkeinState":

@@ -1,4 +1,5 @@
 import pytest
+from diagram_stats import stats
 
 from skeinscan.construct import (
     add_kink, braid_closure, braid_tangle, connected_sum, disjoint_union,
@@ -6,7 +7,7 @@ from skeinscan.construct import (
 )
 from skeinscan.laurent import LaurentPoly
 from skeinscan.oracle import brute_force_bracket
-from skeinscan.planar import parse_pd, stats, trace_faces, validate
+from skeinscan.planar import parse_pd, trace_faces, validate
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 

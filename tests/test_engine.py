@@ -4,17 +4,18 @@ from math import comb
 import pytest
 from grading import span_and_grade
 
+import skeinscan.engine as engine
 from skeinscan.construct import add_kink, braid_closure, braid_tangle, torus_link
-from skeinscan.cutorder import Cutting
+from skeinscan.cutorder import Cutting, greedy_cutting
 from skeinscan.engine import (
     EmptyDiagram, NotClosed, check_mod4_link, compute_bracket, compute_jones,
-    compute_pkbp, expand_tangle, make_cutting,
+    compute_pkbp, expand_tangle, fold_cutting, make_cutting,
 )
 from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly
-from skeinscan.matchings import catalan
+from skeinscan.matchings import basis, catalan
 from skeinscan.oracle import brute_force_bracket, brute_force_tangle_expansion
 from skeinscan.planar import Crossing, Diagram, MissingOrientation, parse_pd, validate
-from skeinscan.skein import PKBP, Birth
+from skeinscan.skein import BRACKET, PKBP, Birth, SkeinState
 
 UNKNOT = parse_pd("O")
 HOPF = parse_pd("X[1,3,2,4] X[3,1,4,2]")
@@ -275,3 +276,71 @@ def test_crossing_pieces_computed_once_per_call(monkeypatch):
         before = len(calls)
         compute_pkbp(d)
         assert len(calls) == before + 1
+
+
+def _checked(state, n, c):
+    """Every violation list _check_state writes for the state, by check."""
+    report = engine._new_report()
+    engine._check_state(state, n, c, report)
+    return {key: check["violations"] for key, check in report.items()}
+
+
+def _clean(**violations):
+    return {"mod4": [], "span": [], "total_span": [], "storage": [], "positivity": [], **violations}
+
+
+def test_span_over_its_bound_reported():
+    # n + c = 3 and g = 4: span bound 4, total bound 12, term bound 2
+    state = SkeinState(BRACKET, 4, {basis(4).index_of((1, 0, 3, 2)): LaurentPoly({0: 1, 8: -2})})
+    assert _checked(state, 2, 1) == _clean(span=["span 8 > 4(n+c)-2g = 4 at n=2, c=1, g=4"])
+
+
+def test_total_span_over_its_bound_reported():
+    # two one-term coefficients 16 apart, each of span 0; total bound 12
+    state = SkeinState(BRACKET, 4, {basis(4).index_of((1, 0, 3, 2)): LaurentPoly({0: 1}),
+                                    basis(4).index_of((3, 2, 1, 0)): LaurentPoly({16: 1})})
+    assert _checked(state, 2, 1) == _clean(total_span=["total span 16 > 4(n+c) = 12 at n=2, c=1, g=4"])
+
+
+def test_term_count_over_its_bound_reported():
+    # n + c = 2 and g = 2: span bound 4, term bound 2, total bound 8
+    state = SkeinState(PKBP, 2, {basis(2).index_of((1, 0)): LaurentPoly({0: 1, 4: 1, 8: 1})})
+    assert _checked(state, 1, 1) == _clean(
+        span=["span 8 > 4(n+c)-2g = 4 at n=1, c=1, g=2"],
+        storage=["3 terms > n+c-g/2+1 = 2 at n=1, c=1, g=2"],
+    )
+
+
+def test_zero_low_slot_sends_a_clean_state_to_the_exact_pass(monkeypatch):
+    # capping points 0 and 1 of (0 1)(2 3) closes a loop, -A^-2 - A^2, and of
+    # (0 3)(1 2) reconnects with weight 1; A^-2 cancels in the merge, which
+    # keeps its zero slot, so the only term sits one slot above the offset
+    state = SkeinState(BRACKET, 4, {basis(4).index_of((1, 0, 3, 2)): LaurentPoly.one(),
+                                    basis(4).index_of((3, 2, 1, 0)): LaurentPoly({-2: 1})}).cap(0)
+    assert state.coeffs == {basis(2).index_of((1, 0)): LaurentPoly({2: -1})}
+    assert state.span_bound() == (4, -2, -2)  # the true span is 0
+    calls = []
+    exact = SkeinState.exponent_ranges
+    monkeypatch.setattr(SkeinState, "exponent_ranges", lambda s: calls.append(s) or exact(s))
+    # n + c = 1 and g = 2: span bound 0, total bound 4
+    assert _checked(state, 0, 1) == _clean()
+    assert calls == [state]
+
+
+def test_folds_never_need_the_exact_pass(monkeypatch):
+    # the state-wide bound clears every state of these folds on its own; a
+    # change that falls back to the exact pass fails here, not only in time
+    calls = []
+    exact = SkeinState.exponent_ranges
+    monkeypatch.setattr(SkeinState, "exponent_ranges", lambda s: calls.append(s) or exact(s))
+    rng = random.Random(17)
+    t89 = braid_closure(list(range(1, 8)) * 9, 8)
+    jobs = [(t89, BRACKET), (t89, PKBP), (torus_link(201), BRACKET)]
+    for _ in range(20):
+        strands = rng.randint(3, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(6, 30))]
+        jobs.append((braid_closure(word, strands), rng.choice((BRACKET, PKBP))))
+    for d, mode in jobs:
+        _, report, _ = fold_cutting(d, greedy_cutting(d), mode)
+        assert all(check["ok"] for check in report.values())
+    assert calls == []

@@ -1,10 +1,11 @@
 import pytest
+from diagram_stats import graph_components
 from grading import span_and_grade
 
 from skeinscan.construct import torus_link
 from skeinscan.laurent import DELTA, LaurentPoly
 from skeinscan.oracle import TooLarge, brute_force_bracket, brute_force_tangle_expansion
-from skeinscan.planar import graph_components, parse_pd
+from skeinscan.planar import parse_pd
 from skeinscan.skein import PKBP
 
 HOPF = parse_pd("X[1,3,2,4] X[3,1,4,2]")

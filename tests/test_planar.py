@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
+from diagram_stats import graph_components, stats
 
 from skeinscan.construct import braid_tangle
 from skeinscan.planar import (
     DARK, LIGHT, ArcMultiplicityError, Crossing, MissingOrientation,
-    NonPlanarError, ParseError, checkerboard, graph_components, parse_pd,
-    render_pd, stats, trace_faces, writhe,
+    NonPlanarError, ParseError, checkerboard, parse_pd, render_pd,
+    trace_faces, writhe,
 )
 
 HOPF = "X[1,3,2,4] X[3,1,4,2]"

@@ -157,6 +157,17 @@ def test_rotation_roundtrip():
         assert s.rotated(r).rotated((s.g - r) % s.g) == s
 
 
+def test_rotation_matches_its_definition():
+    # a distinct coefficient per matching, so the test sees where each goes
+    for g in range(2, 11, 2):
+        ms = noncrossing_matchings(g)
+        coeff = {m: LaurentPoly({4 * i: i + 1}) for i, m in enumerate(ms)}
+        s = SkeinState(BRACKET, g, {basis(g).index_of(m): p for m, p in coeff.items()})
+        for r in range(g):
+            rotated = {tuple((mu[(i + r) % g] - r) % g for i in range(g)): p for mu, p in coeff.items()}
+            assert coeffs_of(s.rotated(r)) == rotated
+
+
 def test_dump_lines_canonical_order():
     s = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
     lines = s.dump_lines()
