@@ -17,20 +17,15 @@ violation means an engine bug or a deliberately mutated build):
 * in positive mode every integer coefficient is strictly positive.
 
 Every coefficient is A^r times a polynomial in A^4, so its span is a
-multiple of 4 by construction, and it has at most span/4 + 1 terms;
-span <= 4(n + c) - 2g gives span/4 + 1 <= n + c - g/2 + 1, so the term
-bound follows from the span bound.  The span checks start from one
-state-wide bound, ``SkeinState.span_bound``, found by C-level passes over
-the packed coefficients: no span exceeds w, four times the widest
-coefficient's top slot, and every exponent lies between the lowest offset r
-and the highest r plus w.  A state is clean when w meets the span bound
-and that spread meets the total bound; failing the spread, the highest
-exponent of each coefficient is compared with the lowest r.  Only when w
-exceeds the span bound, or both spreads exceed the total bound, does the
-exact pass read every coefficient's lowest and highest exponent, counting
-terms one by one only when the span allows more, and write the reports.
-Cancellation can leave zero low slots that make w overstate a span, so
-the exact pass, not the bound, decides what is reported.
+multiple of 4 and it has at most span/4 + 1 terms; span <= 4(n + c) - 2g
+gives span/4 + 1 <= n + c - g/2 + 1, so the term bound follows from the
+span bound.  ``SkeinState.span_bound`` bounds every span by w, four times
+the widest coefficient's top slot, and every exponent by the lowest offset
+r and the highest r plus w.  Most states pass on that alone, or on the
+highest exponents against the lowest r.  The rest, such as states whose
+cancellation left zero low slots that make w overstate a span, go to the
+exact pass: it reads every coefficient's lowest and highest exponent,
+counts terms only where the span allows more, and writes the reports.
 
 n counts the Cross events so far.  c is the number of pieces of the diagram
 (connected sets of crossings, ``crossing_pieces``) that some Cross event so
