@@ -287,7 +287,8 @@ def check_mod4_link(d: Diagram, raw: LaurentPoly, trace: FaceTrace | None = None
     """Verify every exponent of the raw (pre-division) bracket against the
     checkerboard residue w + 2e - 2e_base mod 4, under both colorings.
     e_base counts the dark disks of the empty closure: 1 when the outer face
-    is dark, else 0.  ``trace`` is the diagram's face trace, if already made."""
+    is dark, else 0.  ``trace`` is the diagram's face trace, if already made.
+    The dark-outer coloring swaps colors: w' = -w, e' = sum of chi - 2n - e."""
     out = {"violations": [], "ok": True}
     if raw.is_zero():
         out["violations"].append("raw bracket is zero")
@@ -295,15 +296,15 @@ def check_mod4_link(d: Diagram, raw: LaurentPoly, trace: FaceTrace | None = None
         return out
     ft = trace or trace_faces(d)
     residues = {e % 4 for e, _ in raw}
-    for outer_color in (LIGHT, DARK):
-        cb = checkerboard(d, outer_color, trace=ft)
-        e_base = 1 if outer_color == DARK else 0
-        expected = (cb.w + 2 * cb.e - 2 * e_base) % 4
-        out[outer_color] = {"w": cb.w, "e": cb.e, "expected_residue": expected}
+    cb = checkerboard(d, LIGHT, trace=ft)
+    chi = sum(f.chi for f in ft.faces)
+    for outer_color, w, e, e_base in ((LIGHT, cb.w, cb.e, 0), (DARK, -cb.w, chi - 2 * d.n - cb.e, 1)):
+        expected = (w + 2 * e - 2 * e_base) % 4
+        out[outer_color] = {"w": w, "e": e, "expected_residue": expected}
         if residues != {expected}:
             out["violations"].append(
                 f"raw exponents have residues {sorted(residues)} mod 4, expected "
-                f"{expected} from w={cb.w}, e={cb.e} ({outer_color} outer face)"
+                f"{expected} from w={w}, e={e} ({outer_color} outer face)"
             )
     out["ok"] = not out["violations"]
     return out

@@ -3,12 +3,13 @@
 ``LaurentPoly`` is a sparse exponent -> coefficient map with no zero
 coefficients (canonical form).  Values are immutable after construction, so
 they can be shared freely between threads and used as building blocks of
-larger immutable states.  The fold packs its coefficients into integers of
-its own (see ``skein``) and reads them out as ``LaurentPoly``.
+larger immutable states.  The fold packs its coefficients into integers
+with the Kronecker helpers below (see ``skein``) and reads them back out.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 
@@ -228,3 +229,76 @@ A_INV = LaurentPoly.monomial(1, -1)
 DELTA = LaurentPoly({2: -1, -2: -1})
 # Loop value of the positive variant: A^2 + A^-2 (no cancellation possible).
 DELTA_PLUS = LaurentPoly({2: 1, -2: 1})
+
+
+def slot_width(bound: int) -> int:
+    """The slot width, in bits, for a mass up to `bound`: a multiple of 64,
+    at least 64, with room for the sign bit, the margin bit and a quarter
+    more bits of growth.  The wide minimum spares a bracket fold, whose true
+    mass cancellation keeps far below its bound, a widening every few
+    events, at little cost: the bigint operations are C-level either way."""
+    bits = bound.bit_length()
+    return max(64, (bits + bits // 4 + 4) // 64 * 64 + 64)
+
+
+def _bias(b: int, n: int) -> int:
+    """2^(b-1) in each of n slots of b bits, built from bytes."""
+    return int.from_bytes((bytes(b // 8 - 1) + b"\x80") * n, "little")
+
+
+# the slot sign bits, ``_bias(b, n)`` kept; asked for n a power of two, so few per width
+sign_bits = lru_cache(maxsize=16)(_bias)
+
+
+def widest(Ps: list[int]) -> int:
+    """The largest |P|.bit_length() of a nonempty list: of its max or min."""
+    return max(max(Ps).bit_length(), min(Ps).bit_length())
+
+
+def slot_mass(Ps: list[int], b: int) -> int:
+    """The sum of |c_i| over every slot of every P, if below 2^(b-2), in a
+    few C-level passes per P.  D = P + H, H the sign bits, holds c_i +
+    2^(b-1) per slot; flipping the negative ones and subtracting H leaves
+    |c_i| - (c_i < 0) per slot, whose sum is its remainder mod 2^b - 1."""
+    if not Ps:
+        return 0
+    H, ones = sign_bits(b, 1 << (widest(Ps) // b).bit_length()), (1 << b) - 1
+    mass = 0
+    for P in Ps:
+        D = P + H
+        neg = ~D & H
+        mass += ((D ^ (neg >> (b - 1)) * ones) - H) % ones + neg.bit_count()
+    return mass
+
+
+def encode_slots(vals, b: int) -> int:
+    """Sum of vals[i] * 2^(b*i), for signed values with |v| < 2^(b-1)."""
+    w = b // 8
+    raw = b"".join(v.to_bytes(w, "little", signed=True) for v in vals)
+    # raw holds each value in two's complement, which is the value plus the
+    # slot bias with the bias bit flipped
+    bias = _bias(b, len(vals))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def slot_values(P: int, b: int) -> list[int]:
+    """Signed slot values c_0 .. c_top of P (zeros included); empty for 0."""
+    if not P:
+        return []
+    n = abs(P).bit_length() // b + 1
+    bias = _bias(b, n)
+    raw = ((P + bias) ^ bias).to_bytes(n * b // 8, "little")
+    w = b // 8
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+
+
+def pack(poly: LaurentPoly, b: int) -> tuple[int, int]:
+    """(r, P) for a nonzero poly = A^r * sum_i c_i A^(4i)."""
+    terms = dict(poly)
+    r = min(terms)
+    vals = [0] * ((max(terms) - r) // 4 + 1)
+    for e, c in terms.items():
+        if (e - r) % 4:
+            raise ValueError(f"coefficient {poly} mixes exponent residues mod 4")
+        vals[(e - r) // 4] = c
+    return r, encode_slots(vals, b)

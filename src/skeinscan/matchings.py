@@ -9,8 +9,7 @@ States key their coefficients by small integer ids.  ``basis(g)`` is an
 intern table that issues the next id the first time it sees a matching, so
 no frontier's matchings are enumerated before the fold reaches them; ids are
 not ranks, and canonical order is the lexicographic order of the matchings
-themselves.  ``noncrossing_matchings`` enumerates them all, in that order,
-as the reference the tests compare against.
+themselves.
 
 A noncrossing matching is determined by its opener word, the points i with
 pair_of[i] > i.  ``is_noncrossing`` decodes each word once and compares, and
@@ -24,10 +23,6 @@ from math import comb
 from operator import gt
 
 Matching = tuple[int, ...]
-
-
-class OddBoundary(ValueError):
-    """Raised when a matching is requested on an odd number of points."""
 
 
 class SizeMismatch(ValueError):
@@ -87,38 +82,6 @@ def is_noncrossing(pair_of: Matching) -> bool:
     make the two differ.  Words are decoded once, so a check costs one
     C-level word, one dict lookup and one tuple compare."""
     return _DECODED[_word(pair_of)] == pair_of
-
-
-@lru_cache(maxsize=None)
-def noncrossing_matchings(g: int) -> tuple[Matching, ...]:
-    """All noncrossing perfect matchings on g points, in lexicographic order
-    of their pair_of arrays.  This order is the canonical basis order."""
-    if g % 2:
-        raise OddBoundary(f"no perfect matching on {g} points")
-    if g == 0:
-        return ((),)
-
-    def build(points: tuple[int, ...]):
-        if not points:
-            yield {}
-            return
-        first = points[0]
-        for idx in range(1, len(points), 2):
-            inside = points[1:idx]
-            outside = points[idx + 1:]
-            partner = points[idx]
-            for left in build(inside):
-                for right in build(outside):
-                    pairing = {first: partner, partner: first}
-                    pairing.update(left)
-                    pairing.update(right)
-                    yield pairing
-
-    out = []
-    for pairing in build(tuple(range(g))):
-        out.append(tuple(pairing[i] for i in range(g)))
-    out.sort()
-    return tuple(out)
 
 
 class Basis:

@@ -32,25 +32,25 @@ applying the same rule.
 
 Surgery is compiled into transition tables.  What a piece does to one
 matching depends only on the event signature (g, at, k, smoothings) and the
-matching, so each signature gets one process-wide ``array('q')`` of
-width * Catalan(g/2) entries, where width is the number of smoothings:
-slot width * i + j holds the output of smoothing j on the matching with id
-i as ``index << 3 | loops`` (the output's id and the number of closed
-loops), and -1 until first needed.  Ids come from ``matchings.basis``, which
-interns each matching the first time it is seen, so the tables and the
-state maps share one id space and no frontier's matchings are enumerated up
-front.  Before an event merges anything, it builds in one pass the entries
-of all its matchings that have none yet, from the absorbed window only: the
-points outside it keep their partners, renumbered by one cached shift per
-signature, and a memoized window rule, keyed by the piece's pairing and by
-which absorbed points were paired to each other, rewrites the few positions
-whose partners change and counts the closed loops.  Only tuples that passed
-``is_noncrossing`` (equal to the decode of their opener word) are interned,
-so an output is checked only when its frontier's intern table misses it:
-once per distinct matching.  An entry is written only after all its outputs
-passed, so a failed check leaves nothing behind.  Tables hold loop counts,
-not loop values, so every mode shares them.  Canonical order is the
-lexicographic order of the matchings, restored by sorting on listing.
+matching, so each signature gets one process-wide ``array('q')``: slot
+width * i + j holds the output of smoothing j (of width) on the matching
+with id i as ``index << 3 | loops``, and -1 until first needed.  Ids come
+from ``matchings.basis``, which interns each matching on first sight, so
+tables and states share one id space and no frontier is enumerated.  Before
+an event merges, it builds in one pass the entries its matchings lack, from
+the absorbed window only: outside points keep their partners, renumbered by
+one cached shift, and a memoized window rule, keyed by the piece's pairing
+and by which absorbed points were paired to each other, rewrites the
+positions whose partners change and counts the closed loops.  An output is
+checked by ``is_noncrossing`` only when its frontier's intern table misses
+it, then interned; an entry is written only after all its outputs passed.
+Tables hold loop counts, not loop values, so every mode shares them.
+Listings sort the matchings, which keeps their order lexicographic.
+
+A crossing absorbing two points is A^(+-1) identity + A^(-+1) cup-cap, the
+Temperley-Lieb sigma = A + A^-1 e (Kauffman, Topology 1987).  The identity
+column holds the input id, written once the rule is checked per window; the
+merge copies the state through it and reads the table for the cup-cap only.
 
 Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
 By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
@@ -68,9 +68,9 @@ An event multiplies mass by len(smoothings) << (k // 2): each closed loop
 uses an old chord between two absorbed points, so one smoothing closes at
 most k // 2 loops; a loop factor at most doubles the sum of |c_i|; a shift
 or a sign change keeps it; and a merge is never larger than the sum of its
-parts.  When mass times that growth would reach 2^(b-2), the state is
-decoded once, mass becomes the true sum, and the slots widen if they must
-(``SkeinState._widened``).
+parts.  When mass times that growth would reach 2^(b-2), mass becomes the
+true sum, measured without decoding (``laurent.slot_mass``), and the slots
+widen if they must (``SkeinState._widened``).
 
 A fold step on one coefficient is then a few C-level bigint operations,
 whatever its number of terms: the smoothing's power of A changes r; each
@@ -82,7 +82,7 @@ differ by a non-multiple of 4 cannot share step-4 slots.  Only a broken
 build makes them, by the mod-4 theorem, so the merge leaves the later one
 out, counts it in ``mixed`` for the fold's mod-4 check, and goes on; the
 result is then no longer exact.  ``SkeinState`` takes and reads out
-``LaurentPoly`` coefficients, and no other module sees b or P.
+``LaurentPoly`` coefficients; only it and ``laurent``'s packing see b or P.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
 
-from .laurent import DELTA, DELTA_PLUS, ONE, LaurentPoly
+from .laurent import (DELTA, DELTA_PLUS, ONE, LaurentPoly, encode_slots, pack, sign_bits, slot_mass, slot_values,
+                      slot_width, widest)
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
 _first, _second = itemgetter(0), itemgetter(1)
@@ -245,6 +246,15 @@ def _window_rule(pairing: tuple[int, ...], inner: tuple[int, ...]) -> Rule:
 # Window rules by (pairing, inner), built on first use.
 _RULES: dict[tuple, Rule] = {}
 
+
+@lru_cache(maxsize=None)
+def _identity(smoothings, k: int) -> int | None:
+    """The smoothing, if any, joining each of k absorbed ends m to the end
+    2k - 1 - m emitted at its position: it maps every matching to itself."""
+    return next((j for j, (p, _) in enumerate(smoothings)
+                 if len(p) == 2 * k and all(p[m] == 2 * k - 1 - m for m in range(k))), None)
+
+
 # Transition tables, one per event signature (g, at, k, smoothings), shared
 # by every mode and every fold in the process.  Slot width * i + j holds the
 # output of smoothing j on the matching with id i, as output id << 3 | closed
@@ -259,14 +269,15 @@ def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
     holds the shifted partners; each smoothing's window rule, resolved to
     positions once per window, rewrites those whose partners change.  Only
     an output the intern table misses is checked, then interned; an entry
-    is written once all its outputs passed, so a raise leaves it -1.
-    """
+    is written once all its outputs passed, so a raise leaves it -1.  The
+    identity's column is the input id, once its rule keeps the window."""
     width, ends = len(smoothings), len(smoothings[0][0])
     key = (g, at, k, smoothings)
     table = _TABLES.get(key)
     if table is None:
         table = _TABLES[key] = array("q", [-1]) * (width * catalan(g // 2))
     shift, rel, emitted, holes = _frame(g, at, k, ends)
+    ident = _identity(smoothings, k)
     mus = basis(g).matchings
     b2 = basis(g + ends - 2 * k)
     interned = b2.ids
@@ -279,17 +290,26 @@ def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
             inner = tuple(map(rel.__getitem__, window))
             pos = (*map(shift.__getitem__, window), *emitted)
             rules = by_window[window] = []
-            for pairing, _ in smoothings:
+            for j, (pairing, _) in enumerate(smoothings):
                 rule = _RULES.get((pairing, inner))
                 if rule is None:
                     rule = _RULES[pairing, inner] = _window_rule(pairing, inner)
-                rules.append(([(pos[dst], pos[src]) for dst, src in rule[0]], rule[1]))
+                writes = [(pos[dst], pos[src]) for dst, src in rule[0]]
+                if j == ident:  # it must rewrite the window's own chords only
+                    own = {**dict(enumerate(window, at)), **dict(zip(window, range(at, at + k)))}
+                    if rule[1] or dict(writes) != own:
+                        raise InvariantViolation(f"identity smoothing {pairing} changes window {window} (engine bug)")
+                    writes = None
+                rules.append((writes, rule[1]))
         # shift is the identity when the piece emits as many ends as it
         # absorbs; itemgetter needs at least one index
         base = list(mu) if ends == 2 * k or not mu else [*itemgetter(*mu)(shift)]
         base[at:at + k] = holes
         entry = []
         for writes, loops in rules:
+            if writes is None:
+                entry.append(idx << 3)
+                continue
             new = base.copy()
             for dst, src in writes:
                 new[dst] = src
@@ -297,75 +317,12 @@ def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
             out = interned.get(new)
             if out is None:
                 if not is_noncrossing(new):
-                    raise InvariantViolation(
-                        f"surgery produced a crossing matching {new} (engine bug)"
-                    )
+                    raise InvariantViolation(f"surgery produced a crossing matching {new} (engine bug)")
                 out = b2.index_of(new)
             # a piece closes at most ends // 2 <= 2 loops, so three bits hold them
             entry.append(out << 3 | loops)
         table[width * idx:width * idx + width] = array("q", entry)
     return table
-
-
-def _slot_width(bound: int) -> int:
-    """The slot width, in bits, for a mass up to `bound`: a multiple of 64,
-    at least 64, with room for the sign bit, the margin bit and a quarter
-    more bits of growth.  Cancellation keeps the true mass of a bracket fold
-    far below its bound, and the wide minimum spares such a state a widening
-    every few events; it costs little, since the bigint operations are
-    C-level either way."""
-    bits = bound.bit_length()
-    return max(64, (bits + bits // 4 + 4) // 64 * 64 + 64)
-
-
-def _bias(b: int, n: int) -> int:
-    """2^(b-1) in each of n slots of b bits, built from bytes."""
-    return int.from_bytes((bytes(b // 8 - 1) + b"\x80") * n, "little")
-
-
-@lru_cache(maxsize=16)
-def _sign_bits(b: int, n: int) -> int:
-    """``_bias(b, n)``, kept; asked for n a power of two, so few per width."""
-    return _bias(b, n)
-
-
-def _widest(Ps: list[int]) -> int:
-    """The largest |P|.bit_length() of a nonempty list: that of its largest
-    or its smallest P."""
-    return max(max(Ps).bit_length(), min(Ps).bit_length())
-
-
-def _encode(vals, b: int) -> int:
-    """Sum of vals[i] * 2^(b*i), for signed values with |v| < 2^(b-1)."""
-    w = b // 8
-    raw = b"".join(v.to_bytes(w, "little", signed=True) for v in vals)
-    # raw holds each value in two's complement, which is the value plus the
-    # slot bias with the bias bit flipped
-    bias = _bias(b, len(vals))
-    return (int.from_bytes(raw, "little") ^ bias) - bias
-
-
-def _slots(P: int, b: int) -> list[int]:
-    """Signed slot values c_0 .. c_top of P (zeros included); empty for 0."""
-    if not P:
-        return []
-    n = abs(P).bit_length() // b + 1
-    bias = _bias(b, n)
-    raw = ((P + bias) ^ bias).to_bytes(n * b // 8, "little")
-    w = b // 8
-    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
-
-
-def _pack(poly: LaurentPoly, b: int) -> tuple[int, int]:
-    """(r, P) for a nonzero poly = A^r * sum_i c_i A^(4i)."""
-    terms = dict(poly)
-    r = min(terms)
-    vals = [0] * ((max(terms) - r) // 4 + 1)
-    for e, c in terms.items():
-        if (e - r) % 4:
-            raise ValueError(f"coefficient {poly} mixes exponent residues mod 4")
-        vals[(e - r) // 4] = c
-    return r, _encode(vals, b)
 
 
 class SkeinState:
@@ -382,9 +339,9 @@ class SkeinState:
         if mode not in LOOP_VALUES:
             raise ValueError(f"unknown mode {mode!r}")
         mass = sum(abs(c) for poly in coeffs.values() for _, c in poly)
-        b = _slot_width(mass)
+        b = slot_width(mass)
         self.mode, self.g, self.b, self.mass, self.mixed = mode, g, b, mass, 0
-        self._packed = {idx: _pack(poly, b) for idx, poly in coeffs.items() if poly}
+        self._packed = {idx: pack(poly, b) for idx, poly in coeffs.items() if poly}
 
     def _of(self, g: int, b: int, mass: int, packed: dict, mixed: int = 0) -> "SkeinState":
         """A state of this mode from packed coefficients."""
@@ -400,7 +357,7 @@ class SkeinState:
     def coeffs(self) -> dict[int, LaurentPoly]:
         """Every coefficient, decoded, by matching id."""
         b = self.b
-        return {idx: LaurentPoly({r + 4 * i: c for i, c in enumerate(_slots(P, b)) if c})
+        return {idx: LaurentPoly({r + 4 * i: c for i, c in enumerate(slot_values(P, b)) if c})
                 for idx, (r, P) in self._packed.items()}
 
     def items(self) -> list[tuple[Matching, LaurentPoly]]:
@@ -422,7 +379,7 @@ class SkeinState:
             return 0, 0, 0
         packed = self._packed.values()
         rs, Ps = set(map(_first, packed)), list(map(_second, packed))
-        return 4 * (_widest(Ps) // self.b), min(rs), max(rs)
+        return 4 * (widest(Ps) // self.b), min(rs), max(rs)
 
     def top_exponent(self) -> int:
         """The highest exponent of any coefficient, from bit lengths only."""
@@ -438,7 +395,7 @@ class SkeinState:
 
     def term_count(self, idx: int) -> int:
         """The number of nonzero terms of one coefficient (decodes it)."""
-        return sum(1 for c in _slots(self._packed[idx][1], self.b) if c)
+        return sum(1 for c in slot_values(self._packed[idx][1], self.b) if c)
 
     def nonpositive(self) -> int:
         """How many coefficients have a term < 0.  One mask of slot sign
@@ -447,8 +404,7 @@ class SkeinState:
         if not self._packed:
             return 0
         b, Ps = self.b, list(map(_second, self._packed.values()))
-        slots = _widest(Ps) // b + 1
-        bias = _sign_bits(b, 1 << (slots - 1).bit_length())
+        bias = sign_bits(b, 1 << (widest(Ps) // b).bit_length())
         return sum(P < 0 or P & bias != 0 for P in Ps)
 
     def dump_lines(self) -> list[str]:
@@ -465,13 +421,12 @@ class SkeinState:
     def _widened(self, growth: int) -> "SkeinState":
         """This state with its true mass, in slots that hold that mass times
         `growth` below 2^(b-2): the same slots if they do, else wider ones."""
-        b = self.b
-        slots = {idx: (r, _slots(P, b)) for idx, (r, P) in self._packed.items()}
-        mass = sum(abs(c) for _, vals in slots.values() for c in vals)
-        wide = _slot_width(mass * growth)
-        if wide <= b:
-            return self._of(self.g, b, mass, self._packed)
-        return self._of(self.g, wide, mass, {idx: (r, _encode(vals, wide)) for idx, (r, vals) in slots.items()})
+        b, packed = self.b, self._packed
+        mass = slot_mass(list(map(_second, packed.values())), b)
+        wide = slot_width(mass * growth)
+        if wide > b:
+            packed = {idx: (r, encode_slots(slot_values(P, b), wide)) for idx, (r, P) in packed.items()}
+        return self._of(self.g, max(b, wide), mass, packed)
 
     # -- elementary events ---------------------------------------------------
 
@@ -523,10 +478,16 @@ class SkeinState:
         negate = [_loop_power(self.mode, loops) < 0 for loops in range(k // 2 + 1)]
         table = _transition_table(g, at, k, smoothings, state._packed)
         out: dict[int, tuple[int, int]] = {}
+        if (ident := _identity(smoothings, k)) is not None:  # each matching maps to itself
+            shift = smoothings[ident][1]
+            out = {idx: (r + shift, P) for idx, (r, P) in state._packed.items()}
         mixed = 0
         for j, (_, shift) in enumerate(smoothings):
+            if j == ident:
+                continue
+            column = table[j::width]
             for idx, (r, P) in state._packed.items():
-                packed = table[width * idx + j]
+                packed = column[idx]
                 q, Q = r + shift, P
                 loops = packed & 7
                 if loops:

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from noncrossing import OddBoundary, noncrossing_matchings
+
 import skeinscan.matchings as matchings
 from skeinscan.matchings import (
-    Basis, OddBoundary, SizeMismatch, catalan, format_matching, glue_loop_count,
-    is_noncrossing, noncrossing_matchings,
+    Basis, SizeMismatch, catalan, format_matching, glue_loop_count, is_noncrossing,
 )
 
 

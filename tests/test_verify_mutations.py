@@ -5,17 +5,21 @@ a transition table that answers for the wrong smoothing class or holds a
 corrupted entry, a smoothing weight that breaks the mod-4 grading, and
 coefficient slots that are too narrow for their values.  A window rule that
 builds a crossing matching must stop the fold before any table holds it,
-also when every sound output is already interned."""
+also when every sound output is already interned, and so must a smoothing
+wrongly taken for the identity."""
 
 import pytest
+from noncrossing import noncrossing_matchings
 
+import skeinscan.cli as cli
 import skeinscan.engine as engine
 import skeinscan.skein as skein
+import skeinscan.verify as verify
 from skeinscan.construct import braid_closure, torus_link
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import compute_bracket, fold_cutting
 from skeinscan.laurent import DELTA_PLUS
-from skeinscan.matchings import basis, noncrossing_matchings
+from skeinscan.matchings import basis
 from skeinscan.verify import run_verify
 
 
@@ -116,6 +120,23 @@ def test_corrupted_window_rule_detected_with_every_matching_interned(monkeypatch
         for m in noncrossing_matchings(g):
             basis(g).index_of(m)
     test_corrupted_window_rule_detected(monkeypatch, fresh_tables)
+
+
+def test_cup_cap_declared_identity_detected(monkeypatch, capsys, fresh_tables):
+    # a crossing's identity smoothing copies the state unchanged; declaring
+    # the cup-cap smoothing the identity instead must fail the per-window
+    # rule check while the first table is built, before any oracle runs
+    def cup_cap(smoothings, k):
+        return next((j for j, (pairing, _) in enumerate(smoothings)
+                     if k == 2 and pairing == (1, 0, 3, 2)), None)
+
+    oracle_calls = []
+    monkeypatch.setattr(skein, "_identity", cup_cap)
+    monkeypatch.setattr(verify, "brute_force_bracket", lambda *args: oracle_calls.append(args))
+    monkeypatch.setattr(verify, "brute_force_tangle_expansion", lambda *args: oracle_calls.append(args))
+    assert cli.main(["verify", "--max-n", "6"]) == cli.EXIT_INTERNAL
+    assert "InvariantViolation: identity smoothing (1, 0, 3, 2)" in capsys.readouterr().err
+    assert oracle_calls == []
 
 
 def test_mixed_residues_detected(monkeypatch):
