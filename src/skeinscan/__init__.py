@@ -28,7 +28,7 @@ from .engine import (
     expand_tangle,
 )
 from .laurent import DELTA, DELTA_PLUS, LaurentPoly
-from .matchings import Matching, catalan, glue_loop_count
+from .matchings import Matching, catalan
 from .oracle import brute_force_bracket, brute_force_tangle_expansion
 from .planar import Checkerboarding, Diagram, checkerboard, parse_pd, trace_faces, writhe
 from .skein import BRACKET, PKBP, Birth, Cap, Cross, SkeinState
@@ -67,7 +67,6 @@ __all__ = [
     "disjoint_union",
     "exact_min_girth",
     "expand_tangle",
-    "glue_loop_count",
     "greedy_cutting",
     "improve_cutting",
     "parse_pd",

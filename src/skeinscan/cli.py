@@ -6,9 +6,10 @@ Subcommands:
 * ``girth``   -- cutting analysis: achieved girth, the sqrt bound, state cap
 * ``verify``  -- run the verification suites against the corpus
 
-Exit codes: 0 success, 1 input error, 2 failed checks under --strict (or a
-failed verify), 3 internal invariant violation.  Environment variables are
-never consulted; a seed flag pins every randomized choice.
+Exit codes: 0 success, 1 input error (a usage error included), 2 failed
+checks under --strict (or a failed verify), 3 internal invariant violation.
+Environment variables are never consulted; verify's --seed pins its
+randomized choices.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _read_pd(value: str):
 
 
 def _read_order(value: str):
-    if value in ("greedy", "anneal", "exact"):
+    if value in ("greedy", "exact"):
         return value
     if value.startswith("@"):
         text = Path(value[1:]).read_text()
@@ -55,7 +56,7 @@ def _read_order(value: str):
         except RecursionError as exc:
             raise InvalidCutting("the cutting file nests too deeply") from exc
         return Cutting.from_json(data)
-    raise ParseError(f"unknown order {value!r} (greedy|anneal|exact|@cutting.json)")
+    raise ParseError(f"unknown order {value!r} (greedy|exact|@cutting.json)")
 
 
 def _cutting_int(digits: str) -> int:
@@ -89,9 +90,9 @@ def cmd_compute(args) -> int:
             for line in state.dump_lines():
                 print("   " + line, file=sys.stderr)
 
-    if not d.is_closed:
-        expansion = expand_tangle(d, order=order, seed=args.seed,
-                                  mode=PKBP if args.mode == "pkbp" else BRACKET, trace_fn=tracer)
+    if not d.is_closed and args.mode != "jones":  # jones needs a closed diagram
+        expansion = expand_tangle(d, order=order, mode=PKBP if args.mode == "pkbp" else BRACKET,
+                                  trace_fn=tracer)
         if args.json:
             payload = {
                 "mode": expansion.mode,
@@ -109,12 +110,12 @@ def cmd_compute(args) -> int:
         return EXIT_STRICT if args.strict and bad else EXIT_OK
 
     if args.mode == "bracket":
-        result = compute_bracket(d, order=order, seed=args.seed, trace_fn=tracer)
+        result = compute_bracket(d, order=order, trace_fn=tracer)
     elif args.mode == "pkbp":
-        result = compute_pkbp(d, order=order, seed=args.seed, trace_fn=tracer)
+        result = compute_pkbp(d, order=order, trace_fn=tracer)
     elif args.mode == "jones":
         result = compute_jones(d, orientation=_parse_orientation(args.oriented),
-                               order=order, seed=args.seed, trace_fn=tracer)
+                               order=order, trace_fn=tracer)
     else:
         raise ParseError(f"unknown mode {args.mode!r}")
     if args.json:
@@ -133,7 +134,7 @@ def cmd_girth(args) -> int:
     d = _read_pd(args.pd)
     order = _read_order(args.order)
     trace_faces(d)  # rejects a nonplanar diagram before it is cut
-    cutting = make_cutting(d, order, args.seed)
+    cutting = make_cutting(d, order)
     bound = sqrt_bound_check(d, cutting)
     payload = {
         "n": d.n,
@@ -168,9 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute a polynomial for one diagram")
     p.add_argument("--pd", required=True, help="inline PD text or @file")
     p.add_argument("--mode", default="bracket", choices=["bracket", "pkbp", "jones"])
-    p.add_argument("--order", default="greedy", help="greedy|anneal|exact|@cutting.json")
+    p.add_argument("--order", default="greedy", help="greedy|exact|@cutting.json")
     p.add_argument("--oriented", default=None, help="orientation signs per component, e.g. +-")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true", help="exit 2 when any check fails")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true", help="dump the state after every event")
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("girth", help="analyze the cutting of a diagram")
     p.add_argument("--pd", required=True)
     p.add_argument("--order", default="greedy")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_girth)
 
@@ -194,8 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except INPUT_ERRORS as exc:

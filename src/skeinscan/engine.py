@@ -51,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cutorder import Cutting, exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check, verify_cutting
+from .cutorder import Cutting, exact_min_girth, greedy_cutting, sqrt_bound_check, verify_cutting
 from .laurent import LaurentPoly
 from .matchings import Matching, catalan
 from .planar import DARK, LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
@@ -183,27 +183,25 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
     return state, report, peak
 
 
-def make_cutting(d: Diagram, order="greedy", seed: int = 0) -> Cutting:
+def make_cutting(d: Diagram, order="greedy") -> Cutting:
     if isinstance(order, Cutting):
         verify_cutting(d, order)
         return order
     if order == "greedy":
         return greedy_cutting(d)
-    if order == "anneal":
-        return improve_cutting(d, greedy_cutting(d), seed=seed)
     if order == "exact":
         return exact_min_girth(d)
     raise ValueError(f"unknown order strategy {order!r}")
 
 
-def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult:
+def _compute(d: Diagram, mode: str, order, trace_fn) -> BracketResult:
+    faces = trace_faces(d)  # rejects a nonplanar diagram, closed or not, before it is cut
     if not d.is_closed:
         raise NotClosed("bracket computation needs a closed diagram; use expand_tangle")
     if d.n == 0 and d.free_loops == 0:
         raise EmptyDiagram("the empty diagram has no components")
-    faces = trace_faces(d)  # rejects a nonplanar diagram before it is cut
     t0 = time.perf_counter()
-    cutting = make_cutting(d, order, seed)
+    cutting = make_cutting(d, order)
     t1 = time.perf_counter()
     state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
     t2 = time.perf_counter()
@@ -226,16 +224,16 @@ def _compute(d: Diagram, mode: str, order, seed: int, trace_fn) -> BracketResult
     return BracketResult(polynomial, raw, mode, cutting.girth, peak, report, cutting)
 
 
-def compute_bracket(d: Diagram, order="greedy", seed: int = 0, trace_fn=None) -> BracketResult:
+def compute_bracket(d: Diagram, order="greedy", trace_fn=None) -> BracketResult:
     """The bracket of a closed diagram, normalized so the unknot maps to 1.
     ``trace_fn(event, state)``, if given, sees the state after every event."""
-    return _compute(d, BRACKET, order, seed, trace_fn)
+    return _compute(d, BRACKET, order, trace_fn)
 
 
-def compute_pkbp(d: Diagram, order="greedy", seed: int = 0, trace_fn=None) -> BracketResult:
+def compute_pkbp(d: Diagram, order="greedy", trace_fn=None) -> BracketResult:
     """The positive variant: same fold with loop value A^2 + A^-2; not a link
     invariant, but cancellation-free, which makes the span bounds sharp."""
-    return _compute(d, PKBP, order, seed, trace_fn)
+    return _compute(d, PKBP, order, trace_fn)
 
 
 def _with_chords(d: Diagram, state: SkeinState) -> dict[Matching, LaurentPoly]:
@@ -257,7 +255,7 @@ def _with_chords(d: Diagram, state: SkeinState) -> dict[Matching, LaurentPoly]:
     return out
 
 
-def expand_tangle(d: Diagram, order="greedy", seed: int = 0, mode: str = BRACKET,
+def expand_tangle(d: Diagram, order="greedy", mode: str = BRACKET,
                   trace_fn=None) -> TangleExpansion:
     """Full skein expansion of a tangle over the matchings of its boundary,
     indexed so position i is boundary_arcs[i].  The fold (and ``trace_fn``)
@@ -266,15 +264,15 @@ def expand_tangle(d: Diagram, order="greedy", seed: int = 0, mode: str = BRACKET
     if d.is_closed:
         raise ValueError("expand_tangle needs declared boundary arcs")
     trace_faces(d)
-    cutting = make_cutting(d, order, seed)
+    cutting = make_cutting(d, order)
     state, report, peak = fold_cutting(d, cutting, mode, trace_fn)
     return TangleExpansion(_with_chords(d, state), cutting.girth, peak, report, mode)
 
 
-def compute_jones(d: Diagram, orientation=None, order="greedy", seed: int = 0, trace_fn=None) -> BracketResult:
+def compute_jones(d: Diagram, orientation=None, order="greedy", trace_fn=None) -> BracketResult:
     """Writhe-normalized bracket (-A)^(-3w) * <L>, reported in the variable A.
     The usual single-variable form substitutes t = A^-4."""
-    result = compute_bracket(d, order, seed, trace_fn)
+    result = compute_bracket(d, order, trace_fn)
     w = writhe(d, orientation)
     factor = LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w)
     jones = result.polynomial * factor

@@ -25,10 +25,6 @@ from operator import gt
 Matching = tuple[int, ...]
 
 
-class SizeMismatch(ValueError):
-    """Raised when two matchings on different point counts are combined."""
-
-
 def catalan(m: int) -> int:
     """The m-th Catalan number, (1/(m+1)) * C(2m, m), exactly."""
     if m < 0:
@@ -122,30 +118,6 @@ class Basis:
 @lru_cache(maxsize=None)
 def basis(g: int) -> Basis:
     return Basis(g)
-
-
-def glue_loop_count(b: Matching, b2: Matching) -> int:
-    """Number of closed loops formed by closing b against the mirror of b2.
-
-    Follow the two involutions alternately from every point; each cycle is
-    one loop.  Equal matchings give g/2 loops, the maximum; g = 0 gives 0.
-    """
-    if len(b) != len(b2):
-        raise SizeMismatch(f"matchings on {len(b)} and {len(b2)} points")
-    g = len(b)
-    seen = [False] * g
-    loops = 0
-    for start in range(g):
-        if seen[start]:
-            continue
-        loops += 1
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            q = b[p]
-            seen[q] = True
-            p = b2[q]
-    return loops
 
 
 def format_matching(m: Matching) -> str:

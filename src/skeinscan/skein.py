@@ -105,10 +105,6 @@ PKBP = "pkbp"
 LOOP_VALUES = {BRACKET: DELTA, PKBP: DELTA_PLUS}
 
 
-class EmptyFrontier(ValueError):
-    """Raised when a cap is applied to a frontier with fewer than two points."""
-
-
 class FrontierTooSmall(ValueError):
     """Raised when an event does not fit the frontier: it absorbs more points
     than exist or than its piece has ends, or inserts outside gaps 0..g."""
@@ -448,8 +444,6 @@ class SkeinState:
         return self._glue(at, 0, _ARC)
 
     def cap(self, at: int) -> "SkeinState":
-        if self.g < 2:
-            raise EmptyFrontier("cap needs at least two frontier points")
         return self._glue(at, 2, _ARC)
 
     def cross(self, ev: Cross) -> "SkeinState":

@@ -72,6 +72,28 @@ def test_jones_link_without_orientation_fails():
     run_cli("compute", "--pd", HOPF, "--mode", "jones", expect=1)
 
 
+def test_jones_of_a_tangle_exits_one():
+    proc = run_cli("compute", "--pd", "X[1,2,3,4]o0 B[1,2,3,4]", "--mode", "jones", expect=1)
+    assert "needs a closed diagram" in proc.stderr
+
+
+# a usage error is an input error: exit 2 means failed checks under --strict
+@pytest.mark.parametrize("args", [
+    ["compute", "--pd", "O", "--bogus"],
+    ["compute", "--pd", "O", "--mode", "foo"],
+    ["compute", "--pd", "O", "--seed", "1"],
+    ["girth", "--pd", "O", "--seed", "1"],
+    ["compute", "--pd", "O", "--order", "anneal"],
+])
+def test_usage_errors_exit_one(args):
+    proc = run_cli(*args, expect=1)
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero():
+    assert "--order" in run_cli("compute", "--help").stdout
+
+
 def test_compute_tangle_expansion():
     proc = run_cli("compute", "--pd", "X[1,2,3,4]o1 B[1,2,3,4]")
     lines = proc.stdout.strip().splitlines()

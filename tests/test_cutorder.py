@@ -7,6 +7,7 @@ import math
 import random
 
 import pytest
+from cuttings import named_order
 
 from skeinscan import cutorder
 from skeinscan.construct import braid_closure, braid_tangle, torus_link
@@ -159,7 +160,7 @@ WALLED = "X[5,6,8,7]o0 X[1,2,10,9]o1 X[3,4,12,11]o0 B[1,2,3,4,5,6,8,7,12,11,10,9
 @pytest.mark.parametrize("order", ["greedy", "anneal"])
 def test_a_walled_boundary_piece_waits_for_its_face(order):
     d = parse_pd(WALLED)
-    assert expand_tangle(d, order=order).coeffs == brute_force_tangle_expansion(d)
+    assert expand_tangle(d, order=named_order(d, order)).coeffs == brute_force_tangle_expansion(d)
 
 
 def test_braid_tangles_of_three_pieces_cut_like_exact():
@@ -274,7 +275,8 @@ def test_compile_order_starts_pieces_in_their_face(scan_count):
 
 def test_anneal_on_a_tangle_builds_one_scan_per_order(scan_count):
     # 400 proposed orders, the start order and the greedy scan
-    make_cutting(braid_tangle([2, -5, -2, -5, -5, 3, -5, -3], 6), "anneal")
+    d = braid_tangle([2, -5, -2, -5, -5, 3, -5, -3], 6)
+    improve_cutting(d, greedy_cutting(d), seed=0)
     assert scan_count[0] <= 402
 
 
@@ -308,7 +310,8 @@ CORPUS_CUTTING_DIGESTS = {
 def test_corpus_cuttings_are_unchanged(corpus, order):
     digest = hashlib.sha256()
     for name in sorted(corpus):
-        digest.update(json.dumps(make_cutting(corpus[name], order, 0).to_json(), sort_keys=True).encode())
+        cutting = make_cutting(corpus[name], named_order(corpus[name], order))
+        digest.update(json.dumps(cutting.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == CORPUS_CUTTING_DIGESTS[order]
 
 

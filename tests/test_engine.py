@@ -2,11 +2,12 @@ import random
 from math import comb
 
 import pytest
+from cuttings import named_order
 from grading import span_and_grade
 
 import skeinscan.engine as engine
 from skeinscan.construct import add_kink, braid_closure, braid_tangle, torus_link
-from skeinscan.cutorder import Cutting, greedy_cutting
+from skeinscan.cutorder import Cutting, greedy_cutting, improve_cutting
 from skeinscan.engine import (
     EmptyDiagram, NotClosed, check_mod4_link, compute_bracket, compute_jones,
     compute_pkbp, expand_tangle, fold_cutting, make_cutting,
@@ -216,8 +217,8 @@ def test_mod4_link_derives_the_dark_coloring(corpus):
 
 def test_order_independence_strategies():
     base = compute_bracket(FIG8, order="greedy").polynomial
-    for order in ("anneal", "exact"):
-        assert compute_bracket(FIG8, order=order, seed=11).polynomial == base
+    for order in (improve_cutting(FIG8, greedy_cutting(FIG8), seed=11), "exact"):
+        assert compute_bracket(FIG8, order=order).polynomial == base
     explicit = Cutting.from_json(compute_bracket(FIG8).cutting.to_json())
     assert compute_bracket(FIG8, order=explicit).polynomial == base
 
@@ -252,7 +253,7 @@ CHORD_TANGLES = ["X[1,2,4,3]o0 B[1,2,5,5,4,3,6,6]", "X[3,4,7,6]o0 B[1,2,3,4,5,5,
 @pytest.mark.parametrize("pd", CHORD_TANGLES)
 def test_chord_inside_a_crossing_piece(pd, order):
     d = parse_pd(pd)
-    exp = expand_tangle(d, order=order)
+    exp = expand_tangle(d, order=named_order(d, order))
     assert exp.coeffs == brute_force_tangle_expansion(d)
     assert all(v["ok"] for v in exp.diagnostics.values() if isinstance(v, dict))
     assert exp.girth_used == 4  # the chords never reach the frontier
@@ -268,7 +269,7 @@ def test_braid_tangles_with_untouched_strands():
         d = braid_tangle(word, strands)
         oracle = brute_force_tangle_expansion(d)
         for order in ("greedy", "anneal"):
-            cutting = make_cutting(d, order)
+            cutting = make_cutting(d, named_order(d, order))
             assert not any(isinstance(ev, Birth) for ev in cutting.events)
             assert expand_tangle(d, order=cutting).coeffs == oracle, (word, strands, order)
 

@@ -3,12 +3,11 @@ import random
 
 import pytest
 
+from gluing import SizeMismatch, glue_loop_count
 from noncrossing import OddBoundary, noncrossing_matchings
 
 import skeinscan.matchings as matchings
-from skeinscan.matchings import (
-    Basis, SizeMismatch, catalan, format_matching, glue_loop_count, is_noncrossing,
-)
+from skeinscan.matchings import Basis, catalan, format_matching, is_noncrossing
 
 
 def test_catalan_small_values():

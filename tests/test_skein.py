@@ -14,7 +14,7 @@ from skeinscan.engine import fold_cutting
 from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly, encode_slots, slot_mass, slot_values
 from skeinscan.matchings import basis, catalan, is_noncrossing
 from skeinscan.skein import (
-    BRACKET, PKBP, Birth, Cap, Cross, EmptyFrontier, FrontierTooSmall, InvariantViolation,
+    BRACKET, PKBP, Birth, Cap, Cross, FrontierTooSmall, InvariantViolation,
     SkeinState,
 )
 
@@ -85,7 +85,7 @@ def test_cap_wraps_seam():
 
 
 def test_cap_empty_frontier():
-    with pytest.raises(EmptyFrontier):
+    with pytest.raises(FrontierTooSmall):
         SkeinState.initial(BRACKET).cap(0)
 
 
