@@ -7,7 +7,8 @@ Subcommands:
 * ``verify``  -- run the verification suites against the corpus
 
 Exit codes: 0 success, 1 input error (a usage error included), 2 failed
-checks under --strict (or a failed verify), 3 internal invariant violation.
+checks (or a failed verify), 3 internal invariant violation.  ``compute``
+prints its answer either way; with a failed check it exits 2.
 Environment variables are never consulted; verify's --seed pins its
 randomized choices.
 """
@@ -20,7 +21,8 @@ import sys
 from pathlib import Path
 
 from .cutorder import Cutting, InvalidCutting, InvalidOrder, TooLarge, sqrt_bound_check
-from .engine import EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle, make_cutting
+from .engine import (EmptyDiagram, NotClosed, compute_bracket, compute_jones, compute_pkbp, expand_tangle,
+                     failed_checks, make_cutting)
 from .matchings import catalan, format_matching
 from .oracle import TooLarge as OracleTooLarge
 from .planar import (ArcMultiplicityError, ColoringError, MissingOrientation, NonPlanarError, ParseError, parse_pd,
@@ -30,7 +32,7 @@ from .verify import render_report, run_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_STRICT = 2
+EXIT_CHECKS = 2
 EXIT_INTERNAL = 3
 
 # the package's input errors, plus a cutting file that is not JSON, a
@@ -91,43 +93,31 @@ def cmd_compute(args) -> int:
                 print("   " + line, file=sys.stderr)
 
     if not d.is_closed and args.mode != "jones":  # jones needs a closed diagram
-        expansion = expand_tangle(d, order=order, mode=PKBP if args.mode == "pkbp" else BRACKET,
-                                  trace_fn=tracer)
-        if args.json:
-            payload = {
-                "mode": expansion.mode,
-                "girth": expansion.girth_used,
-                "peak_state_size": expansion.peak_state_size,
-                "expansion": {format_matching(m): str(p) for m, p in sorted(expansion.coeffs.items())},
-                "checks": {k: v for k, v in expansion.diagnostics.items() if k != "timings"},
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+        result = expand_tangle(d, order=order, mode=PKBP if args.mode == "pkbp" else BRACKET,
+                               trace_fn=tracer)
+        rows = [(format_matching(m), str(p)) for m, p in sorted(result.coeffs.items())]
+        payload = {
+            "mode": result.mode,
+            "girth": result.girth_used,
+            "peak_state_size": result.peak_state_size,
+            "expansion": dict(rows),
+            "checks": result.diagnostics,
+        }
+        text = "\n".join(f"{m} : {p}" for m, p in rows)
+    else:
+        if args.mode == "jones":
+            result = compute_jones(d, orientation=_parse_orientation(args.oriented),
+                                   order=order, trace_fn=tracer)
         else:
-            for m, p in sorted(expansion.coeffs.items()):
-                print(f"{format_matching(m)} : {p}")
-        bad = [k for k, v in expansion.diagnostics.items()
-               if isinstance(v, dict) and not v.get("ok", True)]
-        return EXIT_STRICT if args.strict and bad else EXIT_OK
-
-    if args.mode == "bracket":
-        result = compute_bracket(d, order=order, trace_fn=tracer)
-    elif args.mode == "pkbp":
-        result = compute_pkbp(d, order=order, trace_fn=tracer)
-    elif args.mode == "jones":
-        result = compute_jones(d, orientation=_parse_orientation(args.oriented),
-                               order=order, trace_fn=tracer)
-    else:
-        raise ParseError(f"unknown mode {args.mode!r}")
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(result.polynomial)
-        if not result.ok:
-            print("failed checks:", file=sys.stderr)
-            for key, info in result.diagnostics.items():
-                if isinstance(info, dict) and not info.get("ok", True):
-                    print(f"  {key}: {info.get('violations', [])[:3]}", file=sys.stderr)
-    return EXIT_STRICT if args.strict and not result.ok else EXIT_OK
+            result = (compute_pkbp if args.mode == "pkbp" else compute_bracket)(d, order=order, trace_fn=tracer)
+        payload, text = result.to_json(), str(result.polynomial)
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+    failed = failed_checks(result.diagnostics)
+    if failed and not args.json:
+        print("failed checks:", file=sys.stderr)
+        for key, info in failed.items():
+            print(f"  {key}: {info.get('violations', [])[:3]}", file=sys.stderr)
+    return EXIT_CHECKS if failed else EXIT_OK
 
 
 def cmd_girth(args) -> int:
@@ -156,7 +146,7 @@ def cmd_girth(args) -> int:
 def cmd_verify(args) -> int:
     report = run_verify(corpus_dir=args.corpus, max_n=args.max_n, seed=args.seed)
     print(render_report(report, as_json=args.json))
-    return EXIT_OK if report["ok"] else EXIT_STRICT
+    return EXIT_OK if report["ok"] else EXIT_CHECKS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="bracket", choices=["bracket", "pkbp", "jones"])
     p.add_argument("--order", default="greedy", help="greedy|exact|@cutting.json")
     p.add_argument("--oriented", default=None, help="orientation signs per component, e.g. +-")
-    p.add_argument("--strict", action="store_true", help="exit 2 when any check fails")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true", help="dump the state after every event")
     p.set_defaults(fn=cmd_compute)

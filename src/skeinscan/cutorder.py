@@ -478,13 +478,13 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
     return best[1:]
 
 
-def exact_min_girth(d: Diagram, max_n: int = DEFAULT_EXACT_CAP) -> Cutting:
+def exact_min_girth(d: Diagram) -> Cutting:
     """Provably minimal girth over the covered disk-cutting space, by a
     bottleneck shortest-path search over (processed set, frontier) states:
     the cost of a path is the maximum frontier size along it, and states are
     expanded in increasing cost, so the first completed state is optimal."""
-    if d.n > max_n:
-        raise TooLarge(f"{d.n} crossings exceeds the exact-search cap {max_n}")
+    if d.n > DEFAULT_EXACT_CAP:
+        raise TooLarge(f"{d.n} crossings exceeds the exact-search cap {DEFAULT_EXACT_CAP}")
     base = _Scan(d)
     tick = itertools.count()  # unique, so entries never compare their scans
     # (peak, tick, scan, order, final rotation once the scan is complete)

@@ -78,8 +78,7 @@ class BracketResult:
 
     @property
     def ok(self) -> bool:
-        return all(check.get("ok", True) for check in self.diagnostics.values()
-                   if isinstance(check, dict))
+        return not failed_checks(self.diagnostics)
 
     def to_json(self) -> dict:
         return {
@@ -91,6 +90,13 @@ class BracketResult:
             "checks": {k: v for k, v in self.diagnostics.items() if k != "timings"},
             "timings": self.diagnostics.get("timings", {}),
         }
+
+
+def failed_checks(diagnostics: dict) -> dict:
+    """The checks of a diagnostics report that failed: every dict entry
+    whose ``ok`` is false."""
+    return {key: check for key, check in diagnostics.items()
+            if isinstance(check, dict) and not check.get("ok", True)}
 
 
 @dataclass
@@ -154,9 +160,10 @@ def _new_report() -> dict:
 
 
 def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tuple[SkeinState, dict, int]:
-    """Replay a cutting's events, checking invariants after every event.
-    Returns the final state, the diagnostics report, and the peak number of
-    matchings held at once."""
+    """Replay a cutting's events, checking invariants after every event,
+    then the peak state against Catalan(girth/2) and the girth against its
+    sqrt bound.  Returns the final state, the diagnostics report, and the
+    peak number of matchings held at once."""
     piece = crossing_pieces(d)
     state = SkeinState.initial(mode)
     report = _new_report()
@@ -178,8 +185,13 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
         state = state.rotated(cutting.final_rotation)
         if trace_fn is not None:
             trace_fn(f"rotate {cutting.final_rotation}", state)
+    cap = catalan(cutting.girth // 2)
+    report["storage"].update(peak_matchings=peak, catalan_cap=cap)
+    if peak > cap:
+        report["storage"]["violations"].append(f"peak state {peak} exceeds Catalan(girth/2) = {cap}")
     for key in list(report):
         report[key]["ok"] = not report[key]["violations"]
+    report["sqrt_bound"] = sqrt_bound_check(d, cutting)
     return state, report, peak
 
 
@@ -207,14 +219,6 @@ def _compute(d: Diagram, mode: str, order, trace_fn) -> BracketResult:
     t2 = time.perf_counter()
     raw = state.coeffs.get(0, LaurentPoly.zero())
     polynomial = raw.exact_div(LOOP_VALUES[mode])
-    report["sqrt_bound"] = sqrt_bound_check(d, cutting)
-    report["storage"]["peak_matchings"] = peak
-    report["storage"]["catalan_cap"] = catalan(cutting.girth // 2)
-    if peak > report["storage"]["catalan_cap"]:
-        report["storage"]["violations"].append(
-            f"peak state {peak} exceeds Catalan(girth/2) = {report['storage']['catalan_cap']}"
-        )
-        report["storage"]["ok"] = False
     if mode == BRACKET:
         report["mod4_link"] = check_mod4_link(d, raw, faces)
     report["timings"] = {

@@ -93,25 +93,6 @@ class LaurentPoly:
         out._terms = t
         return out
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        t = dict(self._terms)
-        for e, c in other._terms.items():
-            s = t.get(e, 0) - c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = t
-        return out
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -223,8 +204,6 @@ class LaurentPoly:
 
 # Ring constants used throughout the skein machinery.
 ONE = LaurentPoly.one()
-A = LaurentPoly.monomial(1, 1)
-A_INV = LaurentPoly.monomial(1, -1)
 # Loop value of the bracket: closing a circle multiplies by -A^2 - A^-2.
 DELTA = LaurentPoly({2: -1, -2: -1})
 # Loop value of the positive variant: A^2 + A^-2 (no cancellation possible).

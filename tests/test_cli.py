@@ -14,6 +14,7 @@ from skeinscan.skein import Cap
 
 PKG = Path(__file__).resolve().parents[1]
 HOPF = "X[1,3,2,4] X[3,1,4,2]"
+TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 
 def run_cli(*args, expect: int = 0):
@@ -77,13 +78,15 @@ def test_jones_of_a_tangle_exits_one():
     assert "needs a closed diagram" in proc.stderr
 
 
-# a usage error is an input error: exit 2 means failed checks under --strict
+# a usage error is an input error: exit 2 means failed checks, with no
+# flag asking for it
 @pytest.mark.parametrize("args", [
     ["compute", "--pd", "O", "--bogus"],
     ["compute", "--pd", "O", "--mode", "foo"],
     ["compute", "--pd", "O", "--seed", "1"],
     ["girth", "--pd", "O", "--seed", "1"],
     ["compute", "--pd", "O", "--order", "anneal"],
+    ["compute", "--pd", "O", "--strict"],
 ])
 def test_usage_errors_exit_one(args):
     proc = run_cli(*args, expect=1)
@@ -100,8 +103,35 @@ def test_compute_tangle_expansion():
     assert lines == ["(0 1)(2 3) : A", "(0 3)(1 2) : A^-1"]
 
 
-def test_strict_flag_passes_on_good_input():
-    run_cli("compute", "--pd", HOPF, "--strict")
+def test_tangle_json_carries_the_fold_end_checks():
+    payload = json.loads(run_cli("compute", "--pd", "X[1,2,3,4]o1 B[1,2,3,4]", "--json").stdout)
+    checks = payload["checks"]
+    assert checks["sqrt_bound"]["ok"] is True
+    assert checks["storage"]["peak_matchings"] == payload["peak_state_size"]
+    assert checks["storage"]["catalan_cap"] == 2  # Catalan(girth/2) at girth 4
+    assert all(check["ok"] for check in checks.values())
+
+
+@pytest.mark.parametrize("fault", ["state cap", "sqrt bound"])
+@pytest.mark.parametrize("pd", [TREFOIL, "X[1,2,3,4]o0 B[1,2,3,4]"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_failed_check_exits_two(monkeypatch, capsys, fault, pd, as_json):
+    # closed diagrams and tangles share one verdict: the answer is printed,
+    # and any failed check fails the run
+    if fault == "state cap":
+        monkeypatch.setattr(engine, "catalan", lambda m: 0 if m else 1)
+        check = "storage"
+    else:
+        monkeypatch.setattr(engine, "sqrt_bound_check", lambda d, cutting: {"bound": 0.0, "ok": False})
+        check = "sqrt_bound"
+    assert cli.main(["compute", "--pd", pd] + ["--json"] * as_json) == cli.EXIT_CHECKS
+    out, err = capsys.readouterr()
+    if as_json:
+        assert json.loads(out)["checks"][check]["ok"] is False
+        assert err == ""
+    else:
+        assert out.strip()
+        assert "failed checks:" in err and f"  {check}: " in err
 
 
 def test_trace_dumps_states():

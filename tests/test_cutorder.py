@@ -56,7 +56,7 @@ def test_torus_family_scans_at_girth_four(k):
 
 def test_exact_cap():
     with pytest.raises(TooLarge):
-        exact_min_girth(torus_link(21), max_n=20)
+        exact_min_girth(torus_link(21))
 
 
 def test_exact_never_worse_than_greedy(corpus):

@@ -3,7 +3,7 @@ from grading import span_and_grade
 from hypothesis import given, strategies as st
 
 from skeinscan.laurent import (
-    A, A_INV, DELTA, DELTA_PLUS, ONE,
+    DELTA, DELTA_PLUS, ONE,
     EmptyPolynomial, LaurentPoly, NotDivisible,
 )
 
@@ -13,13 +13,7 @@ def P(terms):
 
 
 def test_difference_of_squares():
-    assert (A + A_INV) * (A - A_INV) == P({2: 1, -2: -1})
-
-
-def test_additive_inverse_is_zero():
-    p = P({3: 2, -1: 5})
-    assert (p + (-p)).is_zero()
-    assert p + (-p) == LaurentPoly.zero()
+    assert (P({1: 1}) + P({-1: 1})) * (P({1: 1}) + P({-1: -1})) == P({2: 1, -2: -1})
 
 
 def test_delta_squared():
@@ -48,7 +42,7 @@ def test_exact_div_by_one_is_identity():
 
 
 def test_exact_div_monomials():
-    assert A.exact_div(P({2: 1})) == A_INV
+    assert P({1: 1}).exact_div(P({2: 1})) == P({-1: 1})
 
 
 def test_exact_div_failure():
