@@ -116,7 +116,7 @@ def cmd_compute(args) -> int:
     if failed and not args.json:
         print("failed checks:", file=sys.stderr)
         for key, info in failed.items():
-            print(f"  {key}: {info.get('violations', [])[:3]}", file=sys.stderr)
+            print(f"  {key}: {info['violations'][:3] if 'violations' in info else info}", file=sys.stderr)
     return EXIT_CHECKS if failed else EXIT_OK
 
 

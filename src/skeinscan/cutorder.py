@@ -555,7 +555,8 @@ def improve_cutting(d: Diagram, start: Cutting, seed: int, iterations: int = 400
 
 
 def sqrt_bound_check(d: Diagram, cutting: Cutting) -> dict:
-    """The cutwidth bound: girth should not exceed (6*sqrt2 + 5*sqrt3)*sqrt(n).
+    """The cutwidth bound of a closed diagram: girth should not exceed
+    (6*sqrt2 + 5*sqrt3)*sqrt(n).
     Crossingless diagrams are exempt (their girth 2 comes from loop births)."""
     n = d.n
     bound = SQRT_BOUND_CONST * math.sqrt(n)

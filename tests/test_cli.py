@@ -106,24 +106,27 @@ def test_compute_tangle_expansion():
 def test_tangle_json_carries_the_fold_end_checks():
     payload = json.loads(run_cli("compute", "--pd", "X[1,2,3,4]o1 B[1,2,3,4]", "--json").stdout)
     checks = payload["checks"]
-    assert checks["sqrt_bound"]["ok"] is True
+    assert "sqrt_bound" not in checks  # a closed-diagram bound
     assert checks["storage"]["peak_matchings"] == payload["peak_state_size"]
     assert checks["storage"]["catalan_cap"] == 2  # Catalan(girth/2) at girth 4
     assert all(check["ok"] for check in checks.values())
 
 
-@pytest.mark.parametrize("fault", ["state cap", "sqrt bound"])
-@pytest.mark.parametrize("pd", [TREFOIL, "X[1,2,3,4]o0 B[1,2,3,4]"])
+@pytest.mark.parametrize("fault,pd", [
+    ("state cap", TREFOIL),
+    ("state cap", "X[1,2,3,4]o0 B[1,2,3,4]"),
+    ("sqrt bound", TREFOIL),
+])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_failed_check_exits_two(monkeypatch, capsys, fault, pd, as_json):
     # closed diagrams and tangles share one verdict: the answer is printed,
     # and any failed check fails the run
     if fault == "state cap":
         monkeypatch.setattr(engine, "catalan", lambda m: 0 if m else 1)
-        check = "storage"
+        check, detail = "storage", "exceeds Catalan"
     else:
-        monkeypatch.setattr(engine, "sqrt_bound_check", lambda d, cutting: {"bound": 0.0, "ok": False})
-        check = "sqrt_bound"
+        monkeypatch.setattr(cutorder, "SQRT_BOUND_CONST", 0.5)
+        check, detail = "sqrt_bound", "'bound': 0.86"
     assert cli.main(["compute", "--pd", pd] + ["--json"] * as_json) == cli.EXIT_CHECKS
     out, err = capsys.readouterr()
     if as_json:
@@ -131,7 +134,20 @@ def test_failed_check_exits_two(monkeypatch, capsys, fault, pd, as_json):
         assert err == ""
     else:
         assert out.strip()
-        assert "failed checks:" in err and f"  {check}: " in err
+        assert "failed checks:" in err and f"  {check}: " in err and detail in err
+
+
+def test_tangle_is_not_held_to_the_sqrt_bound(monkeypatch, capsys):
+    # 19 separate crossings with all 76 ends on the boundary: a valid tangle
+    # whose fold must end at girth 76, above the bound 17.146*sqrt(19) = 74.7
+    crossings = [f"X[{4 * i + 1},{4 * i + 2},{4 * i + 3},{4 * i + 4}]" for i in range(19)]
+    many = parse_pd(" ".join(crossings) + f" B[{','.join(map(str, range(1, 77)))}]")
+    assert greedy_cutting(many).girth == 76 > cutorder.sqrt_bound_check(many, greedy_cutting(many))["bound"]
+    # folding it holds 2^19 matchings, so shrink the bound below a one-crossing tangle's girth 4
+    monkeypatch.setattr(cutorder, "SQRT_BOUND_CONST", 0.5)
+    assert cli.main(["compute", "--pd", "X[1,2,3,4]o0 B[1,2,3,4]"]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.strip() and err == ""
 
 
 def test_trace_dumps_states():
