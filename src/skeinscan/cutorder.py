@@ -37,6 +37,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .planar import Diagram, crossing_pieces
 from .skein import Birth, Cap, Cross, Event, InvariantViolation
@@ -45,6 +46,7 @@ from .skein import Birth, Cap, Cross, Event, InvariantViolation
 SQRT_BOUND_CONST = 6 * math.sqrt(2) + 5 * math.sqrt(3)
 
 DEFAULT_EXACT_CAP = 20
+_absorbed = itemgetter(1)  # of an (at, k, rot) move
 LOOKAHEAD = 2  # greedy tie-break depth
 # the type of each event field a cutting file may carry
 _FIELD_TYPES = {"at": int, "absorb": int, "crossing": int, "rot": int, "over_first": bool}
@@ -70,24 +72,11 @@ class Cutting:
     final_rotation: int = 0
 
     def to_json(self) -> dict:
-        evs = []
-        for ev in self.events:
-            if isinstance(ev, Birth):
-                evs.append({"type": "birth", "at": ev.at})
-            elif isinstance(ev, Cap):
-                evs.append({"type": "cap", "at": ev.at})
-            else:
-                evs.append({
-                    "type": "cross", "at": ev.at, "absorb": ev.absorb,
-                    "over_first": ev.over_first, "crossing": ev.crossing,
-                    "rot": ev.rot,
-                })
-        return {
-            "girth": self.girth,
-            "source_order": list(self.source_order),
-            "final_rotation": self.final_rotation,
-            "events": evs,
-        }
+        evs = [{"type": "cross", "at": ev.at, "absorb": ev.absorb, "over_first": ev.over_first,
+                "crossing": ev.crossing, "rot": ev.rot} if isinstance(ev, Cross)
+               else {"type": "birth" if isinstance(ev, Birth) else "cap", "at": ev.at} for ev in self.events]
+        return {"girth": self.girth, "source_order": list(self.source_order),
+                "final_rotation": self.final_rotation, "events": evs}
 
     @classmethod
     def from_json(cls, data: dict) -> "Cutting":
@@ -154,32 +143,32 @@ class _Scan:
         self.piece_members: dict[int, list[int]] = {}
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
-        self.started_pieces: set[int] = set()
+        self.started_pieces: frozenset[int] = frozenset()
+        self.redo = None  # a move undone by ``undo(mark, keep=True)``, with its result
 
     # -- bookkeeping --------------------------------------------------------
 
     def clone(self) -> "_Scan":
+        """A copy that shares what no step changes in place."""
         other = _Scan.__new__(_Scan)
-        other.d = self.d
-        other.frontier = list(self.frontier)
-        other.events = list(self.events)
-        other.processed = set(self.processed)
-        other.girth = self.girth
-        other.piece = self.piece
-        other.piece_members = self.piece_members
-        other.started_pieces = set(self.started_pieces)
+        other.__dict__.update(self.__dict__, events=list(self.events), processed=set(self.processed), redo=None)
         return other
 
     def mark(self) -> tuple:
-        """A snapshot for ``undo``, in O(g)."""
-        return tuple(self.frontier), len(self.events), self.girth, frozenset(self.started_pieces)
+        """A snapshot for ``undo``, in O(1): the frontier list and the
+        started pieces are replaced, never changed in place."""
+        return self.frontier, len(self.events), self.girth, self.started_pieces
 
-    def undo(self, mark: tuple) -> None:
-        """Go back to ``mark``, unprocessing the crossings applied since."""
-        frontier, n_events, self.girth, started = mark
-        self.processed.difference_update(ev.crossing for ev in self.events[n_events:] if isinstance(ev, Cross))
+    def undo(self, mark: tuple, keep: bool = False) -> None:
+        """Go back to ``mark``, unprocessing the crossings applied since.
+        With keep, one undone move is saved with its events and the mark it
+        left, and ``apply_cross`` replays it if it comes next."""
+        evs = self.events[mark[1]:]
+        crossings = [ev.crossing for ev in evs if isinstance(ev, Cross)]
+        self.redo = keep and len(crossings) == 1 and (evs, self.mark())
+        self.frontier, n_events, self.girth, self.started_pieces = mark
+        self.processed.difference_update(crossings)
         del self.events[n_events:]
-        self.frontier, self.started_pieces = list(frontier), set(started)
 
     def state_key(self) -> tuple:
         """Canonical (processed, frontier up to rotation) key for memoization:
@@ -222,36 +211,42 @@ class _Scan:
 
     # -- crossing moves ------------------------------------------------------
 
-    def frontier_moves(self) -> dict[int, list[tuple[int, int, int]]]:
+    def chains(self) -> dict[int, list[tuple[int, int, int]]]:
         """Per unprocessed crossing with frontier tokens, in id order, its
-        (at, k, rot) sub-run absorptions, from one pass over the frontier.
-        rot is the crossing slot glued at position ``at``; slots decrease
-        along a run (the gluing reverses orientation).  Runs come in
-        position order, the one from position 0 last (or joined to the run
-        it continues across the seam)."""
+        chains as (at, k, rot) absorptions, from one pass over the frontier.
+        A chain is a run of k neighbours whose slots decrease by one from
+        the slot rot glued at position ``at`` (the gluing reverses
+        orientation), so each of its sub-runs is an absorption too.  Chains
+        come in position order, those of the run from position 0 last, its
+        first chain joined to one ending at the seam if the slots go on."""
         f, n4, processed = self.frontier, 4 * self.d.n, self.processed
-        runs: dict[int, list[list[int]]] = {}
+        found: dict[int, list[list[int]]] = {}  # per crossing, its chains as [at, k], ending before at + k
         for i, h in enumerate(f):
             if h < n4 and h >> 2 not in processed:
-                if (rs := runs.setdefault(h >> 2, [])) and rs[-1][-1] == i - 1:
-                    rs[-1].append(i)
+                if (cs := found.get(h >> 2)) is None:
+                    found[h >> 2] = [[i, 1]]
+                elif sum(c := cs[-1]) == i and (f[i - 1] - h) & 3 == 1:
+                    c[1] += 1
                 else:
-                    rs.append([i])
-        moves: dict[int, list[tuple[int, int, int]]] = {}
-        for ci in sorted(runs):
-            rs, out = runs[ci], moves.setdefault(ci, [])
-            if rs[0][0] == 0 and len(rs) > 1:  # the run from 0 goes last
-                first = rs.pop(0)
-                rs.append(rs.pop() + first if rs[-1][-1] == len(f) - 1 else first)
-            for run in rs:
-                for start, at in enumerate(run):
-                    # each prefix of the longest run of decreasing slots from here
-                    out.append((at, 1, f[at] & 3))
-                    for j in range(1, len(run) - start):
-                        if (f[at] - j - f[run[start + j]]) & 3:
-                            break
-                        out.append((at, j + 1, f[at] & 3))
-        return moves
+                    cs.append([i, 1])
+        chains = {}
+        for ci in sorted(found):
+            # the first m chains, which run on from position 0, go last
+            if len(cs := found[ci]) > 1 and cs[0][0] == 0 and (
+                    m := next((j for j in range(1, len(cs)) if cs[j][0] != sum(cs[j - 1])), 0)):
+                if sum(cs[-1]) == len(f) and (f[-1] - f[0]) & 3 == 1:
+                    cs[-1][1] += cs.pop(0)[1]
+                    m -= 1
+                cs = cs[m:] + cs[:m]
+            chains[ci] = [(at, k, f[at] & 3) for at, k in cs]
+        return chains
+
+    def frontier_moves(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Per crossing of ``chains``, every sub-run of its chains: chain by
+        chain, start by start, shortest first."""
+        g = len(self.frontier)
+        return {ci: [((at + s) % g, j, (rot - s) & 3) for at, k, rot in cs for s in range(k) for j in range(1, k - s + 1)]
+                for ci, cs in self.chains().items()}
 
     def _frontier_token_before(self, i: int, p: int) -> int | None:
         """Walk the face before boundary point i backwards (the face
@@ -338,13 +333,19 @@ class _Scan:
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
         if ci in self.processed:
             raise InvariantViolation(f"crossing {ci} is already processed")
+        redo, self.redo = self.redo, None
+        if redo and (ev := redo[0][0]).crossing == ci and (ev.at, ev.absorb, ev.rot) == (at, k, rot):
+            self.events += redo[0]  # the saved move, from the state it was undone to
+            self.frontier, _, self.girth, self.started_pieces = redo[1]
+            self.processed.add(ci)
+            return
         over_first = (rot if k else rot + 1) % 2 == self.d.crossings[ci].over
         self.events.append(Cross(at, k, over_first, ci, rot))
         # after absorbing k tokens at slot rot, ci emits its next 4 - k slots' arcs
         tokens = [self.d.other[4 * ci + (s & 3)] for s in range(rot + 1, rot + 5 - k)]
         at = self._splice(at, k, tokens)
         self.processed.add(ci)
-        self.started_pieces.add(self.piece[ci])
+        self.started_pieces |= {self.piece[ci]}
         self.cascade_caps(range(at - 1, at + len(tokens)))
 
     # -- final phase ----------------------------------------------------------
@@ -392,11 +393,10 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
         raise InvalidOrder(f"order must be a permutation of 0..{d.n - 1}")
     scan = _Scan(d)
     for ci in order:
-        if moves := scan.frontier_moves().get(ci):
-            mv = max(moves, key=lambda m: m[1])
-            if mv[1] != sum(m[1] == 1 for m in moves):  # a one-token move per token
+        if chains := scan.chains().get(ci):
+            if len(chains) > 1:
                 raise InvalidOrder(f"crossing {ci} is not glueable (tokens not one run)")
-            scan.apply_cross(ci, *mv)
+            scan.apply_cross(ci, *chains[0])
             continue
         if scan.piece[ci] in scan.started_pieces:
             raise InvalidOrder(f"crossing {ci} is unreachable from the frontier")
@@ -415,7 +415,7 @@ def greedy_cutting(d: Diagram) -> Cutting:
     Committing ci keeps the sized candidates reached through ci."""
     scan = _Scan(d)
     order: list[int] = []
-    sized: dict[tuple[int, ...], list] = {}
+    sized: dict = {}
     while (done := len(scan.processed)) < d.n:
         if (step := _greedy_move(scan, LOOKAHEAD, sized)) is None:
             raise InvariantViolation("greedy scan has no glueable crossing (unexpected)")
@@ -423,36 +423,40 @@ def greedy_cutting(d: Diagram) -> Cutting:
         if len(scan.processed) == done:
             scan.apply_cross(ci, *mv)
         order.append(ci)
-        sized = {key[1:]: cands for key, cands in sized.items() if key and key[0] == ci}
+        sized = sized.get(ci, {})
     rot = scan.finish()
     return Cutting(scan.events, scan.girth, order, rot)
 
 
-def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
-                 path: tuple[int, ...] = ()) -> tuple[int, tuple[int, int, int]] | None:
-    """The greedy rule: among the candidates (each glueable crossing's
-    longest single-run absorption, and each unstarted piece's first start),
-    take the one leaving the smallest frontier, then the lowest crossing id.
-    With a lookahead, candidates tied at the smallest frontier are ranked
-    first by the peak girth after that many further greedy steps (fewer
-    when the scan runs out of candidates).  None when there is no
+def _ranked(scan: _Scan, sized: dict) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """Greedy's candidates, each (frontier size after it, crossing, move):
+    each glueable crossing's first longest chain (the first of its
+    ``frontier_moves`` that absorbs the most), and each unstarted piece's
+    first start, sized by ``_Scan.size_after``.  ``sized`` caches them under
+    None, and under each crossing the dict of the state its move leads to."""
+    if (ranked := sized.get(None)) is None:
+        candidates = [(ci, max(cs, key=_absorbed)) for ci, cs in scan.chains().items()]
+        candidates += _fresh_moves(scan, first_only=True)
+        ranked = sized[None] = [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
+    return ranked
+
+
+def _greedy_move(scan: _Scan, lookahead: int, sized: dict) -> tuple[int, tuple[int, int, int]] | None:
+    """The greedy rule: among the ``_ranked`` candidates, take the one
+    leaving the smallest frontier, then the lowest crossing id.  With a
+    lookahead, candidates tied at the smallest frontier are ranked first by
+    the peak girth after that many further greedy steps without lookahead
+    (fewer when the scan runs out of candidates).  None when there is no
     candidate.
 
-    Candidates are sized by ``_Scan.size_after``, without applying them.
     Tied candidates roll out in id order on ``scan``, applying their moves
     but sizing the last.  No peak is below the floor, the larger of the
     girth and the least frontier, and ties go to the lower id: so the
     rollouts stop at one that reaches the floor, and a rollout stops once
     its girth reaches the best peak.  A winner that ran last keeps its
-    first move applied (the caller sees ``scan.processed`` grow); other
-    rollouts are undone.  ``sized`` keeps each state's sized candidates
-    under ``path``, the crossings applied since the greedy step began (a
-    candidate crossing has one move per state, so ``path`` fixes the state)."""
-    if path not in sized:
-        candidates = [(ci, max(moves, key=lambda m: m[1])) for ci, moves in scan.frontier_moves().items()]
-        candidates += _fresh_moves(scan, first_only=True)
-        sized[path] = [(scan.size_after(ci, *mv), ci, mv) for ci, mv in candidates]
-    if not (ranked := sized[path]):
+    first move applied (the caller sees ``scan.processed`` grow), and the
+    scan keeps its next move to replay; other rollouts are undone."""
+    if not (ranked := _ranked(scan, sized)):
         return None
     least = min(ranked)[0]
     tied = sorted(t for t in ranked if t[0] == least)  # crossing ids are unique, so no move is compared
@@ -460,19 +464,21 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict,
         return tied[0][1:]
     mark, floor, best = scan.mark(), max(scan.girth, least), (1 << 30,)
     for i, (_, ci, mv) in enumerate(tied):
-        step, reached = (ci, mv), path
-        for _ in range(lookahead):
+        step, node = (ci, mv), sized
+        for depth in range(lookahead):
             scan.apply_cross(step[0], *step[1])
-            first = scan.mark() if reached == path else first
-            reached += (step[0],)
-            if scan.girth >= best[0] or (step := _greedy_move(scan, 0, sized, reached)) is None:
+            first = scan.mark() if not depth else first
+            node = node.setdefault(step[0], {})
+            if scan.girth >= best[0] or not (ranked := _ranked(scan, node)):
+                peak = scan.girth  # the end of the scan, or an aborted rollout, which loses
                 break
-        # the last step's peak is its spliced frontier, before its caps; an aborted rollout's loses
-        peak = scan.girth if step is None else max(scan.girth, len(scan.frontier) + 4 - 2 * step[1][1])
+            step = min(ranked)[1:]
+        else:  # the last step's peak is its spliced frontier, before its caps
+            peak = max(scan.girth, len(scan.frontier) + 4 - 2 * step[1][1])
         if peak < best[0]:
             best = (peak, ci, mv)
             if peak == floor or i == len(tied) - 1:
-                scan.undo(first)  # the winner keeps its first move
+                scan.undo(first, keep=True)  # the winner keeps its first move, and its next
                 return ci, mv
         scan.undo(mark)
     return best[1:]
@@ -558,10 +564,8 @@ def sqrt_bound_check(d: Diagram, cutting: Cutting) -> dict:
     """The cutwidth bound of a closed diagram: girth should not exceed
     (6*sqrt2 + 5*sqrt3)*sqrt(n).
     Crossingless diagrams are exempt (their girth 2 comes from loop births)."""
-    n = d.n
-    bound = SQRT_BOUND_CONST * math.sqrt(n)
-    ok = True if n == 0 else cutting.girth <= bound
-    return {"bound": bound, "ok": ok}
+    bound = SQRT_BOUND_CONST * math.sqrt(d.n)
+    return {"bound": bound, "ok": d.n == 0 or cutting.girth <= bound}
 
 
 def verify_cutting(d: Diagram, cutting: Cutting) -> None:

@@ -9,6 +9,7 @@ import skeinscan.cli as cli
 import skeinscan.cutorder as cutorder
 import skeinscan.engine as engine
 from skeinscan.cutorder import Cutting, greedy_cutting
+from skeinscan.matchings import catalan
 from skeinscan.planar import parse_pd
 from skeinscan.skein import Cap
 
@@ -137,11 +138,14 @@ def test_failed_check_exits_two(monkeypatch, capsys, fault, pd, as_json):
         assert "failed checks:" in err and f"  {check}: " in err and detail in err
 
 
+# 19 separate crossings with all 76 ends on the boundary: a valid tangle
+# whose fold must end at girth 76, above the bound 17.146*sqrt(19) = 74.7
+MANY_CROSSINGS = " ".join(f"X[{4 * i + 1},{4 * i + 2},{4 * i + 3},{4 * i + 4}]" for i in range(19)) \
+    + f" B[{','.join(map(str, range(1, 77)))}]"
+
+
 def test_tangle_is_not_held_to_the_sqrt_bound(monkeypatch, capsys):
-    # 19 separate crossings with all 76 ends on the boundary: a valid tangle
-    # whose fold must end at girth 76, above the bound 17.146*sqrt(19) = 74.7
-    crossings = [f"X[{4 * i + 1},{4 * i + 2},{4 * i + 3},{4 * i + 4}]" for i in range(19)]
-    many = parse_pd(" ".join(crossings) + f" B[{','.join(map(str, range(1, 77)))}]")
+    many = parse_pd(MANY_CROSSINGS)
     assert greedy_cutting(many).girth == 76 > cutorder.sqrt_bound_check(many, greedy_cutting(many))["bound"]
     # folding it holds 2^19 matchings, so shrink the bound below a one-crossing tangle's girth 4
     monkeypatch.setattr(cutorder, "SQRT_BOUND_CONST", 0.5)
@@ -161,6 +165,16 @@ def test_girth_command():
     assert payload["girth"] == 4
     assert payload["within_bound"] is True
     assert payload["state_cap"] == "2"
+
+
+def test_girth_reports_the_sqrt_bound_for_closed_diagrams_only(capsys):
+    assert cli.main(["girth", "--pd", MANY_CROSSINGS, "--json"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["girth"] == 76 and "sqrt_bound" not in payload and "within_bound" not in payload
+    assert cli.main(["girth", "--pd", MANY_CROSSINGS]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == f"n=19 girth=76 state_cap=Catalan(38)={catalan(38)}"
+    assert cli.main(["girth", "--pd", HOPF]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == "n=2 girth=4 bound=24.25 ok=True state_cap=Catalan(2)=2"
 
 
 def test_explicit_cutting_roundtrip(tmp_path):
@@ -249,11 +263,11 @@ def test_greedy_fault_exits_three(monkeypatch, capsys, fault):
     # an engine fault, not an input error
     greedy_move, first = cutorder._greedy_move, []
 
-    def faulty_move(scan, lookahead, sized, path=()):
+    def faulty_move(scan, lookahead, sized):
         if fault == "no crossing":
             return None
-        if not first:  # no lookahead, so no rollout calls back in here
-            first.append(greedy_move(scan, 0, sized, path))
+        if not first:  # offered again at every step
+            first.append(greedy_move(scan, 0, sized))
         return first[0]
 
     monkeypatch.setattr(cutorder, "_greedy_move", faulty_move)

@@ -463,31 +463,83 @@ def test_undo_restores_the_marked_scan(corpus):
             scan.apply_cross(ci, *mv)
 
 
-def test_frontier_moves_and_caps_match_the_full_scans(corpus):
-    rng = random.Random(5)
+def test_a_kept_move_replays_to_the_state_it_left(corpus):
+    # undo(mark, keep=True) saves the one move undone: applying it next
+    # restores its saved result (the very events it made), and any other
+    # move is applied afresh
+    def fields(scan):
+        return scan.frontier, scan.events, scan.processed, scan.started_pieces, scan.girth
+
+    rng = random.Random(8)
+    replays = fresh = 0
+    for d in _walk_diagrams(corpus) * 3:
+        scan = cutorder._Scan(d)
+        while moves := _legal_moves(scan):
+            mark, n_events = scan.mark(), len(scan.events)
+            ci, mv = rng.choice(moves)
+            scan.apply_cross(ci, *mv)
+            applied = scan.clone()
+            scan.undo(mark, keep=True)
+            others = [m for m in moves if m != (ci, mv)]
+            again = rng.random() < 0.5 or not others
+            ci, mv = (ci, mv) if again else rng.choice(others)
+            expected = scan.clone()
+            expected.apply_cross(ci, *mv)
+            scan.apply_cross(ci, *mv)
+            assert fields(scan) == fields(applied if again else expected)
+            assert (scan.events[n_events] is applied.events[n_events]) == again
+            replays, fresh = replays + again, fresh + (not again)
+    assert replays > 300 and fresh > 300, (replays, fresh)
+
+
+def _stub_walk(corpus, rng):
+    """Random walks over the corpus, the tangle fixtures and 12 braid
+    closures, six times each, yielding every state with its legal moves.
+    Half the steps prefer a one-token absorption, which leaves stubs of the
+    crossing on the frontier."""
     tangles = [d for seed in range(4) for d in tangle_fixtures(seed).values()]
-    states = stubbed = caps = 0
     for d in [*corpus.values(), *tangles, *_braid_closures(12)] * 6:
         scan = cutorder._Scan(d)
         while moves := _legal_moves(scan):
-            assert list(scan.frontier_moves().items()) == reference_frontier_moves(scan), scan.frontier
-            states += 1
-            stubbed += any(h < 4 * d.n and h >> 2 in scan.processed for h in scan.frontier)
-            for ci, mv in rng.sample(moves, min(4, len(moves))):
-                probe, ref = scan.clone(), scan.clone()
-                probe.apply_cross(ci, *mv)
-                ref.cascade_caps = lambda joins, ref=ref: reference_cascade_caps(ref)
-                ref.apply_cross(ci, *mv)
-                assert (probe.frontier, probe.events) == (ref.frontier, ref.events), (ci, mv, scan.frontier)
-                assert scan.size_after(ci, *mv) == len(ref.frontier)
-                caps += len(ref.events) - len(scan.events) - 1
-            # one-token absorptions leave stubs of the crossing on the frontier
+            yield scan, moves
             ones = [m for m in moves if m[1][1] == 1]
             ci, mv = rng.choice(ones if ones and rng.random() < 0.5 else moves)
             scan.apply_cross(ci, *mv)
+
+
+def test_frontier_moves_and_caps_match_the_full_scans(corpus):
+    rng = random.Random(5)
+    states = stubbed = caps = 0
+    for scan, moves in _stub_walk(corpus, rng):
+        assert list(scan.frontier_moves().items()) == reference_frontier_moves(scan), scan.frontier
+        states += 1
+        stubbed += any(h < 4 * scan.d.n and h >> 2 in scan.processed for h in scan.frontier)
+        for ci, mv in rng.sample(moves, min(4, len(moves))):
+            probe, ref = scan.clone(), scan.clone()
+            probe.apply_cross(ci, *mv)
+            ref.cascade_caps = lambda joins, ref=ref: reference_cascade_caps(ref)
+            ref.apply_cross(ci, *mv)
+            assert (probe.frontier, probe.events) == (ref.frontier, ref.events), (ci, mv, scan.frontier)
+            assert scan.size_after(ci, *mv) == len(ref.frontier)
+            caps += len(ref.events) - len(scan.events) - 1
     # the walks pass states holding stubs of processed crossings (which
     # frontier_moves must not offer) and moves that cap
     assert states > 5000 and stubbed > 100 and caps > 10000, (states, stubbed, caps)
+
+
+def test_greedy_candidates_are_the_first_longest_moves(corpus):
+    # greedy sizes each frontier crossing's first longest chain, read off
+    # one ``chains`` pass, where it took the first move of the most tokens
+    # among all of them; the walk also passes crossings with two or more
+    # longest moves, where the first one must win
+    states = ties = 0
+    for scan, _ in _stub_walk(corpus, random.Random(5)):
+        expected = {ci: max(moves, key=lambda m: m[1]) for ci, moves in reference_frontier_moves(scan)}
+        assert {ci: mv for _, ci, mv in cutorder._ranked(scan, {}) if mv[1]} == expected, scan.frontier
+        states += 1
+        ties += sum(sum(m[1] == mv[1] for m in dict(reference_frontier_moves(scan))[ci]) > 1
+                    for ci, mv in expected.items())
+    assert states > 5000 and ties > 200, (states, ties)
 
 
 def test_apply_cross_refuses_a_processed_crossing():
@@ -500,11 +552,11 @@ def test_apply_cross_refuses_a_processed_crossing():
     assert (scan.frontier, scan.events, scan.processed) == (before.frontier, before.events, before.processed)
 
 
-# greedy's whole-frontier passes (``frontier_moves``) and applied moves,
-# bounded at the counts of the cut rollouts: per committed crossing 1.02
-# and 1.97 on T(2,60), 1.19 and 1.92 on the closure.  Rolling out every
-# tied candidate in full, and applying the winner again, took 2.95 and 4.9,
-# and 3.8 and 5.2; scanning the frontier per crossing took 5.75 and 23.9
+# greedy's whole-frontier passes (``chains``) and applied moves, bounded
+# at the counts of the cut rollouts: per committed crossing 1.02 and 1.97
+# on T(2,60), 1.19 and 1.92 on the closure.  Rolling out every tied
+# candidate in full, and applying the winner again, took 2.95 and 4.9, and
+# 3.8 and 5.2; scanning the frontier per crossing took 5.75 and 23.9
 # ``token_runs`` scans (plus as many ``run_moves`` scans)
 GREEDY_CALLS = [
     (lambda: torus_link(60), 61, 118),
@@ -515,13 +567,13 @@ GREEDY_CALLS = [
 @pytest.mark.parametrize("make, passes, applies", GREEDY_CALLS, ids=["T(2,60)", "braid"])
 def test_greedy_reads_each_state_once(monkeypatch, make, passes, applies):
     counts = collections.Counter()
-    for name in ("frontier_moves", "apply_cross"):
+    for name in ("chains", "apply_cross"):
         def counted(self, *args, real=getattr(cutorder._Scan, name), name=name):
             counts[name] += 1
             return real(self, *args)
         monkeypatch.setattr(cutorder._Scan, name, counted)
     greedy_cutting(make())
-    assert counts["frontier_moves"] <= passes and counts["apply_cross"] <= applies, counts
+    assert counts["chains"] <= passes and counts["apply_cross"] <= applies, counts
 
 
 def _tied(scan):
@@ -558,18 +610,18 @@ def test_cut_rollouts_choose_what_full_rollouts_choose(corpus, monkeypatch):
     def fields(scan):
         return scan.frontier, scan.events, scan.processed, scan.started_pieces, scan.girth
 
-    calls, base = collections.Counter(), [0]
-    real_move, real_apply = cutorder._greedy_move, cutorder._Scan.apply_cross
+    calls, base, root = collections.Counter(), [0], {}
+    real_ranked, real_apply = cutorder._ranked, cutorder._Scan.apply_cross
 
-    def counted_move(scan, lookahead, sized, path=()):
-        calls["sized"] += not lookahead
-        return real_move(scan, lookahead, sized, path)
+    def counted_ranked(scan, sized):
+        calls["sized"] += sized is not root  # a state the rollouts reached
+        return real_ranked(scan, sized)
 
     def counted_apply(self, ci, *mv):
         calls["first" if len(self.processed) == base[0] else "later"] += 1
         real_apply(self, ci, *mv)
 
-    monkeypatch.setattr(cutorder, "_greedy_move", counted_move)
+    monkeypatch.setattr(cutorder, "_ranked", counted_ranked)
     monkeypatch.setattr(cutorder._Scan, "apply_cross", counted_apply)
     rng = random.Random(6)
     tangles = [d for seed in range(4) for d in tangle_fixtures(seed).values()]
@@ -580,7 +632,8 @@ def test_cut_rollouts_choose_what_full_rollouts_choose(corpus, monkeypatch):
             expected, tied = reference_greedy_move(scan), _tied(scan)
             mark, before, base[0] = scan.mark(), scan.clone(), len(scan.processed)
             calls.clear()
-            step = cutorder._greedy_move(scan, cutorder.LOOKAHEAD, {})
+            root.clear()
+            step = cutorder._greedy_move(scan, cutorder.LOOKAHEAD, root)
             assert step == expected, (scan.frontier, step, expected)
             states += 1
             if len(tied) > 1:

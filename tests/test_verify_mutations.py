@@ -12,6 +12,7 @@ import pytest
 from noncrossing import noncrossing_matchings
 
 import skeinscan.cli as cli
+import skeinscan.cutorder as cutorder
 import skeinscan.engine as engine
 import skeinscan.skein as skein
 import skeinscan.verify as verify
@@ -161,3 +162,21 @@ def test_undersized_slots_detected(monkeypatch):
     _, report, _ = fold_cutting(d, greedy_cutting(d), skein.PKBP)
     assert not report["positivity"]["ok"]
     assert report["positivity"]["violations"][0].startswith("nonpositive coefficient at n=43,")
+
+
+def test_nonpositive_coefficient_detected(monkeypatch):
+    # positivity is checked on the positive-variant folds only, so verify
+    # must read their diagnostics as well as the bracket folds'
+    monkeypatch.setattr(skein.SkeinState, "nonpositive", lambda state: 1)
+    report = run_verify(max_n=6)
+    assert not report["ok"]
+    assert any("/pkbp/positivity:" in f for f in report["suites"]["invariants"]["failures"])
+
+
+def test_sqrt_bound_violation_detected(monkeypatch):
+    # the fold holds every closed diagram to the sqrt girth bound; a bound
+    # below girth 4 must turn the invariants suite red
+    monkeypatch.setattr(cutorder, "SQRT_BOUND_CONST", 0.5)
+    report = run_verify(max_n=6)
+    assert not report["ok"]
+    assert any("/sqrt_bound:" in f for f in report["suites"]["invariants"]["failures"])
