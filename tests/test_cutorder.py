@@ -528,17 +528,17 @@ def test_frontier_moves_and_caps_match_the_full_scans(corpus):
 
 
 def test_greedy_candidates_are_the_first_longest_moves(corpus):
-    # greedy sizes each frontier crossing's first longest chain, read off
-    # one ``chains`` pass, where it took the first move of the most tokens
-    # among all of them; the walk also passes crossings with two or more
-    # longest moves, where the first one must win
+    # greedy's candidate for each frontier crossing, read off one
+    # ``chains`` pass, is the first of its moves that absorbs the most
+    # tokens; the walk also passes crossings with two or more such moves,
+    # where the first must win
     states = ties = 0
     for scan, _ in _stub_walk(corpus, random.Random(5)):
-        expected = {ci: max(moves, key=lambda m: m[1]) for ci, moves in reference_frontier_moves(scan)}
+        reference = dict(reference_frontier_moves(scan))
+        expected = {ci: max(moves, key=lambda m: m[1]) for ci, moves in reference.items()}
         assert {ci: mv for _, ci, mv in cutorder._ranked(scan, {}) if mv[1]} == expected, scan.frontier
         states += 1
-        ties += sum(sum(m[1] == mv[1] for m in dict(reference_frontier_moves(scan))[ci]) > 1
-                    for ci, mv in expected.items())
+        ties += sum(sum(m[1] == mv[1] for m in reference[ci]) > 1 for ci, mv in expected.items())
     assert states > 5000 and ties > 200, (states, ties)
 
 
