@@ -111,8 +111,7 @@ class TangleExpansion:
 def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
     g = state.g
     span_bound, total_bound = 4 * (n + c) - 2 * g, 4 * (n + c)
-    cat = catalan(g // 2)
-    if state.size() > cat:
+    if state.size() > (cat := catalan(g // 2)):
         report["storage"]["violations"].append(
             f"{state.size()} matchings exceed Catalan({g // 2}) = {cat}"
         )
@@ -120,8 +119,8 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
         report["mod4"]["violations"].append(
             f"{state.mixed} contributions with mixed exponent residues left out at n={n}, g={g}"
         )
-    if state.mode == PKBP:
-        report["positivity"]["violations"] += [f"nonpositive coefficient at n={n}, g={g}"] * state.nonpositive()
+    if state.mode == PKBP and (bad := state.nonpositive()):
+        report["positivity"]["violations"] += [f"nonpositive coefficient at n={n}, g={g}"] * bad
     # the state-wide bound clears most states (see the module docstring);
     # the exact pass below decides the rest
     width, lo, hi = state.span_bound()

@@ -10,7 +10,7 @@ with the Kronecker helpers below (see ``skein``) and reads them back out.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 
 class EmptyPolynomial(ValueError):
@@ -229,8 +229,8 @@ def _bias(b: int, n: int) -> int:
 sign_bits = lru_cache(maxsize=16)(_bias)
 
 
-def widest(Ps: list[int]) -> int:
-    """The largest |P|.bit_length() of a nonempty list: of its max or min."""
+def widest(Ps: Sequence[int]) -> int:
+    """The largest |P|.bit_length() of a nonempty sequence: of its max or min."""
     return max(max(Ps).bit_length(), min(Ps).bit_length())
 
 
@@ -258,6 +258,15 @@ def encode_slots(vals, b: int) -> int:
     # slot bias with the bias bit flipped
     bias = _bias(b, len(vals))
     return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def widened_slots(P: int, b: int, wide: int) -> int:
+    """P in slots of `wide` bits instead of b, without decoding: each slot of
+    P + H, H the sign bits, holds c_i + 2^(b-1) >= 0 and is zero-extended."""
+    n, w = 1 << (abs(P).bit_length() // b).bit_length(), b // 8
+    raw = (P + sign_bits(b, n)).to_bytes(n * w, "little")
+    spread = int.from_bytes(bytes((wide - b) // 8).join([raw[i:i + w] for i in range(0, n * w, w)]), "little")
+    return spread - (sign_bits(wide, n) >> (wide - b))  # minus H, spread the same way
 
 
 def slot_values(P: int, b: int) -> list[int]:

@@ -41,16 +41,19 @@ an event merges, it builds in one pass the entries its matchings lack, from
 the absorbed window only: outside points keep their partners, renumbered by
 one cached shift, and a memoized window rule, keyed by the piece's pairing
 and by which absorbed points were paired to each other, rewrites the
-positions whose partners change and counts the closed loops.  An output is
-checked by ``is_noncrossing`` only when its frontier's intern table misses
-it, then interned; an entry is written only after all its outputs passed.
+positions whose partners change and counts the closed loops; a rule that
+rewrites only the window's own chords keeps the matching, with no surgery.
+Any other output is checked by ``is_noncrossing`` only on an intern miss,
+then interned; an entry is written only after all its outputs passed.  A
+table counts its unbuilt rows: an event on a complete table reads no ids.
 Tables hold loop counts, not loop values, so every mode shares them.
 Listings sort the matchings, which keeps their order lexicographic.
 
 A crossing absorbing two points is A^(+-1) identity + A^(-+1) cup-cap, the
 Temperley-Lieb sigma = A + A^-1 e (Kauffman, Topology 1987).  The identity
-column holds the input id, written once the rule is checked per window; the
-merge copies the state through it and reads the table for the cup-cap only.
+keeps every window, as each table build checks, so the merge starts from a
+copy of the state's dict and moves A^(+-1) into the state-wide ``offset``,
+which every reader adds to each r; it reads the table for the cup-cap only.
 
 Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
 By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
@@ -89,15 +92,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Mapping
 
-from .laurent import (DELTA, DELTA_PLUS, ONE, LaurentPoly, encode_slots, pack, sign_bits, slot_mass, slot_values,
-                      slot_width, widest)
+from .laurent import (DELTA, DELTA_PLUS, ONE, LaurentPoly, pack, sign_bits, slot_mass, slot_values, slot_width,
+                      widened_slots, widest)
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
-_first, _second = itemgetter(0), itemgetter(1)
+_second = itemgetter(1)
 
 BRACKET = "bracket"
 PKBP = "pkbp"
@@ -140,14 +143,14 @@ Event = Birth | Cap | Cross
 
 
 @lru_cache(maxsize=None)
-def _loop_power(mode: str, k: int) -> int:
-    """The sign of the loop value's k-th power.  The loop value must be
-    e * (A^2 + A^-2) with e = +-1; its power is e^k * A^-2k * (1 + A^4)^k,
-    and ``SkeinState._glue`` applies the rest as shift-adds."""
+def _loop_power(mode: str, k: int) -> tuple[bool, ...]:
+    """Whether the loop value's l-th power is negative, for l = 0..k.  It
+    must be e * (A^2 + A^-2) with e = +-1; its power is e^l * A^-2l *
+    (1 + A^4)^l, and ``SkeinState._glue`` applies the rest as shift-adds."""
     e = dict(LOOP_VALUES[mode]).get(2)
     if e not in (1, -1) or LOOP_VALUES[mode] != LaurentPoly({2: e, -2: e}):
         raise ValueError(f"loop value {LOOP_VALUES[mode]} is not +-(A^2 + A^-2)")
-    return e ** k
+    return tuple(e ** l < 0 for l in range(k + 1))
 
 
 def a_smoothing_class(absorb: int, over_first: bool) -> int:
@@ -243,7 +246,6 @@ def _window_rule(pairing: tuple[int, ...], inner: tuple[int, ...]) -> Rule:
 _RULES: dict[tuple, Rule] = {}
 
 
-@lru_cache(maxsize=None)
 def _identity(smoothings, k: int) -> int | None:
     """The smoothing, if any, joining each of k absorbed ends m to the end
     2k - 1 - m emitted at its position: it maps every matching to itself."""
@@ -251,60 +253,66 @@ def _identity(smoothings, k: int) -> int | None:
                  if len(p) == 2 * k and all(p[m] == 2 * k - 1 - m for m in range(k))), None)
 
 
+class _Table(array):
+    __slots__ = ("unbuilt", "ident")  # rows not built yet; the identity smoothing or None
+
+
 # Transition tables, one per event signature (g, at, k, smoothings), shared
 # by every mode and every fold in the process.  Slot width * i + j holds the
 # output of smoothing j on the matching with id i, as output id << 3 | closed
 # loops; -1 marks an entry not built yet.  Entries hold ids of ``basis``, so
 # the tables are only valid together with the intern tables that issued them.
-_TABLES: dict[tuple, array] = {}
+_TABLES: dict[tuple, _Table] = {}
 
 
-def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
+def _transition_table(g: int, at: int, k: int, smoothings, ids) -> _Table:
     """The table of one event signature, with the entries of the matchings
     with ids `ids` built (see the module docstring).  One base per matching
     holds the shifted partners; each smoothing's window rule, resolved to
-    positions once per window, rewrites those whose partners change.  Only
-    an output the intern table misses is checked, then interned; an entry
-    is written once all its outputs passed, so a raise leaves it -1.  The
-    identity's column is the input id, once its rule keeps the window."""
+    positions once per window, rewrites those whose partners change unless
+    it keeps the window, as the identity must.  Only an intern miss is
+    checked, then interned; an entry is written once all its outputs passed."""
     width, ends = len(smoothings), len(smoothings[0][0])
     key = (g, at, k, smoothings)
     table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[key] = array("q", [-1]) * (width * catalan(g // 2))
+        table = _TABLES[key] = _Table("q", b"\xff" * (8 * width * catalan(g // 2)))
+        table.unbuilt, table.ident = catalan(g // 2), _identity(smoothings, k)
+    if not table.unbuilt or not (todo := [idx for idx in ids if table[width * idx] < 0]):
+        return table
     shift, rel, emitted, holes = _frame(g, at, k, ends)
-    ident = _identity(smoothings, k)
     mus = basis(g).matchings
     b2 = basis(g + ends - 2 * k)
     interned = b2.ids
-    by_window: dict[tuple, list] = {}  # per window: (writes as positions, loops)
-    for idx in [idx for idx in ids if table[width * idx] < 0]:
+    by_window: dict[tuple, list] = {}  # per window: (writes as positions or None if kept, loops)
+    for idx in todo:
         mu = mus[idx]
         window = mu[at:at + k]
         rules = by_window.get(window)
         if rules is None:
             inner = tuple(map(rel.__getitem__, window))
             pos = (*map(shift.__getitem__, window), *emitted)
+            # the window's own chords, which only a piece with ends == 2k can keep
+            own = ends == 2 * k and {**dict(enumerate(window, at)), **dict(zip(window, range(at, at + k)))}
             rules = by_window[window] = []
             for j, (pairing, _) in enumerate(smoothings):
                 rule = _RULES.get((pairing, inner))
                 if rule is None:
                     rule = _RULES[pairing, inner] = _window_rule(pairing, inner)
                 writes = [(pos[dst], pos[src]) for dst, src in rule[0]]
-                if j == ident:  # it must rewrite the window's own chords only
-                    own = {**dict(enumerate(window, at)), **dict(zip(window, range(at, at + k)))}
-                    if rule[1] or dict(writes) != own:
-                        raise InvariantViolation(f"identity smoothing {pairing} changes window {window} (engine bug)")
-                    writes = None
-                rules.append((writes, rule[1]))
+                kept = dict(writes) == own
+                if j == table.ident and (rule[1] or not kept):
+                    raise InvariantViolation(f"identity smoothing {pairing} changes window {window} (engine bug)")
+                rules.append((None if kept else writes, rule[1]))
         # shift is the identity when the piece emits as many ends as it
         # absorbs; itemgetter needs at least one index
         base = list(mu) if ends == 2 * k or not mu else [*itemgetter(*mu)(shift)]
         base[at:at + k] = holes
         entry = []
         for writes, loops in rules:
+            # a piece closes at most ends // 2 <= 2 loops, so three bits hold them
             if writes is None:
-                entry.append(idx << 3)
+                entry.append(idx << 3 | loops)
                 continue
             new = base.copy()
             for dst, src in writes:
@@ -315,9 +323,9 @@ def _transition_table(g: int, at: int, k: int, smoothings, ids) -> array:
                 if not is_noncrossing(new):
                     raise InvariantViolation(f"surgery produced a crossing matching {new} (engine bug)")
                 out = b2.index_of(new)
-            # a piece closes at most ends // 2 <= 2 loops, so three bits hold them
             entry.append(out << 3 | loops)
         table[width * idx:width * idx + width] = array("q", entry)
+        table.unbuilt -= 1
     return table
 
 
@@ -325,25 +333,25 @@ class SkeinState:
     """Sparse map from matchings of g frontier points to coefficients.
 
     Built from ``LaurentPoly`` coefficients keyed by matching id, which it
-    packs (see the module docstring); ``coeffs`` and ``items`` decode them.
+    packs (see the module docstring); every reader adds ``offset`` to each r.
     ``mixed`` counts the contributions the event that made the state left
     out for mixed exponent residues."""
 
-    __slots__ = ("mode", "g", "b", "mass", "mixed", "_packed")
+    __slots__ = ("mode", "g", "b", "mass", "mixed", "offset", "_packed")
 
     def __init__(self, mode: str, g: int, coeffs: Mapping[int, LaurentPoly]):
         if mode not in LOOP_VALUES:
             raise ValueError(f"unknown mode {mode!r}")
         mass = sum(abs(c) for poly in coeffs.values() for _, c in poly)
         b = slot_width(mass)
-        self.mode, self.g, self.b, self.mass, self.mixed = mode, g, b, mass, 0
+        self.mode, self.g, self.b, self.mass, self.mixed, self.offset = mode, g, b, mass, 0, 0
         self._packed = {idx: pack(poly, b) for idx, poly in coeffs.items() if poly}
 
-    def _of(self, g: int, b: int, mass: int, packed: dict, mixed: int = 0) -> "SkeinState":
+    def _of(self, g: int, b: int, mass: int, packed: dict, offset: int, mixed: int = 0) -> "SkeinState":
         """A state of this mode from packed coefficients."""
-        out = SkeinState.__new__(SkeinState)
-        out.mode, out.g, out.b, out.mass, out.mixed, out._packed = self.mode, g, b, mass, mixed, packed
-        return out
+        st = SkeinState.__new__(SkeinState)
+        st.mode, st.g, st.b, st.mass, st.mixed, st.offset, st._packed = self.mode, g, b, mass, mixed, offset, packed
+        return st
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
@@ -352,8 +360,8 @@ class SkeinState:
     @property
     def coeffs(self) -> dict[int, LaurentPoly]:
         """Every coefficient, decoded, by matching id."""
-        b = self.b
-        return {idx: LaurentPoly({r + 4 * i: c for i, c in enumerate(slot_values(P, b)) if c})
+        b, s = self.b, self.offset
+        return {idx: LaurentPoly({s + r + 4 * i: c for i, c in enumerate(slot_values(P, b)) if c})
                 for idx, (r, P) in self._packed.items()}
 
     def items(self) -> list[tuple[Matching, LaurentPoly]]:
@@ -367,26 +375,24 @@ class SkeinState:
         return len(self._packed)
 
     def span_bound(self) -> tuple[int, int, int]:
-        """(w, lo, hi) in C-level passes: every coefficient's span is at most
-        w = 4 * (widest |P|.bit_length() // b), since its lowest exponent is
-        at least r (zero low slots are kept); lo and hi are the lowest and
-        highest offset r.  (0, 0, 0) for an empty state."""
+        """(w, lo, hi) from one C-level pass: every span is at most w = 4 *
+        (widest |P|.bit_length() // b), as zero low slots are kept; lo and hi
+        are the lowest and highest offset.  (0, 0, 0) for an empty state."""
         if not self._packed:
             return 0, 0, 0
-        packed = self._packed.values()
-        rs, Ps = set(map(_first, packed)), list(map(_second, packed))
-        return 4 * (widest(Ps) // self.b), min(rs), max(rs)
+        rs, Ps = zip(*self._packed.values())
+        return 4 * (widest(Ps) // self.b), min(rs) + self.offset, max(rs) + self.offset
 
     def top_exponent(self) -> int:
         """The highest exponent of any coefficient, from bit lengths only."""
         b = self.b
-        return max(r + 4 * (P.bit_length() // b) for r, P in self._packed.values())
+        return self.offset + max(r + 4 * (P.bit_length() // b) for r, P in self._packed.values())
 
     def exponent_ranges(self) -> list[tuple[int, int, int]]:
         """(matching id, lowest exponent, highest exponent) of every
         coefficient, from the trailing zero bits and the bit length of P."""
-        b = self.b
-        return [(idx, r + 4 * (((P & -P).bit_length() - 1) // b), r + 4 * (P.bit_length() // b))
+        b, s = self.b, self.offset
+        return [(idx, s + r + 4 * (((P & -P).bit_length() - 1) // b), s + r + 4 * (P.bit_length() // b))
                 for idx, (r, P) in self._packed.items()]
 
     def term_count(self, idx: int) -> int:
@@ -395,11 +401,13 @@ class SkeinState:
 
     def nonpositive(self) -> int:
         """How many coefficients have a term < 0.  One mask of slot sign
-        bits, at least as wide as the widest coefficient, serves them all:
-        a P >= 0 has no bits above its top slot."""
+        bits, as wide as the widest coefficient, serves them all (a P >= 0
+        has no bits above its top slot); if no P is < 0, their union ends it."""
         if not self._packed:
             return 0
-        b, Ps = self.b, list(map(_second, self._packed.values()))
+        b, Ps = self.b, [*map(_second, self._packed.values())]
+        if min(Ps) >= 0 and not (union := reduce(or_, Ps)) & sign_bits(b, 1 << (union.bit_length() // b).bit_length()):
+            return 0
         bias = sign_bits(b, 1 << (widest(Ps) // b).bit_length())
         return sum(P < 0 or P & bias != 0 for P in Ps)
 
@@ -421,8 +429,8 @@ class SkeinState:
         mass = slot_mass(list(map(_second, packed.values())), b)
         wide = slot_width(mass * growth)
         if wide > b:
-            packed = {idx: (r, encode_slots(slot_values(P, b), wide)) for idx, (r, P) in packed.items()}
-        return self._of(self.g, max(b, wide), mass, packed)
+            packed = {idx: (r, widened_slots(P, b, wide)) for idx, (r, P) in packed.items()}
+        return self._of(self.g, max(b, wide), mass, packed, self.offset)
 
     # -- elementary events ---------------------------------------------------
 
@@ -438,7 +446,7 @@ class SkeinState:
         for idx, coeff in self._packed.items():
             mu = b.matching(idx)
             out[b.index_of(tuple(map(label, mu[r:] + mu[:r])))] = coeff
-        return self._of(g, self.b, self.mass, out)
+        return self._of(g, self.b, self.mass, out, self.offset)
 
     def birth(self, at: int) -> "SkeinState":
         return self._glue(at, 0, _ARC)
@@ -469,16 +477,16 @@ class SkeinState:
         unit = b // 4  # bits per unit of exponent difference
         # one smoothing closes at most k // 2 loops, as growth assumes; an
         # entry with more finds no sign and raises IndexError
-        negate = [_loop_power(self.mode, loops) < 0 for loops in range(k // 2 + 1)]
+        negate = _loop_power(self.mode, k // 2)
         table = _transition_table(g, at, k, smoothings, state._packed)
-        out: dict[int, tuple[int, int]] = {}
-        if (ident := _identity(smoothings, k)) is not None:  # each matching maps to itself
-            shift = smoothings[ident][1]
-            out = {idx: (r + shift, P) for idx, (r, P) in state._packed.items()}
+        ident = table.ident  # it maps each matching to itself: a copy, its A^shift in the offset
+        out = {} if ident is None else dict(state._packed)
+        offset = state.offset if ident is None else state.offset + smoothings[ident][1]
         mixed = 0
         for j, (_, shift) in enumerate(smoothings):
             if j == ident:
                 continue
+            shift += state.offset - offset
             column = table[j::width]
             for idx, (r, P) in state._packed.items():
                 packed = column[idx]
@@ -507,13 +515,13 @@ class SkeinState:
                     out[key] = p, S
                 else:
                     del out[key]
-        return self._of(g + ends - 2 * k, b, state.mass * growth, out, mixed)
+        return self._of(g + ends - 2 * k, b, state.mass * growth, out, offset, mixed)
 
     def apply(self, ev: Event) -> "SkeinState":
+        if isinstance(ev, Cross):
+            return self.cross(ev)
         if isinstance(ev, Birth):
             return self.birth(ev.at)
         if isinstance(ev, Cap):
             return self.cap(ev.at)
-        if isinstance(ev, Cross):
-            return self.cross(ev)
         raise TypeError(f"unknown event {ev!r}")

@@ -6,12 +6,13 @@ from grading import span_and_grade
 from hypothesis import given, settings, strategies as st
 from noncrossing import noncrossing_matchings
 
+import skeinscan.cutorder as cutorder
 import skeinscan.matchings as matchings
 import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
 from skeinscan.engine import fold_cutting
-from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly, encode_slots, slot_mass, slot_values
+from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly, encode_slots, slot_mass, slot_values, widened_slots
 from skeinscan.matchings import basis, catalan, is_noncrossing
 from skeinscan.skein import (
     BRACKET, PKBP, Birth, Cap, Cross, FrontierTooSmall, InvariantViolation,
@@ -313,6 +314,23 @@ def test_slot_mass_without_decoding_matches_the_slots(b):
     assert any(P < 0 for Ps in cases for P in Ps)
 
 
+@pytest.mark.parametrize("wide", [128, 192])
+def test_widening_repacks_like_decoding(wide):
+    # signed 64-bit slots, zeros and extreme values among them, repacked
+    # without decoding must equal the decode-and-encode of the same slots
+    rng = random.Random(wide)
+    edge = 2 ** 63 - 1
+    cases = [encode_slots(vals, 64) for vals in ([edge], [-edge], [0, 0, -edge], [1, -1], [-1])]
+    for _ in range(300):
+        bits = rng.randrange(1, 63)
+        vals = [0 if rng.random() < 0.3 else rng.randrange(-2 ** bits + 1, 2 ** bits) for _ in range(rng.randrange(40))]
+        vals.append(rng.choice((-1, 1)) * rng.randrange(1, 2 ** bits))
+        cases.append(encode_slots(vals, 64))
+    for P in cases:
+        assert widened_slots(P, 64, wide) == encode_slots(slot_values(P, 64), wide), P
+    assert any(P < 0 for P in cases)
+
+
 def test_state_refuses_a_coefficient_of_mixed_residues():
     with pytest.raises(ValueError, match="mixes exponent residues"):
         SkeinState(BRACKET, 0, {basis(0).index_of(()): LaurentPoly({0: 1, 2: 1})})
@@ -454,3 +472,81 @@ def test_table_entries_digest(fresh_ids):
         lines += 1
     assert lines == 6229
     assert digest.hexdigest() == "dd23ca0f1aab62c3dbe175ac8034cf0072dc1d7198366b2a66e7bb831334c523"
+
+
+def _walk_events(d, rng):
+    """The events of a seeded random cutting of d: each step takes one of
+    the legal moves of the frontier simulator, with its caps."""
+    scan = cutorder._Scan(d)
+    while moves := [(ci, mv) for ci, mvs in scan.frontier_moves().items() for mv in mvs] + \
+            cutorder._fresh_moves(scan, first_only=False):
+        ci, mv = rng.choice(moves)
+        scan.apply_cross(ci, *mv)
+    return scan.events
+
+
+def _readings(state):
+    """Everything a state answers about its coefficients, but the span
+    bound, which also reads the zero low slots that cancellation keeps."""
+    return (state.g, state.coeffs, state.items(), state.top_exponent(), state.exponent_ranges(),
+            state.nonpositive())
+
+
+def _rebased(state):
+    """The same packed values with the state-wide offset moved into each."""
+    packed = {idx: (state.offset + r, P) for idx, (r, P) in state._packed.items()}
+    return state._of(state.g, state.b, state.mass, packed, 0)
+
+
+# T(4,5) and braid_batch's twist-region closure of 24 crossings on 5 strands
+WALK_DIAGRAMS = [braid_closure([1, 2, 3] * 5, 4),
+                 braid_closure([4, 4, 4, 4, 4, 4, -2, -2, -2, 2, 4, 4, -3, 2, 2, 2, -3, -3, -3, -3, -4, 2, 1, 1], 5)]
+
+
+@pytest.mark.parametrize("mode", [BRACKET, PKBP])
+@pytest.mark.parametrize("d", WALK_DIAGRAMS, ids=["T45", "braid"])
+def test_state_offset_reads_like_a_fresh_state(mode, d):
+    # the identity smoothing moves the state-wide offset, not the packed
+    # offsets; every reader must add it back.  Nothing cancels in the
+    # positive variant, so there its span bound matches a fresh packing too
+    shifted = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        state = SkeinState.initial(mode)
+        for ev in _walk_events(d, rng):
+            state = state.apply(ev)
+            if not state.offset or not state.size():
+                continue
+            shifted += 1
+            r = rng.randrange(max(state.g, 1))
+            fresh = SkeinState(mode, state.g, state.coeffs)
+            assert fresh.offset == 0 and fresh.b == state.b
+            widened = [(state._widened(growth), fresh._widened(growth)) for growth in (1, 2 ** 70)]
+            assert [(got.b, got.mass) for got, _ in widened] == [(ref.b, ref.mass) for _, ref in widened]
+            for got, ref in ((state, fresh), (state.rotated(r), fresh.rotated(r)), *widened):
+                assert (got.b, _readings(got)) == (ref.b, _readings(ref))
+                assert got == ref
+                assert got.span_bound() == _rebased(got).span_bound()
+                if mode == PKBP:
+                    assert got.span_bound() == ref.span_bound()
+    assert shifted > 30
+
+
+def test_an_event_on_a_complete_table_reads_no_ids(fresh_ids):
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("the ids of a complete table were read")
+
+    smoothings = skein._CROSSINGS[0]
+    ids = [basis(4).index_of(m) for m in noncrossing_matchings(4)]
+    table = skein._transition_table(4, 1, 2, smoothings, ids[:1])
+    assert table.unbuilt == 1
+    assert skein._transition_table(4, 1, 2, smoothings, ids) is table
+    assert table.unbuilt == 0 and min(table) >= 0
+    assert skein._transition_table(4, 1, 2, smoothings, Unread()) is table
+    # the event itself reads the complete table, and the cup-cap on the
+    # matching whose absorbed points are partners keeps it, closing a loop
+    kept = basis(4).index_of((3, 2, 1, 0))
+    assert table[2 * kept + 1 - table.ident] == kept << 3 | 1
+    state = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
+    assert dict(state.cross(Cross(1, 2, True)).items()) == _linear_image(state, Cross(1, 2, True))
