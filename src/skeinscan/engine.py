@@ -111,7 +111,8 @@ class TangleExpansion:
 def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
     g = state.g
     span_bound, total_bound = 4 * (n + c) - 2 * g, 4 * (n + c)
-    if state.size() > (cat := catalan(g // 2)):
+    cat = catalan(g // 2)
+    if state.size() > cat:
         report["storage"]["violations"].append(
             f"{state.size()} matchings exceed Catalan({g // 2}) = {cat}"
         )

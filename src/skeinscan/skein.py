@@ -100,8 +100,6 @@ from .laurent import (DELTA, DELTA_PLUS, ONE, LaurentPoly, pack, sign_bits, slot
                       widened_slots, widest)
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
-_second = itemgetter(1)
-
 BRACKET = "bracket"
 PKBP = "pkbp"
 
@@ -349,9 +347,10 @@ class SkeinState:
 
     def _of(self, g: int, b: int, mass: int, packed: dict, offset: int, mixed: int = 0) -> "SkeinState":
         """A state of this mode from packed coefficients."""
-        st = SkeinState.__new__(SkeinState)
-        st.mode, st.g, st.b, st.mass, st.mixed, st.offset, st._packed = self.mode, g, b, mass, mixed, offset, packed
-        return st
+        out = SkeinState.__new__(SkeinState)
+        out.mode, out.g, out.b, out.mass, out.mixed = self.mode, g, b, mass, mixed
+        out.offset, out._packed = offset, packed
+        return out
 
     @classmethod
     def initial(cls, mode: str) -> "SkeinState":
@@ -375,9 +374,10 @@ class SkeinState:
         return len(self._packed)
 
     def span_bound(self) -> tuple[int, int, int]:
-        """(w, lo, hi) from one C-level pass: every span is at most w = 4 *
-        (widest |P|.bit_length() // b), as zero low slots are kept; lo and hi
-        are the lowest and highest offset.  (0, 0, 0) for an empty state."""
+        """(w, lo, hi) in C-level passes: every coefficient's span is at most
+        w = 4 * (widest |P|.bit_length() // b), since its lowest exponent is
+        at least r (zero low slots are kept); lo and hi are the lowest and
+        highest r + offset.  (0, 0, 0) for an empty state."""
         if not self._packed:
             return 0, 0, 0
         rs, Ps = zip(*self._packed.values())
@@ -402,13 +402,13 @@ class SkeinState:
     def nonpositive(self) -> int:
         """How many coefficients have a term < 0.  One mask of slot sign
         bits, as wide as the widest coefficient, serves them all (a P >= 0
-        has no bits above its top slot); if no P is < 0, their union ends it."""
+        has no bits above its top slot); with no P < 0, their union decides."""
         if not self._packed:
             return 0
-        b, Ps = self.b, [*map(_second, self._packed.values())]
-        if min(Ps) >= 0 and not (union := reduce(or_, Ps)) & sign_bits(b, 1 << (union.bit_length() // b).bit_length()):
-            return 0
+        b, Ps = self.b, [P for _, P in self._packed.values()]
         bias = sign_bits(b, 1 << (widest(Ps) // b).bit_length())
+        if min(Ps) >= 0 and not reduce(or_, Ps) & bias:
+            return 0
         return sum(P < 0 or P & bias != 0 for P in Ps)
 
     def dump_lines(self) -> list[str]:
@@ -426,7 +426,7 @@ class SkeinState:
         """This state with its true mass, in slots that hold that mass times
         `growth` below 2^(b-2): the same slots if they do, else wider ones."""
         b, packed = self.b, self._packed
-        mass = slot_mass(list(map(_second, packed.values())), b)
+        mass = slot_mass([P for _, P in packed.values()], b)
         wide = slot_width(mass * growth)
         if wide > b:
             packed = {idx: (r, widened_slots(P, b, wide)) for idx, (r, P) in packed.items()}
@@ -463,10 +463,9 @@ class SkeinState:
         g, ends, width = self.g, len(smoothings[0][0]), len(smoothings)
         if not 0 <= k <= min(ends, g):
             raise FrontierTooSmall(f"piece absorbing {k} points on frontier of {g}")
-        if k == 0:
-            if not 0 <= at <= g:
-                raise FrontierTooSmall(f"insertion at {at} on frontier of {g}")
-        else:
+        if k == 0 and not 0 <= at <= g:
+            raise FrontierTooSmall(f"insertion at {at} on frontier of {g}")
+        if k:
             at %= g
             if at + k > g:  # run wraps the seam: rotate it to 0
                 return self.rotated(at)._glue(0, k, smoothings)

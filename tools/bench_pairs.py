@@ -3,15 +3,16 @@
 
 Usage:
     python tools/bench_pairs.py --parent REV --parent-dir DIR --seed N \\
-        --pairs braid_batch=10 --pairs girth16=4 [--seconds S] \\
-        [--trace braid_batch] --out BENCH_<n>.json
+        --pairs braid_batch=10 --pairs girth16=4 [--trace braid_batch] \\
+        --out BENCH_<n>.json
 
 The change is this checkout's working tree.  The parent is REV exported
 with ``git archive`` into DIR, which must lie outside the checkout (a git
 worktree would register itself in the repository).  Each pair runs
-``perfbench/run.py --trace 0`` once per side, the parent first in even
-pairs and the change first in odd ones, since the second run of a back to
-back pair reads slower.  Before every run the ``__pycache__`` folders of
+``perfbench/run.py --trace 0`` once per side, for the ``run_seconds`` of
+this checkout's ``BENCHMARK.json``, the parent first in even pairs and the
+change first in odd ones, since the second run of a back to back pair
+reads slower.  Before every run the ``__pycache__`` folders of
 both trees are deleted and the run gets PYTHONDONTWRITEBYTECODE=1: a run
 that finds compiled bytecode skips compiling the program, which lowers its
 ``setup_s`` and ``peak_rss_mb``.  ``--trace W`` adds one ``--trace 1`` run
@@ -54,10 +55,12 @@ def export_parent(rev: str, target: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run from tree with no bytecode on disk; its JSON result."""
-    for cache in list(tree.rglob("__pycache__")):
+def run_once(trees: dict, side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run from trees[side] with no bytecode on disk in
+    either tree; its JSON result."""
+    for cache in [c for t in trees.values() for c in t.rglob("__pycache__")]:
         shutil.rmtree(cache)
+    tree = trees[side]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -101,21 +104,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--parent-dir", required=True, type=Path, help="export folder, outside the checkout")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     commit = export_parent(args.parent, args.parent_dir)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True)
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT, check=True,
                            capture_output=True, text=True).stdout.strip()
     trees = {"parent": args.parent_dir, "change": ROOT}
     result = {
-        "command": f"perfbench/run.py --workload <name> --seed {args.seed} --seconds {args.seconds} --trace 0",
+        "command": f"perfbench/run.py --workload <name> --seed {args.seed} --seconds {seconds} --trace 0",
         "host": f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}",
         "parent": commit, "change": head.stdout.strip() + (" with uncommitted edits" if dirty else ""),
-        "seed": args.seed, "seconds": args.seconds, "workloads": {}, "trace": {},
+        "seed": args.seed, "seconds": seconds, "workloads": {}, "trace": {},
     }
     for spec in args.pairs:
         workload, count = spec.split("=")
@@ -124,13 +127,13 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"pair": i, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], workload, args.seed, args.seconds, 0)
+                pair[side] = run_once(trees, side, workload, args.seed, seconds, 0)
             wall = {side: pair[side]["metrics"]["wall_s"]["value"] for side in order}
             print(f"{workload} pair {i}: parent {wall['parent']:.4f} s, change {wall['change']:.4f} s", flush=True)
             pairs.append(pair)
         result["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
     for workload in args.trace:
-        result["trace"][workload] = {side: run_once(trees[side], workload, args.seed, args.seconds, 1)
+        result["trace"][workload] = {side: run_once(trees, side, workload, args.seed, seconds, 1)
                                      for side in ("parent", "change")}
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
