@@ -150,13 +150,7 @@ def _check_state(state: SkeinState, n: int, c: int, report: dict) -> None:
 
 
 def _new_report() -> dict:
-    return {
-        "mod4": {"violations": []},
-        "span": {"violations": []},
-        "total_span": {"violations": []},
-        "storage": {"violations": []},
-        "positivity": {"violations": []},
-    }
+    return {key: {"violations": []} for key in ("mod4", "span", "total_span", "storage", "positivity")}
 
 
 def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tuple[SkeinState, dict, int]:

@@ -268,8 +268,9 @@ def _transition_table(g: int, at: int, k: int, smoothings, ids) -> _Table:
     with ids `ids` built (see the module docstring).  One base per matching
     holds the shifted partners; each smoothing's window rule, resolved to
     positions once per window, rewrites those whose partners change unless
-    it keeps the window, as the identity must.  Only an intern miss is
-    checked, then interned; an entry is written once all its outputs passed."""
+    it keeps the window, as the identity must.  Only an output the intern
+    table misses is checked, then interned; an entry is written once all
+    its outputs passed, so a raise leaves it -1."""
     width, ends = len(smoothings), len(smoothings[0][0])
     key = (g, at, k, smoothings)
     table = _TABLES.get(key)
@@ -331,9 +332,10 @@ class SkeinState:
     """Sparse map from matchings of g frontier points to coefficients.
 
     Built from ``LaurentPoly`` coefficients keyed by matching id, which it
-    packs (see the module docstring); every reader adds ``offset`` to each r.
-    ``mixed`` counts the contributions the event that made the state left
-    out for mixed exponent residues."""
+    packs (see the module docstring); ``coeffs`` and ``items`` decode them,
+    and every reader adds ``offset`` to each r.  ``mixed`` counts the
+    contributions the event that made the state left out for mixed
+    exponent residues."""
 
     __slots__ = ("mode", "g", "b", "mass", "mixed", "offset", "_packed")
 
@@ -401,8 +403,9 @@ class SkeinState:
 
     def nonpositive(self) -> int:
         """How many coefficients have a term < 0.  One mask of slot sign
-        bits, as wide as the widest coefficient, serves them all (a P >= 0
-        has no bits above its top slot); with no P < 0, their union decides."""
+        bits, at least as wide as the widest coefficient, serves them all:
+        a P >= 0 has no bits above its top slot.  With no P < 0, one test
+        of their union decides."""
         if not self._packed:
             return 0
         b, Ps = self.b, [P for _, P in self._packed.values()]
