@@ -22,3 +22,14 @@ def corpus_expected(corpus_dir):
     from skeinscan.verify import load_expected
 
     return load_expected(corpus_dir)
+
+
+@pytest.fixture
+def fresh_cuttings():
+    """An empty cutting cache, so every search in the test runs (patched or
+    not); emptied again afterwards."""
+    from skeinscan import engine
+
+    engine._CUTTINGS.clear()
+    yield engine._CUTTINGS
+    engine._CUTTINGS.clear()

@@ -258,7 +258,7 @@ def test_engine_frontier_fault_exits_three(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fault", ["processed crossing", "no crossing"])
-def test_greedy_fault_exits_three(monkeypatch, capsys, fault):
+def test_greedy_fault_exits_three(monkeypatch, capsys, fresh_cuttings, fault):
     # greedy offering a processed crossing, or none while some are left, is
     # an engine fault, not an input error
     greedy_move, first = cutorder._greedy_move, []

@@ -7,7 +7,7 @@ from grading import span_and_grade
 
 import skeinscan.engine as engine
 from skeinscan.construct import add_kink, braid_closure, braid_tangle, torus_link
-from skeinscan.cutorder import Cutting, greedy_cutting, improve_cutting
+from skeinscan.cutorder import Cutting, InvalidOrder, TooLarge, exact_min_girth, greedy_cutting, improve_cutting
 from skeinscan.engine import (
     EmptyDiagram, NotClosed, check_mod4_link, compute_bracket, compute_jones,
     compute_pkbp, expand_tangle, fold_cutting, make_cutting,
@@ -16,7 +16,7 @@ from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly
 from skeinscan.matchings import basis, catalan
 from skeinscan.oracle import brute_force_bracket, brute_force_tangle_expansion
 from skeinscan.planar import DARK, Crossing, Diagram, MissingOrientation, checkerboard, parse_pd, validate
-from skeinscan.skein import BRACKET, PKBP, Birth, SkeinState
+from skeinscan.skein import BRACKET, PKBP, Birth, Cross, SkeinState
 
 UNKNOT = parse_pd("O")
 HOPF = parse_pd("X[1,3,2,4] X[3,1,4,2]")
@@ -354,3 +354,89 @@ def test_folds_never_need_the_exact_pass(monkeypatch):
         _, report, _ = fold_cutting(d, greedy_cutting(d), mode)
         assert all(check["ok"] for check in report.values())
     assert calls == []
+
+
+def _outputs(result):
+    """Everything a compute call reports but its timings."""
+    checks = {k: v for k, v in result.diagnostics.items() if k != "timings"}
+    return result.polynomial, result.girth_used, result.peak_state_size, checks, result.cutting.to_json()
+
+
+def _counted(monkeypatch, search):
+    """Record every diagram the engine hands to the search named ``search``."""
+    calls, real = [], getattr(engine, search)
+    monkeypatch.setattr(engine, search, lambda d: calls.append(d) or real(d))
+    return calls
+
+
+def test_equal_diagrams_share_one_search(monkeypatch, fresh_cuttings):
+    text = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
+    computes = (compute_bracket, compute_pkbp, compute_jones)
+    cold = []
+    for compute in computes:
+        fresh_cuttings.clear()
+        cold.append(_outputs(compute(parse_pd(text))))
+    fresh_cuttings.clear()
+    calls = _counted(monkeypatch, "greedy_cutting")
+    # each call parses the text anew
+    assert [_outputs(compute(parse_pd(text))) for compute in computes] == cold
+    assert len(calls) == 1
+
+
+def test_a_mirror_gets_its_own_cutting(fresh_cuttings):
+    mirror = FIG8.mirrored()
+    ours, theirs = make_cutting(FIG8), make_cutting(mirror)
+    assert theirs.events == greedy_cutting(mirror).events
+    overs = [[ev.over_first for ev in c.events if isinstance(ev, Cross)] for c in (ours, theirs)]
+    assert overs[1] == [not over for over in overs[0]]
+    assert len(fresh_cuttings) == 2
+
+
+def test_each_strategy_keeps_its_own_cutting(fresh_cuttings):
+    greedy, exact = greedy_cutting(TREFOIL).events, exact_min_girth(TREFOIL).events
+    assert greedy != exact
+    assert make_cutting(TREFOIL, "greedy").events == greedy
+    assert make_cutting(TREFOIL, "exact").events == exact
+
+
+def test_a_callers_cutting_is_its_own(fresh_cuttings):
+    first = compute_bracket(TREFOIL)
+    expected = first.cutting.to_json()
+    first.cutting.events.clear()
+    first.cutting.source_order.reverse()
+    assert compute_pkbp(TREFOIL).cutting.to_json() == expected
+
+
+@pytest.mark.parametrize("d, order, error", [
+    (torus_link(21), "exact", TooLarge),
+    (parse_pd("X[1,2,3,4] B[1,3,2,4]"), "greedy", InvalidOrder),
+    (parse_pd("X[1,2,3,4] B[1,3,2,4]"), "exact", InvalidOrder),
+])
+def test_a_failed_search_raises_again(monkeypatch, fresh_cuttings, d, order, error):
+    calls = _counted(monkeypatch, {"greedy": "greedy_cutting", "exact": "exact_min_girth"}[order])
+    for _ in range(2):
+        with pytest.raises(error):
+            make_cutting(d, order)
+    assert len(calls) == 2 and not fresh_cuttings
+
+
+def test_a_diagram_with_list_fields_computes(fresh_cuttings):
+    listed = Diagram([Crossing(list(c.arcs), c.over) for c in FIG8.crossings], 1, [])
+    assert compute_bracket(listed).polynomial == compute_bracket(Diagram(FIG8.crossings, 1)).polynomial
+    assert len(fresh_cuttings) == 1  # equal values, one entry
+    tangle = parse_pd("X[1,2,3,4]o1 B[1,2,3,4]")
+    listed = Diagram(list(tangle.crossings), 0, list(tangle.boundary_arcs))
+    assert expand_tangle(listed).coeffs == expand_tangle(tangle).coeffs
+
+
+def test_the_cutting_cache_keeps_the_most_recently_used(monkeypatch, fresh_cuttings):
+    calls = _counted(monkeypatch, "greedy_cutting")
+    first, *rest = [torus_link(k) for k in range(2, engine.CUTTINGS_KEPT + 3)]
+    make_cutting(first)
+    for d in rest:
+        make_cutting(first)  # used again before every new entry, so never the oldest
+        make_cutting(d)
+    assert len(fresh_cuttings) == engine.CUTTINGS_KEPT
+    make_cutting(first)
+    make_cutting(rest[0])  # dropped as the least recently used
+    assert calls == [first, *rest, rest[0]]
