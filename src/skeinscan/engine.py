@@ -192,31 +192,29 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
     return state, report, peak
 
 
-# The searches' cuttings, shared by every mode and every call in the process:
-# a cutting depends on the diagram alone, never on the loop value.  Keyed by
-# the strategy and the diagram's value (crossings with their over flags, free
-# loops, boundary), so equal diagrams share one however they were built; the
-# CUTTINGS_KEPT most recently used are kept.
-CUTTINGS_KEPT = 4
+# The last search's cutting, shared by every mode and every call in the
+# process: a cutting depends on the diagram alone, never on the loop value.
+# Keyed by the strategy and the diagram's value (crossings with their over
+# flags, free loops, boundary), so equal diagrams share one however they were
+# built.  One entry: callers compute the modes of a diagram back to back.
 _CUTTINGS: dict[tuple, Cutting] = {}
 
 
 def make_cutting(d: Diagram, order="greedy") -> Cutting:
     """Verify an explicit cutting, or run the named search ("greedy" or
-    "exact") once per diagram value; each caller gets its own Cutting.  A
-    search that raises is not kept, so it raises again."""
+    "exact") unless the last search was of an equal diagram; each caller gets
+    its own Cutting.  A search that raises is not kept, so it raises again."""
     if isinstance(order, Cutting):
         verify_cutting(d, order)
         return order
     if order not in ("greedy", "exact"):
         raise ValueError(f"unknown order strategy {order!r}")
     key = (order, d.free_loops, tuple(d.boundary_arcs), *((tuple(c.arcs), c.over) for c in d.crossings))
-    cutting = _CUTTINGS.pop(key, None)
+    cutting = _CUTTINGS.get(key)
     if cutting is None:
         cutting = greedy_cutting(d) if order == "greedy" else exact_min_girth(d)
-        if len(_CUTTINGS) >= CUTTINGS_KEPT:
-            del _CUTTINGS[next(iter(_CUTTINGS))]
-    _CUTTINGS[key] = cutting  # last in the dict's order: the most recently used
+        _CUTTINGS.clear()
+        _CUTTINGS[key] = cutting
     return Cutting(list(cutting.events), cutting.girth, list(cutting.source_order), cutting.final_rotation)
 
 

@@ -383,13 +383,14 @@ def test_equal_diagrams_share_one_search(monkeypatch, fresh_cuttings):
     assert len(calls) == 1
 
 
-def test_a_mirror_gets_its_own_cutting(fresh_cuttings):
+def test_a_mirror_gets_its_own_cutting(monkeypatch, fresh_cuttings):
+    calls = _counted(monkeypatch, "greedy_cutting")
     mirror = FIG8.mirrored()
     ours, theirs = make_cutting(FIG8), make_cutting(mirror)
     assert theirs.events == greedy_cutting(mirror).events
     overs = [[ev.over_first for ev in c.events if isinstance(ev, Cross)] for c in (ours, theirs)]
     assert overs[1] == [not over for over in overs[0]]
-    assert len(fresh_cuttings) == 2
+    assert calls == [FIG8, mirror] and len(fresh_cuttings) == 1  # the mirror's replaced FIG8's
 
 
 def test_each_strategy_keeps_its_own_cutting(fresh_cuttings):
@@ -420,23 +421,12 @@ def test_a_failed_search_raises_again(monkeypatch, fresh_cuttings, d, order, err
     assert len(calls) == 2 and not fresh_cuttings
 
 
-def test_a_diagram_with_list_fields_computes(fresh_cuttings):
+def test_a_diagram_with_list_fields_computes(monkeypatch, fresh_cuttings):
+    calls = _counted(monkeypatch, "greedy_cutting")
     listed = Diagram([Crossing(list(c.arcs), c.over) for c in FIG8.crossings], 1, [])
     assert compute_bracket(listed).polynomial == compute_bracket(Diagram(FIG8.crossings, 1)).polynomial
-    assert len(fresh_cuttings) == 1  # equal values, one entry
+    assert len(calls) == 1  # equal values, one search
     tangle = parse_pd("X[1,2,3,4]o1 B[1,2,3,4]")
     listed = Diagram(list(tangle.crossings), 0, list(tangle.boundary_arcs))
     assert expand_tangle(listed).coeffs == expand_tangle(tangle).coeffs
 
-
-def test_the_cutting_cache_keeps_the_most_recently_used(monkeypatch, fresh_cuttings):
-    calls = _counted(monkeypatch, "greedy_cutting")
-    first, *rest = [torus_link(k) for k in range(2, engine.CUTTINGS_KEPT + 3)]
-    make_cutting(first)
-    for d in rest:
-        make_cutting(first)  # used again before every new entry, so never the oldest
-        make_cutting(d)
-    assert len(fresh_cuttings) == engine.CUTTINGS_KEPT
-    make_cutting(first)
-    make_cutting(rest[0])  # dropped as the least recently used
-    assert calls == [first, *rest, rest[0]]
