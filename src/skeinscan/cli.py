@@ -141,7 +141,7 @@ def cmd_girth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(corpus_dir=args.corpus, max_n=args.max_n, seed=args.seed)
+    report = run_verify(max_n=args.max_n, seed=args.seed)
     print(render_report(report, as_json=args.json))
     return EXIT_OK if report["ok"] else EXIT_CHECKS
 
@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_girth)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--corpus", default=None, help="corpus directory (default: bundled)")
     p.add_argument("--max-n", type=int, default=12, dest="max_n")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -20,26 +20,22 @@ from .oracle import brute_force_bracket, brute_force_tangle_expansion
 from .planar import Diagram, parse_pd
 from .skein import PKBP
 
-DEFAULT_CORPUS = Path(__file__).resolve().parents[2] / "corpus"
+CORPUS = Path(__file__).resolve().parents[2] / "corpus"
 
 
-def load_corpus(corpus_dir: Path | str | None = None) -> dict[str, Diagram]:
-    """All .pd files in the corpus directory, keyed by stem."""
-    root = Path(corpus_dir) if corpus_dir else DEFAULT_CORPUS
+def load_corpus() -> dict[str, Diagram]:
+    """All .pd files in the bundled corpus, keyed by stem."""
     out: dict[str, Diagram] = {}
-    for path in sorted(root.glob("*.pd")):
+    for path in sorted(CORPUS.glob("*.pd")):
         out[path.stem] = parse_pd(path.read_text())
     if not out:
-        raise FileNotFoundError(f"no .pd files under {root}")
+        raise FileNotFoundError(f"no .pd files under {CORPUS}")
     return out
 
 
-def load_expected(corpus_dir: Path | str | None = None) -> dict[str, dict]:
-    root = Path(corpus_dir) if corpus_dir else DEFAULT_CORPUS
-    path = root / "expected.json"
-    if not path.exists():
-        return {}
-    return json.loads(path.read_text())
+def load_expected() -> dict[str, dict]:
+    """The bundled corpus's oracle-verified expected values, by stem."""
+    return json.loads((CORPUS / "expected.json").read_text())
 
 
 def tangle_fixtures(seed: int = 0) -> dict[str, Diagram]:
@@ -72,11 +68,11 @@ def _suite(ok: bool, cases: int, failures: list[str]) -> dict:
     return {"ok": ok and not failures, "cases": cases, "failures": failures}
 
 
-def run_verify(corpus_dir=None, max_n: int = 12, seed: int = 0) -> dict:
+def run_verify(max_n: int = 12, seed: int = 0) -> dict:
     """Run every suite; the returned report's ``ok`` is the conjunction."""
     t_start = time.perf_counter()
-    corpus = load_corpus(corpus_dir)
-    expected = load_expected(corpus_dir)
+    corpus = load_corpus()
+    expected = load_expected()
     report: dict = {"seed": seed, "max_n": max_n, "suites": {}}
     timings: dict[str, float] = {}
 

@@ -1,27 +1,11 @@
-from pathlib import Path
-
 import pytest
 
-PKG_ROOT = Path(__file__).resolve().parents[1]
-
 
 @pytest.fixture(scope="session")
-def corpus_dir() -> Path:
-    return PKG_ROOT / "corpus"
-
-
-@pytest.fixture(scope="session")
-def corpus(corpus_dir):
+def corpus():
     from skeinscan.verify import load_corpus
 
-    return load_corpus(corpus_dir)
-
-
-@pytest.fixture(scope="session")
-def corpus_expected(corpus_dir):
-    from skeinscan.verify import load_expected
-
-    return load_expected(corpus_dir)
+    return load_corpus()
 
 
 @pytest.fixture

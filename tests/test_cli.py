@@ -88,6 +88,7 @@ def test_jones_of_a_tangle_exits_one():
     ["girth", "--pd", "O", "--seed", "1"],
     ["compute", "--pd", "O", "--order", "anneal"],
     ["compute", "--pd", "O", "--strict"],
+    ["verify", "--corpus", "corpus"],
 ])
 def test_usage_errors_exit_one(args):
     proc = run_cli(*args, expect=1)
@@ -372,6 +373,17 @@ def test_pd_from_file(tmp_path):
 def test_verify_subset():
     proc = run_cli("verify", "--max-n", "6", "--seed", "3")
     assert "all suites passed" in proc.stdout
+
+
+def test_verify_without_expected_values_exits_one(monkeypatch, capsys, tmp_path):
+    # the stored-expectation check is never skipped: a corpus without
+    # expected.json is an input error
+    import skeinscan.verify as verify
+
+    (tmp_path / "hopf.pd").write_text(HOPF)
+    monkeypatch.setattr(verify, "CORPUS", tmp_path)
+    assert cli.main(["verify", "--max-n", "6"]) == cli.EXIT_INPUT
+    assert "expected.json" in capsys.readouterr().err
 
 
 def test_verify_json_deterministic_modulo_timings():
