@@ -573,7 +573,8 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
     recorded move as recorded: a crossing event is legal when its rot is a
     slot 0..3 and, if it absorbs tokens, ``_Scan.frontier_moves`` offers its
     (at, absorb, rot).  The replay must then reproduce every recorded event
-    (over_first included), the final rotation and the girth exactly.
+    (over_first included), the final rotation and the girth exactly, and
+    ``source_order`` must list the crossings of the Cross events in order.
     Like the searches, it starts each piece of the diagram (a connected
     set of crossings) fresh only once; the fold's component count relies
     on that."""
@@ -617,3 +618,5 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
         raise InvalidCutting("final rotation does not match")
     if scan.girth != cutting.girth:
         raise InvalidCutting(f"replayed girth {scan.girth} != recorded {cutting.girth}")
+    if cutting.source_order != [ev.crossing for ev in events if isinstance(ev, Cross)]:
+        raise InvalidCutting(f"source_order {cutting.source_order} is not the order of the cross events")

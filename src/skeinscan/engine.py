@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from .cutorder import Cutting, exact_min_girth, greedy_cutting, sqrt_bound_check, verify_cutting
 from .laurent import LaurentPoly
 from .matchings import Matching, catalan
-from .planar import DARK, LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
+from .planar import LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
 from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, InvariantViolation, SkeinState
 
 
@@ -299,26 +299,22 @@ def compute_jones(d: Diagram, orientation=None, order="greedy", trace_fn=None) -
 
 def check_mod4_link(d: Diagram, raw: LaurentPoly, trace: FaceTrace | None = None) -> dict:
     """Verify every exponent of the raw (pre-division) bracket against the
-    checkerboard residue w + 2e - 2e_base mod 4, under both colorings.
-    e_base counts the dark disks of the empty closure: 1 when the outer face
-    is dark, else 0.  ``trace`` is the diagram's face trace, if already made.
-    The dark-outer coloring swaps colors: w' = -w, e' = sum of chi - 2n - e."""
+    checkerboard residue w + 2e mod 4 of the light-outer coloring.  The
+    dark-outer residue, -w - 2n - 2e, is the same, since w = n mod 2.
+    ``trace`` is the diagram's face trace, if already made."""
     out = {"violations": [], "ok": True}
     if raw.is_zero():
         out["violations"].append("raw bracket is zero")
         out["ok"] = False
         return out
-    ft = trace or trace_faces(d)
     residues = {e % 4 for e, _ in raw}
-    cb = checkerboard(d, LIGHT, trace=ft)
-    chi = sum(f.chi for f in ft.faces)
-    for outer_color, w, e, e_base in ((LIGHT, cb.w, cb.e, 0), (DARK, -cb.w, chi - 2 * d.n - cb.e, 1)):
-        expected = (w + 2 * e - 2 * e_base) % 4
-        out[outer_color] = {"w": w, "e": e, "expected_residue": expected}
-        if residues != {expected}:
-            out["violations"].append(
-                f"raw exponents have residues {sorted(residues)} mod 4, expected "
-                f"{expected} from w={w}, e={e} ({outer_color} outer face)"
-            )
+    cb = checkerboard(d, trace=trace)
+    expected = (cb.w + 2 * cb.e) % 4
+    out[LIGHT] = {"w": cb.w, "e": cb.e, "expected_residue": expected}
+    if residues != {expected}:
+        out["violations"].append(
+            f"raw exponents have residues {sorted(residues)} mod 4, expected "
+            f"{expected} from w={cb.w}, e={cb.e}"
+        )
     out["ok"] = not out["violations"]
     return out

@@ -375,19 +375,16 @@ def trace_faces(d: Diagram) -> FaceTrace:
 
 @dataclass
 class Checkerboarding:
-    face_colors: dict[int, str]
     e: int  # Euler characteristic of the dark surface
     w: int  # positive minus negative crossings relative to the dark surface
 
 
-def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None = None) -> Checkerboarding:
-    """Two-color the faces so no two faces sharing an arc agree, seeding the
-    outer face with ``outer_color``; compute the dark-surface Euler number e
-    and the signed crossing count w."""
-    if outer_color not in (DARK, LIGHT):
-        raise ValueError(f"outer_color must be {DARK!r} or {LIGHT!r}")
+def checkerboard(d: Diagram, trace: FaceTrace | None = None) -> Checkerboarding:
+    """Two-color the faces so no two faces sharing an arc agree, with the
+    outer face light; compute the dark-surface Euler number e and the signed
+    crossing count w."""
     ft = trace or trace_faces(d)
-    colors: dict[int, str] = {ft.outer_face: outer_color}
+    colors: dict[int, str] = {ft.outer_face: LIGHT}
     queue = [ft.outer_face]
     adjacency: dict[int, set[int]] = {f.ident: set() for f in ft.faces}
     for h, k in enumerate(d.other):  # the faces on the two sides of an arc
@@ -422,7 +419,7 @@ def checkerboard(d: Diagram, outer_color: str = LIGHT, trace: FaceTrace | None =
         # over strand counterclockwise (see module docstring diagram)
         w += 1 if parity == c.over else -1
 
-    return Checkerboarding(colors, e, w)
+    return Checkerboarding(e, w)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Criteria:
    n <= 10, g <= 8; the whole sweep stays under five minutes.
 2. Mod-4 grading: every coefficient at every fold step has one exponent
    residue; at link level the residue matches the checkerboard formula
-   (w + 2e, adjusted by the base closure's dark disk when the outer face
-   is dark) under both colorings.
+   w + 2e mod 4 of the light-outer coloring (the dark-outer one gives the
+   same residue).
 3. Span bounds: per-coefficient span <= 4(n+c) - 2g at every step, positive
    mode total span <= 4(n+c), and every span a multiple of four.
 4. Storage bound: peak state entries <= Catalan(girth/2) and per-coefficient

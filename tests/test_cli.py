@@ -235,6 +235,22 @@ def test_cutting_header_of_the_wrong_type_exits_one(tmp_path, pd, field, value, 
     assert "Traceback" not in proc.stderr
 
 
+# a source order that is not the crossing order of the cross events: before,
+# both loaded, and girth printed the wrong order back
+@pytest.mark.parametrize("reorder", [lambda order: [7, 7, -3], lambda order: order[1:] + order[:1]],
+                         ids=["not_a_permutation", "another_permutation"])
+@pytest.mark.parametrize("command", [["compute"], ["girth", "--json"]])
+def test_cutting_source_order_must_match_the_events(tmp_path, reorder, command):
+    cutting = json.loads(run_cli("girth", "--pd", TREFOIL, "--json").stdout)["cutting"]
+    assert cutting["source_order"] == [ev["crossing"] for ev in cutting["events"] if ev["type"] == "cross"]
+    cutting["source_order"] = reorder(cutting["source_order"])
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(cutting))
+    proc = run_cli(*command, "--pd", TREFOIL, "--order", f"@{path}", expect=1)
+    assert "source_order" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cutting_restarting_a_started_piece_exits_one(tmp_path):
     # T(2,5) is one piece; its second fresh start (crossing 2) would split
     # one component into two partial ones

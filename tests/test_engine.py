@@ -15,7 +15,7 @@ from skeinscan.engine import (
 from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly
 from skeinscan.matchings import basis, catalan
 from skeinscan.oracle import brute_force_bracket, brute_force_tangle_expansion
-from skeinscan.planar import DARK, Crossing, Diagram, MissingOrientation, checkerboard, parse_pd, validate
+from skeinscan.planar import Crossing, Diagram, MissingOrientation, parse_pd, validate
 from skeinscan.skein import BRACKET, PKBP, Birth, Cross, SkeinState
 
 UNKNOT = parse_pd("O")
@@ -198,21 +198,11 @@ def test_mod4_link_report_unknot():
     info = res.diagnostics["mod4_link"]
     assert info["ok"]
     assert info["light"] == {"w": 0, "e": 1, "expected_residue": 2}
-    assert info["dark"] == {"w": 0, "e": 0, "expected_residue": 2}
 
 
 def test_mod4_link_on_the_raw_polynomial():
     res = compute_bracket(TREFOIL)
     assert check_mod4_link(TREFOIL, res.raw_polynomial)["ok"]
-
-
-def test_mod4_link_derives_the_dark_coloring(corpus):
-    # one checkerboard pass: the dark-outer coloring swaps the colors, so
-    # its w and e follow from the light one's
-    for name, d in corpus.items():
-        info = check_mod4_link(d, LaurentPoly.one())
-        dark = checkerboard(d, DARK)
-        assert (info[DARK]["w"], info[DARK]["e"]) == (dark.w, dark.e), name
 
 
 def test_order_independence_strategies():

@@ -6,7 +6,6 @@ import pytest
 from gluing import SizeMismatch, glue_loop_count
 from noncrossing import OddBoundary, noncrossing_matchings
 
-import skeinscan.matchings as matchings
 from skeinscan.matchings import Basis, catalan, format_matching, is_noncrossing
 
 
@@ -124,19 +123,25 @@ def test_noncrossing_check_agrees_with_reference_on_near_misses():
                 expected = reference_is_noncrossing(tuple(case))
                 assert is_noncrossing(tuple(case)) == expected, case
                 verdicts.add((kind, expected))
+                fresh = Basis(g)
+                if expected:
+                    assert fresh.index_of(tuple(case)) == 0
+                else:
+                    with pytest.raises(ValueError):
+                        fresh.index_of(tuple(case))
+                    assert len(fresh) == 0, case
     # re-pairing two chords gives an involution that crosses, or not
     assert verdicts >= {("match", True), ("repair", True), ("repair", False), ("swap", False)}
 
 
-def test_basis_shares_the_checked_tuple():
-    # the intern table stores the tuple the noncrossing check decoded, so a
-    # matching is held once, whatever tuple the caller passed
+def test_basis_interns_a_copy_and_rejects_a_crossing_matching():
+    # the intern table keys a matching by value, whatever tuple the caller
+    # passed, and a crossing matching leaves it unchanged
     m = noncrossing_matchings(10)[17]
     assert is_noncrossing(m)
     b = Basis(10)
     b.index_of(tuple(list(m)))
     assert b.matching(0) == m
-    assert b.matching(0) is matchings._DECODED[matchings._word(m)]
     with pytest.raises(ValueError):
         b.index_of((2, 3, 0, 1, 5, 4, 7, 6, 9, 8))
     assert len(b) == 1

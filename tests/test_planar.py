@@ -5,7 +5,7 @@ from diagram_stats import graph_components, stats
 
 from skeinscan.construct import braid_tangle
 from skeinscan.planar import (
-    DARK, LIGHT, ArcMultiplicityError, Crossing, MissingOrientation,
+    ArcMultiplicityError, Crossing, MissingOrientation,
     NonPlanarError, ParseError, checkerboard, parse_pd, render_pd,
     trace_faces, writhe,
 )
@@ -100,33 +100,16 @@ def test_graph_components_split():
 
 
 def test_checkerboard_free_loop():
-    cb = checkerboard(parse_pd("O"), LIGHT)
+    cb = checkerboard(parse_pd("O"))
     assert (cb.e, cb.w) == (1, 0)
-    cb = checkerboard(parse_pd("O"), DARK)
-    assert (cb.e, cb.w) == (0, 0)
 
 
 def test_checkerboard_two_crossing_tangle_values():
     # two separated crossings of opposite handedness inside a surrounding
-    # chord: the two colorings give (e=2, w=-2) and (e=2, w=2)
+    # chord: the light-outer coloring gives e=2, w=-2
     d = parse_pd("X[1,2,3,4]o0 X[5,6,7,8]o1 B[9,1,2,3,4,9,5,6,7,8]")
-    cl, cd = checkerboard(d, LIGHT), checkerboard(d, DARK)
-    assert (cl.e, cl.w) == (2, -2)
-    assert (cd.e, cd.w) == (2, 2)
-
-
-def test_checkerboard_swap_flips_colors_and_negates_w(corpus):
-    sample = [d for d in corpus.values() if 0 < d.n <= 8][:10]
-    for d in sample:
-        ft = trace_faces(d)
-        cl = checkerboard(d, LIGHT, trace=ft)
-        cd = checkerboard(d, DARK, trace=ft)
-        assert cd.w == -cl.w
-        for fid, color in cl.face_colors.items():
-            assert cd.face_colors[fid] != color
-        # dark-surface Euler numbers partition the faces' total characteristic
-        total = sum(f.chi for f in ft.faces)
-        assert (cl.e + d.n) + (cd.e + d.n) == total
+    cb = checkerboard(d)
+    assert (cb.e, cb.w) == (2, -2)
 
 
 def test_writhe_hopf_parallel():
