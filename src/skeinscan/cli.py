@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="greedy", help="greedy|exact|@cutting.json")
     p.add_argument("--oriented", default=None, help="orientation signs per component, e.g. +-")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true", help="dump the state after every event")
+    p.add_argument("--trace", action="store_true", help="dump the state after each fold step (a run is one)")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("girth", help="analyze the cutting of a diagram")

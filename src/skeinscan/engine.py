@@ -1,8 +1,9 @@
 """Top-level computations: bracket, positive variant, tangle expansion, and
 the writhe-normalized Jones polynomial.
 
-The fold replays a cutting's events through the skein state machine.  After
-every event the structural invariants are checked against the partial
+The fold replays a cutting's events through the skein state machine, by
+fold steps: an event, or a run of crossings glued as one (``fold_steps``).
+After every step the structural invariants are checked against the partial
 tangle's crossing count n, component count c and frontier size g, and any
 violation is recorded in the diagnostics (they all encode theorems, so a
 violation means an engine bug or a deliberately mutated build):
@@ -27,18 +28,20 @@ cancellation left zero low slots that make w overstate a span, go to the
 exact pass: it reads every coefficient's lowest and highest exponent,
 counts terms only where the span allows more, and writes the reports.
 
-n counts the Cross events so far.  c is the number of pieces of the diagram
-(connected sets of crossings, ``crossing_pieces``) that some Cross event so
-far belongs to, plus the births so far.  This holds because every cutting
-starts a piece fresh (absorbing nothing) only while none of its crossings is
-processed -- the searches offer fresh starts of unstarted pieces only, and
-``compile_order`` and ``verify_cutting`` reject the rest -- and from then on
-every crossing of the piece absorbs ends of that piece's one partial
-component, so components never merge: each started piece is one component,
-and so is each birth (a free loop; crossingless boundary chords are not
-scanned, ``expand_tangle`` adds them after the fold).  A
-cutting that broke the rule would make c too small, which only tightens the
-bounds: it can raise a false alarm, never hide a violation.
+n counts the Cross events so far, every crossing of a run included: after a
+run the partial tangle is the one its last crossing completes, so every
+bound holds as it does event by event.  c is the number of pieces of the
+diagram (connected sets of crossings, ``crossing_pieces``) that some Cross
+event so far belongs to, plus the births so far.  This holds because every
+cutting starts a piece fresh (absorbing nothing) only while none of its
+crossings is processed -- the searches offer fresh starts of unstarted
+pieces only, and ``compile_order`` and ``verify_cutting`` reject the rest --
+and from then on every crossing of the piece absorbs ends of that piece's
+one partial component, so components never merge: each started piece is one
+component, and so is each birth (a free loop; crossingless boundary chords
+are not scanned, ``expand_tangle`` adds them after the fold).  A cutting
+that broke the rule would make c too small, which only tightens the bounds:
+it can raise a false alarm, never hide a violation.
 
 The raw fold closes every loop with the loop value, so a closed diagram
 yields the loop value times the result; one exact division restores the
@@ -50,12 +53,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .cutorder import Cutting, exact_min_girth, greedy_cutting, sqrt_bound_check, verify_cutting
 from .laurent import LaurentPoly
 from .matchings import Matching, catalan
 from .planar import LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
-from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, InvariantViolation, SkeinState
+from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cap, Cross, Event, InvariantViolation, SkeinState
 
 
 class NotClosed(ValueError):
@@ -153,28 +157,46 @@ def _new_report() -> dict:
     return {key: {"violations": []} for key in ("mod4", "span", "total_span", "storage", "positivity")}
 
 
+def fold_steps(events: list[Event]) -> Iterator[Event | tuple[Cross, ...]]:
+    """A cutting's events as fold steps: a maximal run of Cross events that
+    each absorb 2 points where the one before emitted its 2 ends (the same at
+    mod g, once the seam rule put the first at 0) is a tuple, one step."""
+    i = g = 0
+    while i < len(events):
+        ev, j = events[i], i + 1
+        if isinstance(ev, Cross) and ev.absorb == 2 and g >= 2:
+            at = ev.at % g if ev.at % g + 2 <= g else 0
+            while j < len(events) and isinstance(e := events[j], Cross) and e.absorb == 2 and e.at % g == at:
+                j += 1
+        yield ev if j == i + 1 else tuple(events[i:j])
+        g += 2 if isinstance(ev, Birth) else -2 if isinstance(ev, Cap) else 4 - 2 * ev.absorb
+        i = j
+
+
 def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tuple[SkeinState, dict, int]:
-    """Replay a cutting's events, checking invariants after every event,
-    then the peak state against Catalan(girth/2) and, for a closed diagram,
-    the girth against its sqrt bound.  Returns the final state, the
-    diagnostics report, and the peak number of matchings held at once."""
+    """Replay a cutting's ``fold_steps``, checking invariants after every
+    step (n and c count every crossing of a run), then the peak state
+    against Catalan(girth/2) and, for a closed diagram, the girth against
+    its sqrt bound.  Returns the final state, the diagnostics report, and
+    the peak number of matchings held at once."""
     piece = crossing_pieces(d)
     state = SkeinState.initial(mode)
     report = _new_report()
     peak = state.size()
     n = births = 0
     started: set[int] = set()  # pieces some crossing so far belongs to
-    for ev in cutting.events:
-        state = state.apply(ev)
-        if isinstance(ev, Cross):
-            n += 1
-            started.add(piece[ev.crossing])
-        elif isinstance(ev, Birth):
-            births += 1
+    for step in fold_steps(cutting.events):
+        state = state.apply(step)
+        for ev in step if isinstance(step, tuple) else (step,):
+            if isinstance(ev, Cross):
+                n += 1
+                started.add(piece[ev.crossing])
+            elif isinstance(ev, Birth):
+                births += 1
         peak = max(peak, state.size())
         _check_state(state, n, len(started) + births, report)
         if trace_fn is not None:
-            trace_fn(ev, state)
+            trace_fn(step, state)
     if cutting.final_rotation:
         state = state.rotated(cutting.final_rotation)
         if trace_fn is not None:

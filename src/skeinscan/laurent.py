@@ -9,7 +9,7 @@ with the Kronecker helpers below (see ``skein``) and reads them back out.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Sequence
 
 
@@ -267,6 +267,14 @@ def widened_slots(P: int, b: int, wide: int) -> int:
     raw = (P + sign_bits(b, n)).to_bytes(n * w, "little")
     spread = int.from_bytes(bytes((wide - b) // 8).join([raw[i:i + w] for i in range(0, n * w, w)]), "little")
     return spread - (sign_bits(wide, n) >> (wide - b))  # minus H, spread the same way
+
+
+def reslotted(P: int, b: int, wide: int) -> int:
+    """P's slot values c_i in slots of `wide` bits: sum_i c_i 2^(wide*i),
+    which reads back as the c_i while each fits its slot."""
+    if wide > b:
+        return widened_slots(P, b, wide)
+    return P if wide == b else reduce(lambda acc, c: (acc << wide) + c, reversed(slot_values(P, b)), 0)
 
 
 def slot_values(P: int, b: int) -> list[int]:

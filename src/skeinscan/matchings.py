@@ -55,10 +55,10 @@ class Basis:
 
     Starts empty; ``index_of`` issues ids 0, 1, 2, ... in order of first
     sight, so state maps and transition tables can be keyed by small
-    integers.  Only noncrossing matchings are interned, so ids stay below
-    Catalan(g/2) and a tuple found in ``ids`` is noncrossing.  A miss is
-    checked by ``is_noncrossing`` and stores the caller's tuple, which is
-    then the only copy.
+    integers.  Only noncrossing matchings on g points are interned, so ids
+    stay below Catalan(g/2) and a tuple found in ``ids`` is one.  A miss is
+    checked for its length and by ``is_noncrossing`` and stores the
+    caller's tuple, which is then the only copy.
     """
 
     __slots__ = ("g", "matchings", "ids")
@@ -74,8 +74,8 @@ class Basis:
     def index_of(self, m: Matching) -> int:
         idx = self.ids.get(m)
         if idx is None:
-            if not is_noncrossing(m):
-                raise ValueError(f"{m} is not a noncrossing matching")
+            if len(m) != self.g or not is_noncrossing(m):
+                raise ValueError(f"{m} is not a noncrossing matching of {self.g} points")
             idx = self.ids[m] = len(self.matchings)
             self.matchings.append(m)
         return idx

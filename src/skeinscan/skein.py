@@ -55,6 +55,15 @@ keeps every window, as each table build checks, so the merge starts from a
 copy of the state's dict and moves A^(+-1) into the state-wide ``offset``,
 which every reader adds to each r; it reads the table for the cup-cap only.
 
+A run of such crossings, each absorbing the 2 points the one before
+emitted (``engine.fold_steps``), is one piece: as e^2 = delta e,
+(x1 + y1 e)(x2 + y2 e) = x1 x2 + (x1 y2 + x2 y1 + delta y1 y2) e, so it
+weighs x + y e, x a power of A and y packed like a coefficient.
+``_run_weight`` composes it in halves, memoized by the weights and the
+loop value's sign as they read at call time.  The merge copies the state
+for the identity, with x in the offset, and multiplies each P by y's
+packed Y for the cup-cap, which a y of 0 (an R2 bigon) skips.
+
 Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
 By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
 (r, P) with P = sum_i c_i 2^(b*i) in signed slots of b bits, a multiple of
@@ -71,9 +80,15 @@ An event multiplies mass by len(smoothings) << (k // 2): each closed loop
 uses an old chord between two absorbed points, so one smoothing closes at
 most k // 2 loops; a loop factor at most doubles the sum of |c_i|; a shift
 or a sign change keeps it; and a merge is never larger than the sum of its
-parts.  When mass times that growth would reach 2^(b-2), mass becomes the
-true sum, measured without decoding (``laurent.slot_mass``), and the slots
-widen if they must (``SkeinState._widened``).
+parts.  A run multiplies mass by 1 + 2 L1(y), L1 the sum of |c_i|: the
+identity keeps each coefficient, and the cup-cap multiplies its L1 by at
+most L1(y) and closes at most one loop.  Composing halves of L1 m1 and
+m2, each term and every partial sum has L1 at most m1 + m2 + 2 m1 m2
+(delta's is 2), whatever cancels, so ``_run_weight`` multiplies in slots
+with that below 2^(b-2); ``laurent.reslotted`` moves Y to the state's
+slots.  When mass times the growth would reach 2^(b-2), mass becomes the
+true sum, measured without decoding (``laurent.slot_mass``), and the
+slots widen if they must (``SkeinState._widened``).
 
 A fold step on one coefficient is then a few C-level bigint operations,
 whatever its number of terms: the smoothing's power of A changes r; each
@@ -96,8 +111,8 @@ from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import Mapping
 
-from .laurent import (DELTA, DELTA_PLUS, ONE, LaurentPoly, pack, sign_bits, slot_mass, slot_values, slot_width,
-                      widened_slots, widest)
+from .laurent import (DELTA, DELTA_PLUS, ONE, LaurentPoly, pack, reslotted, sign_bits, slot_mass, slot_values,
+                      slot_width, widened_slots, widest)
 from .matchings import Matching, basis, catalan, format_matching, is_noncrossing
 
 BRACKET = "bracket"
@@ -249,6 +264,28 @@ def _identity(smoothings, k: int) -> int | None:
     2k - 1 - m emitted at its position: it maps every matching to itself."""
     return next((j for j, (p, _) in enumerate(smoothings)
                  if len(p) == 2 * k and all(p[m] == 2 * k - 1 - m for m in range(k))), None)
+
+
+@lru_cache(maxsize=None)
+def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool) -> tuple[int, int, int, int, int, int]:
+    """The product of crossings A^x_i + A^y_i e, given as the pairs (x_i,
+    y_i), with e^2 the loop value (negative: its sign) times e, composed in
+    halves: (x, r, Y, b, mass, mixed) for A^x + A^r Y(A^4) e, Y in slots of
+    b bits, mass its sum of |c_i|, mixed the terms left out for residues."""
+    if len(leaves) == 1:
+        (x, r), = leaves
+        return x, r, 1, 64, 1, 0
+    x1, r1, Y1, b1, m1, n1 = _run_weight(leaves[:len(leaves) // 2], negative)
+    x2, r2, Y2, b2, m2, n2 = _run_weight(leaves[len(leaves) // 2:], negative)
+    b = max(b1, b2, -(-((m1 + m2 + 2 * m1 * m2).bit_length() + 2) // 64) * 64)
+    Y1, Y2 = reslotted(Y1, b1, b), reslotted(Y2, b2, b)
+    Z = Y1 * Y2
+    Z += Z << b
+    terms = [(q, Q) for q, Q in ((x1 + r2, Y2), (x2 + r1, Y1), (r1 + r2 - 2, -Z if negative else Z)) if Q]
+    r = min((q for q, _ in terms), default=0)
+    Y = sum(Q << b // 4 * (q - r) for q, Q in terms if (q - r) % 4 == 0)
+    # a term of another residue is left out and counted, as in a merge
+    return x1 + x2, r, Y, b, slot_mass([Y], b), n1 + n2 + sum((q - r) % 4 != 0 for q, _ in terms)
 
 
 class _Table(array):
@@ -457,12 +494,21 @@ class SkeinState:
     def cap(self, at: int) -> "SkeinState":
         return self._glue(at, 2, _ARC)
 
-    def cross(self, ev: Cross) -> "SkeinState":
-        return self._glue(ev.at, ev.absorb, _CROSSINGS[a_smoothing_class(ev.absorb, ev.over_first)])
+    def cross(self, ev: Cross | tuple[Cross, ...]) -> "SkeinState":
+        """Glue one crossing, or a run of them as one piece: a tuple of
+        crossings that each absorb the 2 points the one before emitted."""
+        if isinstance(ev, Cross):
+            return self._glue(ev.at, ev.absorb, _CROSSINGS[a_smoothing_class(ev.absorb, ev.over_first)])
+        flags = [e.over_first for e in ev]
+        # per over flag: the exponents of A on the identity and on the cup-cap
+        leaf = {f: (s[j][1], s[1 - j][1]) for f in set(flags)
+                for s in [_CROSSINGS[a_smoothing_class(2, f)]] for j in [_identity(s, 2)]}
+        weight = _run_weight(tuple(map(leaf.__getitem__, flags)), _loop_power(self.mode, 1)[1])
+        return self._glue(ev[0].at, 2, _CROSSINGS[a_smoothing_class(2, flags[0])], weight)
 
-    def _glue(self, at: int, k: int, smoothings) -> "SkeinState":
+    def _glue(self, at: int, k: int, smoothings, run=None) -> "SkeinState":
         """Glue a piece absorbing the k points from `at` on, and expand the
-        result over its smoothings (see the module docstring)."""
+        result over its smoothings, or a run's weight (``_run_weight``)."""
         g, ends, width = self.g, len(smoothings[0][0]), len(smoothings)
         if not 0 <= k <= min(ends, g):
             raise FrontierTooSmall(f"piece absorbing {k} points on frontier of {g}")
@@ -471,9 +517,9 @@ class SkeinState:
         if k:
             at %= g
             if at + k > g:  # run wraps the seam: rotate it to 0
-                return self.rotated(at)._glue(0, k, smoothings)
+                return self.rotated(at)._glue(0, k, smoothings, run)
 
-        growth = width << k // 2
+        growth = width << k // 2 if run is None else 1 + 2 * run[4]
         state = self._widened(growth) if (self.mass * growth) >> (self.b - 2) else self
         b = state.b
         unit = b // 4  # bits per unit of exponent difference
@@ -482,15 +528,19 @@ class SkeinState:
         negate = _loop_power(self.mode, k // 2)
         table = _transition_table(g, at, k, smoothings, state._packed)
         ident = table.ident  # it maps each matching to itself: a copy, its A^shift in the offset
+        weights, mixed = [(shift, 1) for _, shift in smoothings], 0
+        if run is not None:  # A^x on the identity, A^r Y on the other smoothing
+            x, r, Y, bY, _, mixed = run
+            weights[ident], weights[1 - ident] = (x, 1), (r, reslotted(Y, bY, b))
         out = {} if ident is None else dict(state._packed)
-        offset = state.offset if ident is None else state.offset + smoothings[ident][1]
-        mixed = 0
-        for j, (_, shift) in enumerate(smoothings):
-            if j == ident:
+        offset = state.offset if ident is None else state.offset + weights[ident][0]
+        for j, (shift, Y) in enumerate(weights):
+            if j == ident or not Y:  # an R2 bigon's run weighs the cup-cap 0
                 continue
             shift += state.offset - offset
             column = table[j::width]
-            for idx, (r, P) in state._packed.items():
+            entries = state._packed.items() if Y == 1 else [(idx, (r, P * Y)) for idx, (r, P) in state._packed.items()]
+            for idx, (r, P) in entries:
                 packed = column[idx]
                 q, Q = r + shift, P
                 loops = packed & 7
@@ -519,8 +569,8 @@ class SkeinState:
                     del out[key]
         return self._of(g + ends - 2 * k, b, state.mass * growth, out, offset, mixed)
 
-    def apply(self, ev: Event) -> "SkeinState":
-        if isinstance(ev, Cross):
+    def apply(self, ev: Event | tuple[Cross, ...]) -> "SkeinState":
+        if isinstance(ev, (Cross, tuple)):
             return self.cross(ev)
         if isinstance(ev, Birth):
             return self.birth(ev.at)

@@ -147,6 +147,15 @@ def test_basis_interns_a_copy_and_rejects_a_crossing_matching():
     assert len(b) == 1
 
 
+def test_basis_rejects_a_matching_of_another_length():
+    # a noncrossing matching on 2 points is no matching on 10
+    b = Basis(10)
+    for m in ((1, 0), (), noncrossing_matchings(12)[3]):
+        with pytest.raises(ValueError):
+            b.index_of(m)
+    assert len(b) == 0
+
+
 def test_basis_interning():
     # ids are issued in order of first sight, here the reverse of the
     # canonical order, and asking again returns the same id

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ import skeinscan.matchings as matchings
 import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
-from skeinscan.engine import fold_cutting
+from skeinscan.engine import fold_cutting, fold_steps
 from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly, encode_slots, slot_mass, slot_values, widened_slots
 from skeinscan.matchings import basis, catalan, is_noncrossing
 from skeinscan.skein import (
@@ -550,3 +551,60 @@ def test_an_event_on_a_complete_table_reads_no_ids(fresh_ids):
     assert table[2 * kept + 1 - table.ident] == kept << 3 | 1
     state = SkeinState.initial(BRACKET).cross(Cross(0, 0, True))
     assert dict(state.cross(Cross(1, 2, True)).items()) == _linear_image(state, Cross(1, 2, True))
+
+
+def _crossing_weights(cls):
+    """A crossing of class cls absorbing 2 points as identity weight and
+    cup-cap weight, read from its pairings."""
+    weights = dict(skein._CROSSINGS[cls])
+    return LaurentPoly.monomial(1, weights[3, 2, 1, 0]), LaurentPoly.monomial(1, weights[1, 0, 3, 2])
+
+
+@pytest.mark.parametrize("mode", [BRACKET, PKBP])
+def test_run_weight_is_the_product_of_its_crossings(mode):
+    # each crossing is x_i + y_i e with e^2 = delta e; the composed run must
+    # be their product, here expanded one crossing at a time
+    delta = skein.LOOP_VALUES[mode]
+    for length in range(1, 7):
+        for classes in itertools.product((0, 1), repeat=length):
+            x, y = LaurentPoly.one(), LaurentPoly.zero()
+            for cls in classes:
+                a, b = _crossing_weights(cls)
+                x, y = x * a, x * b + y * a + delta * y * b
+            leaves = tuple((a.min_exp(), b.min_exp()) for a, b in map(_crossing_weights, classes))
+            wx, r, Y, width, mass, mixed = skein._run_weight(leaves, mode == BRACKET)
+            assert LaurentPoly.monomial(1, wx) == x
+            assert LaurentPoly({r + 4 * i: c for i, c in enumerate(slot_values(Y, width))}) == y, classes
+            assert (mass, mixed) == (sum(abs(c) for _, c in y), 0)
+
+
+@pytest.mark.parametrize("mode", [BRACKET, PKBP])
+def test_runs_fold_like_their_events(mode):
+    # 60 seeded braid closures, each under its greedy cutting and a random
+    # walk; every fold step must leave the state that applying its events
+    # one at a time leaves, values and size alike.  The walks reach runs
+    # whose first crossing wraps the seam, and the braids R2 bigons, whose
+    # run weighs the cup-cap 0 in bracket mode; in pkbp nothing cancels
+    rng = random.Random(26)
+    wrapped = cancelled = 0
+    for _ in range(60):
+        strands = rng.randint(3, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(6, 30))]
+        d = braid_closure(word, strands)
+        for events in (greedy_cutting(d).events, _walk_events(d, rng)):
+            by_step = by_event = SkeinState.initial(mode)
+            for step in fold_steps(events):
+                if isinstance(step, tuple):
+                    g = by_step.g
+                    wrapped += step[0].at % g + 2 > g
+                    flags = [ev.over_first for ev in step]
+                    leaves = tuple((a.min_exp(), b.min_exp()) for a, b in
+                                   (_crossing_weights(skein.a_smoothing_class(2, f)) for f in flags))
+                    cancelled += skein._run_weight(leaves, mode == BRACKET)[2] == 0
+                by_step = by_step.apply(step)
+                for ev in step if isinstance(step, tuple) else (step,):
+                    by_event = by_event.apply(ev)
+                assert by_step == by_event
+                assert by_step.size() == by_event.size()
+    assert wrapped >= 5
+    assert cancelled >= 5 if mode == BRACKET else cancelled == 0

@@ -2,7 +2,7 @@
 the loop value's sign, the smoothing weight assignment, the state-size cap
 or the component count each has to turn at least one suite red, and so must
 a transition table that answers for the wrong smoothing class or holds a
-corrupted entry, a smoothing weight that breaks the mod-4 grading, and
+corrupted entry, a corrupted run weight, a smoothing weight that breaks the mod-4 grading, and
 coefficient slots that are too narrow for their values.  A window rule that
 builds a crossing matching must stop the fold before any table holds it,
 also when every sound output is already interned, and so must a smoothing
@@ -155,13 +155,34 @@ def test_mixed_residues_detected(monkeypatch):
 def test_undersized_slots_detected(monkeypatch):
     # a widening step that keeps the state as it is never repacks, so the
     # slots stay 64 bits wide while the mass bound outgrows them; the
-    # positive variant of T(2,50) overflows them at n=43, and the overflow
-    # sets a slot's sign bit
+    # positive variant of T(2,50) overflows them within its 48-crossing run,
+    # checked at its end, n=49, and the overflow sets a slot's sign bit
     monkeypatch.setattr(skein.SkeinState, "_widened", lambda state, growth: state)
     d = torus_link(50)
     _, report, _ = fold_cutting(d, greedy_cutting(d), skein.PKBP)
     assert not report["positivity"]["ok"]
-    assert report["positivity"]["violations"][0].startswith("nonpositive coefficient at n=43,")
+    assert report["positivity"]["violations"][0].startswith("nonpositive coefficient at n=49,")
+
+
+def test_corrupted_run_weight_detected(monkeypatch):
+    # adding 1 to the lowest slot of every composed cup-cap weight keeps its
+    # residues, so only the values can tell; torus_2_5, torus_2_6, knot_5_2
+    # and other corpus diagrams with n <= 6 fold runs
+    original = skein._run_weight
+    original.cache_clear()
+
+    def corrupted(leaves, negative):
+        x, r, Y, b, mass, mixed = original(leaves, negative)
+        return x, r, Y + 1, b, mass + 1, mixed
+
+    monkeypatch.setattr(skein, "_run_weight", corrupted)
+    try:
+        report = run_verify(max_n=6)
+    finally:
+        monkeypatch.undo()
+        original.cache_clear()  # it kept halves composed from corrupted ones
+    assert not report["ok"]
+    assert not report["suites"]["oracle_equivalence"]["ok"]
 
 
 def test_nonpositive_coefficient_detected(monkeypatch):
