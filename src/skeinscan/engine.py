@@ -1,12 +1,12 @@
 """Top-level computations: bracket, positive variant, tangle expansion, and
 the writhe-normalized Jones polynomial.
 
-The fold replays a cutting's events through the skein state machine, by
-fold steps: an event, or a run of crossings glued as one (``fold_steps``).
-After every step the structural invariants are checked against the partial
-tangle's crossing count n, component count c and frontier size g, and any
-violation is recorded in the diagnostics (they all encode theorems, so a
-violation means an engine bug or a deliberately mutated build):
+The fold replays a cutting's events through the skein state machine.  After
+every fold step (``step_end``) the structural invariants are checked against
+the partial tangle's crossing count n, component count c and frontier size
+g, and any violation is recorded in the diagnostics (they all encode
+theorems, so a violation means an engine bug or a deliberately mutated
+build):
 
 * no merge met two contributions whose exponents differ mod 4 (the state
   leaves such a contribution out and counts it, ``SkeinState.mixed``);
@@ -28,20 +28,18 @@ cancellation left zero low slots that make w overstate a span, go to the
 exact pass: it reads every coefficient's lowest and highest exponent,
 counts terms only where the span allows more, and writes the reports.
 
-n counts the Cross events so far, every crossing of a run included: after a
-run the partial tangle is the one its last crossing completes, so every
-bound holds as it does event by event.  c is the number of pieces of the
-diagram (connected sets of crossings, ``crossing_pieces``) that some Cross
-event so far belongs to, plus the births so far.  This holds because every
-cutting starts a piece fresh (absorbing nothing) only while none of its
-crossings is processed -- the searches offer fresh starts of unstarted
-pieces only, and ``compile_order`` and ``verify_cutting`` reject the rest --
-and from then on every crossing of the piece absorbs ends of that piece's
-one partial component, so components never merge: each started piece is one
-component, and so is each birth (a free loop; crossingless boundary chords
-are not scanned, ``expand_tangle`` adds them after the fold).  A cutting
-that broke the rule would make c too small, which only tightens the bounds:
-it can raise a false alarm, never hide a violation.
+n counts the Cross events so far.  c is the number of pieces of the diagram
+(connected sets of crossings, ``crossing_pieces``) that some Cross event so
+far belongs to, plus the births so far.  This holds because every cutting
+starts a piece fresh (absorbing nothing) only while none of its crossings is
+processed -- the searches offer fresh starts of unstarted pieces only, and
+``compile_order`` and ``verify_cutting`` reject the rest -- and from then on
+every crossing of the piece absorbs ends of that piece's one partial
+component, so components never merge: each started piece is one component,
+and so is each birth (a free loop; crossingless boundary chords are not
+scanned, ``expand_tangle`` adds them after the fold).  A
+cutting that broke the rule would make c too small, which only tightens the
+bounds: it can raise a false alarm, never hide a violation.
 
 The raw fold closes every loop with the loop value, so a closed diagram
 yields the loop value times the result; one exact division restores the
@@ -53,13 +51,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .cutorder import Cutting, exact_min_girth, greedy_cutting, sqrt_bound_check, verify_cutting
 from .laurent import LaurentPoly
 from .matchings import Matching, catalan
 from .planar import LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
-from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cap, Cross, Event, InvariantViolation, SkeinState
+from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, Event, InvariantViolation, SkeinState
 
 
 class NotClosed(ValueError):
@@ -157,37 +154,35 @@ def _new_report() -> dict:
     return {key: {"violations": []} for key in ("mod4", "span", "total_span", "storage", "positivity")}
 
 
-def fold_steps(events: list[Event]) -> Iterator[Event | tuple[Cross, ...]]:
-    """A cutting's events as fold steps: a maximal run of Cross events that
-    each absorb 2 points where the one before emitted its 2 ends (the same at
-    mod g, once the seam rule put the first at 0) is a tuple, one step."""
-    i = g = 0
-    while i < len(events):
-        ev, j = events[i], i + 1
-        if isinstance(ev, Cross) and ev.absorb == 2 and g >= 2:
-            at = ev.at % g if ev.at % g + 2 <= g else 0
-            while j < len(events) and isinstance(e := events[j], Cross) and e.absorb == 2 and e.at % g == at:
-                j += 1
-        yield ev if j == i + 1 else tuple(events[i:j])
-        g += 2 if isinstance(ev, Birth) else -2 if isinstance(ev, Cap) else 4 - 2 * ev.absorb
-        i = j
+def step_end(state: SkeinState, events: list[Event], i: int) -> int:
+    """The end of the fold step from events[i] on state: a maximal run of Cross
+    events that each absorb 2 points where the first is glued (they keep g)."""
+    j, ev = i + 1, events[i]
+    if isinstance(ev, Cross) and ev.absorb == 2 and state.g >= 2:
+        at = state.glued_at(ev.at, 2)
+        while j < len(events) and isinstance(e := events[j], Cross) and e.absorb == 2 and e.at % state.g == at:
+            j += 1
+    return j
 
 
 def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tuple[SkeinState, dict, int]:
-    """Replay a cutting's ``fold_steps``, checking invariants after every
-    step (n and c count every crossing of a run), then the peak state
-    against Catalan(girth/2) and, for a closed diagram, the girth against
-    its sqrt bound.  Returns the final state, the diagnostics report, and
-    the peak number of matchings held at once."""
+    """Replay a cutting's events by fold steps (``step_end``), checking
+    invariants after every step, then the peak state against Catalan(girth/2)
+    and, for a closed diagram, the girth against its sqrt bound.  Returns the
+    final state, the diagnostics report, and the peak number of matchings
+    held after a step (a run's inner states are never built)."""
     piece = crossing_pieces(d)
     state = SkeinState.initial(mode)
     report = _new_report()
     peak = state.size()
-    n = births = 0
+    n = births = i = 0
     started: set[int] = set()  # pieces some crossing so far belongs to
-    for step in fold_steps(cutting.events):
+    events = cutting.events
+    while i < len(events):
+        j = step_end(state, events, i)
+        step = events[i] if j == i + 1 else tuple(events[i:j])
         state = state.apply(step)
-        for ev in step if isinstance(step, tuple) else (step,):
+        for ev in events[i:j]:
             if isinstance(ev, Cross):
                 n += 1
                 started.add(piece[ev.crossing])
@@ -197,6 +192,7 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
         _check_state(state, n, len(started) + births, report)
         if trace_fn is not None:
             trace_fn(step, state)
+        i = j
     if cutting.final_rotation:
         state = state.rotated(cutting.final_rotation)
         if trace_fn is not None:
@@ -264,7 +260,8 @@ def _compute(d: Diagram, mode: str, order, trace_fn) -> BracketResult:
 
 def compute_bracket(d: Diagram, order="greedy", trace_fn=None) -> BracketResult:
     """The bracket of a closed diagram, normalized so the unknot maps to 1.
-    ``trace_fn(event, state)``, if given, sees the state after every event."""
+    ``trace_fn(step, state)``, if given, sees the state after every fold
+    step: an event, or the tuple of a run's events (``step_end``)."""
     return _compute(d, BRACKET, order, trace_fn)
 
 

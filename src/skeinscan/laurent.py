@@ -270,8 +270,8 @@ def widened_slots(P: int, b: int, wide: int) -> int:
 
 
 def reslotted(P: int, b: int, wide: int) -> int:
-    """P's slot values c_i in slots of `wide` bits: sum_i c_i 2^(wide*i),
-    which reads back as the c_i while each fits its slot."""
+    """P's slot values c_i in slots of `wide` bits, sum_i c_i 2^(wide*i); one
+    too wide carries into the next slot (``encode_slots`` would raise)."""
     if wide > b:
         return widened_slots(P, b, wide)
     return P if wide == b else reduce(lambda acc, c: (acc << wide) + c, reversed(slot_values(P, b)), 0)

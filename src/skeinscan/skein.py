@@ -56,13 +56,11 @@ copy of the state's dict and moves A^(+-1) into the state-wide ``offset``,
 which every reader adds to each r; it reads the table for the cup-cap only.
 
 A run of such crossings, each absorbing the 2 points the one before
-emitted (``engine.fold_steps``), is one piece: as e^2 = delta e,
-(x1 + y1 e)(x2 + y2 e) = x1 x2 + (x1 y2 + x2 y1 + delta y1 y2) e, so it
-weighs x + y e, x a power of A and y packed like a coefficient.
-``_run_weight`` composes it in halves, memoized by the weights and the
-loop value's sign as they read at call time.  The merge copies the state
-for the identity, with x in the offset, and multiplies each P by y's
-packed Y for the cup-cap, which a y of 0 (an R2 bigon) skips.
+emitted (``engine.step_end``), is one piece: as e^2 = delta e, its product
+(``_run_weight``) is x + y e, x a power of A and y packed like a
+coefficient.  The merge copies the state for the identity, with x in the
+offset, and multiplies each P by y's packed Y for the cup-cap, which a y
+of 0 (an R2 bigon) skips.
 
 Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
 By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
@@ -81,14 +79,13 @@ uses an old chord between two absorbed points, so one smoothing closes at
 most k // 2 loops; a loop factor at most doubles the sum of |c_i|; a shift
 or a sign change keeps it; and a merge is never larger than the sum of its
 parts.  A run multiplies mass by 1 + 2 L1(y), L1 the sum of |c_i|: the
-identity keeps each coefficient, and the cup-cap multiplies its L1 by at
-most L1(y) and closes at most one loop.  Composing halves of L1 m1 and
-m2, each term and every partial sum has L1 at most m1 + m2 + 2 m1 m2
-(delta's is 2), whatever cancels, so ``_run_weight`` multiplies in slots
-with that below 2^(b-2); ``laurent.reslotted`` moves Y to the state's
-slots.  When mass times the growth would reach 2^(b-2), mass becomes the
-true sum, measured without decoding (``laurent.slot_mass``), and the
-slots widen if they must (``SkeinState._widened``).
+cup-cap multiplies it by at most L1(y) and closes at most one loop.  In
+(x1 + y1 e)(x2 + y2 e) = x1 x2 + (x1 y2 + x2 y1 + delta y1 y2) e every
+partial sum has L1 at most m1 + m2 + 2 m1 m2, m_i = L1(y_i), so
+``_run_weight`` multiplies in slots with that below 2^(b-2).  When mass
+times the growth would reach 2^(b-2), mass becomes the true sum, measured
+without decoding (``laurent.slot_mass``), and the slots widen if they
+must (``SkeinState._widened``).
 
 A fold step on one coefficient is then a few C-level bigint operations,
 whatever its number of terms: the smoothing's power of A changes r; each
@@ -266,26 +263,28 @@ def _identity(smoothings, k: int) -> int | None:
                  if len(p) == 2 * k and all(p[m] == 2 * k - 1 - m for m in range(k))), None)
 
 
-@lru_cache(maxsize=None)
-def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool) -> tuple[int, int, int, int, int, int]:
-    """The product of crossings A^x_i + A^y_i e, given as the pairs (x_i,
-    y_i), with e^2 the loop value (negative: its sign) times e, composed in
-    halves: (x, r, Y, b, mass, mixed) for A^x + A^r Y(A^4) e, Y in slots of
-    b bits, mass its sum of |c_i|, mixed the terms left out for residues."""
-    if len(leaves) == 1:
-        (x, r), = leaves
-        return x, r, 1, 64, 1, 0
-    x1, r1, Y1, b1, m1, n1 = _run_weight(leaves[:len(leaves) // 2], negative)
-    x2, r2, Y2, b2, m2, n2 = _run_weight(leaves[len(leaves) // 2:], negative)
-    b = max(b1, b2, -(-((m1 + m2 + 2 * m1 * m2).bit_length() + 2) // 64) * 64)
-    Y1, Y2 = reslotted(Y1, b1, b), reslotted(Y2, b2, b)
-    Z = Y1 * Y2
-    Z += Z << b
-    terms = [(q, Q) for q, Q in ((x1 + r2, Y2), (x2 + r1, Y1), (r1 + r2 - 2, -Z if negative else Z)) if Q]
-    r = min((q for q, _ in terms), default=0)
-    Y = sum(Q << b // 4 * (q - r) for q, Q in terms if (q - r) % 4 == 0)
-    # a term of another residue is left out and counted, as in a merge
-    return x1 + x2, r, Y, b, slot_mass([Y], b), n1 + n2 + sum((q - r) % 4 != 0 for q, _ in terms)
+def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool, memo=None) -> tuple[int, ...]:
+    """The product of crossings A^x_i + A^y_i e, given as the pairs (x_i, y_i),
+    e^2 the loop value (negative: its sign) times e, composed in halves, each
+    distinct part once (memo), so k equal crossings take about 2 log2 k
+    products: (x, r, Y, b, mass, mixed) for A^x + A^r Y(A^4) e, Y in slots
+    of b bits, mass its sum of |c_i|, mixed the terms left out for residues."""
+    if memo is None:
+        memo = {(leaf,): (*leaf, 1, 64, 1, 0) for leaf in set(leaves)}
+    w = memo.get(leaves)
+    if w is None:
+        x1, r1, Y1, b1, m1, n1 = _run_weight(leaves[:len(leaves) // 2], negative, memo)
+        x2, r2, Y2, b2, m2, n2 = _run_weight(leaves[len(leaves) // 2:], negative, memo)
+        b = max(b1, b2, slot_width(m1 + m2 + 2 * m1 * m2))
+        Y1, Y2 = reslotted(Y1, b1, b), reslotted(Y2, b2, b)
+        Z = Y1 * Y2
+        Z += Z << b
+        terms = [(q, Q) for q, Q in ((x1 + r2, Y2), (x2 + r1, Y1), (r1 + r2 - 2, -Z if negative else Z)) if Q]
+        r = min(terms)[0] if terms else 0
+        # a term of another residue is left out and counted, as in a merge
+        Y = sum(kept := [Q << b // 4 * (q - r) for q, Q in terms if (q - r) % 4 == 0])
+        w = memo[leaves] = x1 + x2, r, Y, b, slot_mass([Y], b), n1 + n2 + len(terms) - len(kept)
+    return w
 
 
 class _Table(array):
@@ -495,8 +494,7 @@ class SkeinState:
         return self._glue(at, 2, _ARC)
 
     def cross(self, ev: Cross | tuple[Cross, ...]) -> "SkeinState":
-        """Glue one crossing, or a run of them as one piece: a tuple of
-        crossings that each absorb the 2 points the one before emitted."""
+        """Glue one crossing, or a run of them (``engine.step_end``) as one piece."""
         if isinstance(ev, Cross):
             return self._glue(ev.at, ev.absorb, _CROSSINGS[a_smoothing_class(ev.absorb, ev.over_first)])
         flags = [e.over_first for e in ev]
@@ -505,6 +503,11 @@ class SkeinState:
                 for s in [_CROSSINGS[a_smoothing_class(2, f)]] for j in [_identity(s, 2)]}
         weight = _run_weight(tuple(map(leaf.__getitem__, flags)), _loop_power(self.mode, 1)[1])
         return self._glue(ev[0].at, 2, _CROSSINGS[a_smoothing_class(2, flags[0])], weight)
+
+    def glued_at(self, at: int, k: int) -> int:
+        """Where a piece absorbing k > 0 points from `at` on emits its ends:
+        at mod g, or 0 if they wrap the seam (``_glue`` rotates them to 0)."""
+        return at % self.g if at % self.g + k <= self.g else 0
 
     def _glue(self, at: int, k: int, smoothings, run=None) -> "SkeinState":
         """Glue a piece absorbing the k points from `at` on, and expand the
@@ -516,7 +519,7 @@ class SkeinState:
             raise FrontierTooSmall(f"insertion at {at} on frontier of {g}")
         if k:
             at %= g
-            if at + k > g:  # run wraps the seam: rotate it to 0
+            if self.glued_at(at, k) != at:  # run wraps the seam: rotate it to 0
                 return self.rotated(at)._glue(0, k, smoothings, run)
 
         growth = width << k // 2 if run is None else 1 + 2 * run[4]

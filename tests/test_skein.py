@@ -12,7 +12,7 @@ import skeinscan.matchings as matchings
 import skeinscan.skein as skein
 from skeinscan.construct import braid_closure
 from skeinscan.cutorder import greedy_cutting
-from skeinscan.engine import fold_cutting, fold_steps
+from skeinscan.engine import fold_cutting, step_end
 from skeinscan.laurent import DELTA, DELTA_PLUS, LaurentPoly, encode_slots, slot_mass, slot_values, widened_slots
 from skeinscan.matchings import basis, catalan, is_noncrossing
 from skeinscan.skein import (
@@ -593,18 +593,41 @@ def test_runs_fold_like_their_events(mode):
         d = braid_closure(word, strands)
         for events in (greedy_cutting(d).events, _walk_events(d, rng)):
             by_step = by_event = SkeinState.initial(mode)
-            for step in fold_steps(events):
-                if isinstance(step, tuple):
+            i = 0
+            while i < len(events):
+                j = step_end(by_step, events, i)
+                if j > i + 1:
                     g = by_step.g
-                    wrapped += step[0].at % g + 2 > g
-                    flags = [ev.over_first for ev in step]
+                    wrapped += events[i].at % g + 2 > g
+                    flags = [ev.over_first for ev in events[i:j]]
                     leaves = tuple((a.min_exp(), b.min_exp()) for a, b in
                                    (_crossing_weights(skein.a_smoothing_class(2, f)) for f in flags))
                     cancelled += skein._run_weight(leaves, mode == BRACKET)[2] == 0
-                by_step = by_step.apply(step)
-                for ev in step if isinstance(step, tuple) else (step,):
+                by_step = by_step.apply(events[i] if j == i + 1 else tuple(events[i:j]))
+                for ev in events[i:j]:
                     by_event = by_event.apply(ev)
                 assert by_step == by_event
                 assert by_step.size() == by_event.size()
+                i = j
     assert wrapped >= 5
     assert cancelled >= 5 if mode == BRACKET else cancelled == 0
+
+
+def test_peak_is_taken_over_fold_steps():
+    # the greedy cutting glues this closure's R2 bigon (sigma_1 sigma_1^-1,
+    # crossings 2 and 3) as one run on its peak frontier of 6 points.  One
+    # crossing at a time the state holds 5 matchings between the two; the
+    # run's weight cancels the cup-cap in bracket mode, so no state built
+    # holds more than 4.  In pkbp nothing cancels and the peak stays 5
+    d = braid_closure([1, 2, 1, -1, 2, 1, -2], 3)
+    cutting = greedy_cutting(d)
+    assert step_end(SkeinState.initial(BRACKET).apply(cutting.events[0]).apply(cutting.events[1]),
+                    cutting.events, 2) == 4
+    for mode, peak in ((BRACKET, 4), (PKBP, 5)):
+        state, sizes = SkeinState.initial(mode), []
+        for ev in cutting.events:
+            state = state.apply(ev)
+            sizes.append(state.size())
+        assert max(sizes) == 5
+        _, report, folded_peak = fold_cutting(d, cutting, mode)
+        assert folded_peak == report["storage"]["peak_matchings"] == peak

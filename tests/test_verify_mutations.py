@@ -165,22 +165,18 @@ def test_undersized_slots_detected(monkeypatch):
 
 
 def test_corrupted_run_weight_detected(monkeypatch):
-    # adding 1 to the lowest slot of every composed cup-cap weight keeps its
-    # residues, so only the values can tell; torus_2_5, torus_2_6, knot_5_2
-    # and other corpus diagrams with n <= 6 fold runs
+    # adding 1 to the lowest slot of every run's cup-cap weight, and of
+    # every part it is composed from, keeps its residues, so only the values
+    # can tell; torus_2_5, torus_2_6, knot_5_2 and other corpus diagrams
+    # with n <= 6 fold runs
     original = skein._run_weight
-    original.cache_clear()
 
-    def corrupted(leaves, negative):
-        x, r, Y, b, mass, mixed = original(leaves, negative)
+    def corrupted(leaves, negative, memo=None):
+        x, r, Y, b, mass, mixed = original(leaves, negative, memo)
         return x, r, Y + 1, b, mass + 1, mixed
 
     monkeypatch.setattr(skein, "_run_weight", corrupted)
-    try:
-        report = run_verify(max_n=6)
-    finally:
-        monkeypatch.undo()
-        original.cache_clear()  # it kept halves composed from corrupted ones
+    report = run_verify(max_n=6)
     assert not report["ok"]
     assert not report["suites"]["oracle_equivalence"]["ok"]
 
