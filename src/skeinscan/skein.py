@@ -56,11 +56,10 @@ copy of the state's dict and moves A^(+-1) into the state-wide ``offset``,
 which every reader adds to each r; it reads the table for the cup-cap only.
 
 A run of such crossings, each absorbing the 2 points the one before
-emitted (``engine.step_end``), is one piece: as e^2 = delta e, its product
-(``_run_weight``) is x + y e, x a power of A and y packed like a
-coefficient.  The merge copies the state for the identity, with x in the
-offset, and multiplies each P by y's packed Y for the cup-cap, which a y
-of 0 (an R2 bigon) skips.
+emitted (``engine.step_end``), weighs x + y e as e^2 = delta e
+(``_run_weight``): x a power of A, y packed like a coefficient.  The merge
+copies the state for the identity, with x in the offset, and multiplies
+each P by y's packed Y for the cup-cap, which a y of 0 (an R2 bigon) skips.
 
 Coefficients are packed by Kronecker substitution (Harvey, arXiv:0712.4046).
 By the mod-4 theorem each is A^r * sum_i c_i A^(4i), held as the pair
@@ -256,6 +255,7 @@ def _window_rule(pairing: tuple[int, ...], inner: tuple[int, ...]) -> Rule:
 _RULES: dict[tuple, Rule] = {}
 
 
+@lru_cache(maxsize=None)
 def _identity(smoothings, k: int) -> int | None:
     """The smoothing, if any, joining each of k absorbed ends m to the end
     2k - 1 - m emitted at its position: it maps every matching to itself."""
@@ -263,14 +263,14 @@ def _identity(smoothings, k: int) -> int | None:
                  if len(p) == 2 * k and all(p[m] == 2 * k - 1 - m for m in range(k))), None)
 
 
-def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool, memo=None) -> tuple[int, ...]:
+def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool, memo: dict) -> tuple[int, ...]:
     """The product of crossings A^x_i + A^y_i e, given as the pairs (x_i, y_i),
     e^2 the loop value (negative: its sign) times e, composed in halves, each
     distinct part once (memo), so k equal crossings take about 2 log2 k
     products: (x, r, Y, b, mass, mixed) for A^x + A^r Y(A^4) e, Y in slots
     of b bits, mass its sum of |c_i|, mixed the terms left out for residues."""
-    if memo is None:
-        memo = {(leaf,): (*leaf, 1, 64, 1, 0) for leaf in set(leaves)}
+    if len(leaves) == 1:
+        return (*leaves[0], 1, 64, 1, 0)
     w = memo.get(leaves)
     if w is None:
         x1, r1, Y1, b1, m1, n1 = _run_weight(leaves[:len(leaves) // 2], negative, memo)
@@ -501,7 +501,7 @@ class SkeinState:
         # per over flag: the exponents of A on the identity and on the cup-cap
         leaf = {f: (s[j][1], s[1 - j][1]) for f in set(flags)
                 for s in [_CROSSINGS[a_smoothing_class(2, f)]] for j in [_identity(s, 2)]}
-        weight = _run_weight(tuple(map(leaf.__getitem__, flags)), _loop_power(self.mode, 1)[1])
+        weight = _run_weight(tuple(map(leaf.__getitem__, flags)), _loop_power(self.mode, 1)[1], {})
         return self._glue(ev[0].at, 2, _CROSSINGS[a_smoothing_class(2, flags[0])], weight)
 
     def glued_at(self, at: int, k: int) -> int:

@@ -572,7 +572,7 @@ def test_run_weight_is_the_product_of_its_crossings(mode):
                 a, b = _crossing_weights(cls)
                 x, y = x * a, x * b + y * a + delta * y * b
             leaves = tuple((a.min_exp(), b.min_exp()) for a, b in map(_crossing_weights, classes))
-            wx, r, Y, width, mass, mixed = skein._run_weight(leaves, mode == BRACKET)
+            wx, r, Y, width, mass, mixed = skein._run_weight(leaves, mode == BRACKET, {})
             assert LaurentPoly.monomial(1, wx) == x
             assert LaurentPoly({r + 4 * i: c for i, c in enumerate(slot_values(Y, width))}) == y, classes
             assert (mass, mixed) == (sum(abs(c) for _, c in y), 0)
@@ -602,7 +602,7 @@ def test_runs_fold_like_their_events(mode):
                     flags = [ev.over_first for ev in events[i:j]]
                     leaves = tuple((a.min_exp(), b.min_exp()) for a, b in
                                    (_crossing_weights(skein.a_smoothing_class(2, f)) for f in flags))
-                    cancelled += skein._run_weight(leaves, mode == BRACKET)[2] == 0
+                    cancelled += skein._run_weight(leaves, mode == BRACKET, {})[2] == 0
                 by_step = by_step.apply(events[i] if j == i + 1 else tuple(events[i:j]))
                 for ev in events[i:j]:
                     by_event = by_event.apply(ev)

@@ -171,7 +171,7 @@ def test_corrupted_run_weight_detected(monkeypatch):
     # with n <= 6 fold runs
     original = skein._run_weight
 
-    def corrupted(leaves, negative, memo=None):
+    def corrupted(leaves, negative, memo):
         x, r, Y, b, mass, mixed = original(leaves, negative, memo)
         return x, r, Y + 1, b, mass + 1, mixed
 
