@@ -27,6 +27,11 @@ completed arc, to be capped, when ``Diagram.other[h] == k``.  Events that
 would wrap the seam between positions g-1 and 0 first rotate the labelling
 so their run starts at 0; the state machine applies the same rule, keeping
 both sides aligned.
+
+Greedy scans a twist region end to end: once it commits ci, a bigon partner
+cj whose only frontier tokens are two neighbouring stubs of arcs from ci is
+committed at once (``_Scan.twist_move``), unranked.  It absorbs 2 points and
+emits 2, so it never grows the frontier.
 """
 
 from __future__ import annotations
@@ -248,6 +253,23 @@ class _Scan:
         return {ci: [((at + s) % g, j, (rot - s) & 3) for at, k, rot in cs for s in range(k) for j in range(1, k - s + 1)]
                 for ci, cs in self.chains().items()}
 
+    def twist_move(self, ci: int) -> tuple[int, tuple[int, int, int]] | None:
+        """The lowest bigon partner of ci and its move, or None: an
+        unprocessed cj whose only frontier tokens are two stubs of arcs from
+        ci, neighbours as one chain (``chains``), which cj absorbs whole."""
+        other, n4, processed, f = self.d.other, 4 * self.d.n, self.processed, self.frontier
+        for cj in sorted({t >> 2 for t in other[4 * ci:4 * ci + 4] if t < n4 and t >> 2 not in processed}):
+            # a half-edge of cj is a frontier token when its arc comes from a processed crossing
+            tokens = [h for h in range(4 * cj, 4 * cj + 4) if other[h] < n4 and other[h] >> 2 in processed]
+            if len(tokens) != 2 or {other[h] >> 2 for h in tokens} != {ci} or tokens[1] - tokens[0] == 2:
+                continue
+            a = tokens[1] if tokens[1] - tokens[0] == 1 else tokens[0]  # slot s, the chain's first
+            i, g = f.index(a), len(f)
+            # the next token holds slot s - 1; ``chains`` joins no pair across the seam of a 2-frontier
+            if f[(i + 1) % g] == a & ~3 | (a - 1) & 3 and (i + 1 < g or g > 2):
+                return cj, (i, 2, a & 3)
+        return None
+
     def _frontier_token_before(self, i: int, p: int) -> int | None:
         """Walk the face before boundary point i backwards (the face
         successor inverted), around the unprocessed crossings on it (in at
@@ -412,12 +434,16 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
 def greedy_cutting(d: Diagram) -> Cutting:
     """Deterministic greedy scan: every step applies ``_greedy_move`` with a
     lookahead of LOOKAHEAD steps (unless its rollout kept it), on one scan.
-    Committing ci keeps the sized candidates reached through ci."""
+    Committing ci keeps the sized candidates reached through ci.  A bigon
+    partner of the crossing just committed (``_Scan.twist_move``, the lowest
+    id first, as the tie-break) goes next, unranked and without a rollout:
+    it absorbs the 2 stubs left to it and emits 2, so the frontier never grows."""
     scan = _Scan(d)
     order: list[int] = []
     sized: dict = {}
     while (done := len(scan.processed)) < d.n:
-        if (step := _greedy_move(scan, LOOKAHEAD, sized)) is None:
+        step = order and scan.twist_move(order[-1]) or _greedy_move(scan, LOOKAHEAD, sized)
+        if step is None:
             raise InvariantViolation("greedy scan has no glueable crossing (unexpected)")
         ci, mv = step
         if len(scan.processed) == done:

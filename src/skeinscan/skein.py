@@ -81,10 +81,11 @@ parts.  A run multiplies mass by 1 + 2 L1(y), L1 the sum of |c_i|: the
 cup-cap multiplies it by at most L1(y) and closes at most one loop.  In
 (x1 + y1 e)(x2 + y2 e) = x1 x2 + (x1 y2 + x2 y1 + delta y1 y2) e every
 partial sum has L1 at most m1 + m2 + 2 m1 m2, m_i = L1(y_i), so
-``_run_weight`` multiplies in slots with that below 2^(b-2).  When mass
+``_run_weight`` multiplies in slots with that below 2^(b-2).  With every
+c_i >= 0 (a positive loop value) that bound is L1 of the product, kept
+unmeasured; a bracket run measures it (``laurent.slot_mass``).  When mass
 times the growth would reach 2^(b-2), mass becomes the true sum, measured
-without decoding (``laurent.slot_mass``), and the slots widen if they
-must (``SkeinState._widened``).
+without decoding, and the slots widen if they must (``SkeinState._widened``).
 
 A fold step on one coefficient is then a few C-level bigint operations,
 whatever its number of terms: the smoothing's power of A changes r; each
@@ -275,7 +276,8 @@ def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool, memo: dict)
     if w is None:
         x1, r1, Y1, b1, m1, n1 = _run_weight(leaves[:len(leaves) // 2], negative, memo)
         x2, r2, Y2, b2, m2, n2 = _run_weight(leaves[len(leaves) // 2:], negative, memo)
-        b = max(b1, b2, slot_width(m1 + m2 + 2 * m1 * m2))
+        mass = m1 + m2 + 2 * m1 * m2
+        b = max(b1, b2, slot_width(mass))
         Y1, Y2 = reslotted(Y1, b1, b), reslotted(Y2, b2, b)
         Z = Y1 * Y2
         Z += Z << b
@@ -283,7 +285,9 @@ def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool, memo: dict)
         r = min(terms)[0] if terms else 0
         # a term of another residue is left out and counted, as in a merge
         Y = sum(kept := [Q << b // 4 * (q - r) for q, Q in terms if (q - r) % 4 == 0])
-        w = memo[leaves] = x1 + x2, r, Y, b, slot_mass([Y], b), n1 + n2 + len(terms) - len(kept)
+        if negative or len(kept) < len(terms):  # else nothing cancels: the bound is exact
+            mass = slot_mass([Y], b)
+        w = memo[leaves] = x1 + x2, r, Y, b, mass, n1 + n2 + len(terms) - len(kept)
     return w
 
 

@@ -10,7 +10,7 @@ import pytest
 from cuttings import named_order
 
 from skeinscan import cutorder
-from skeinscan.construct import braid_closure, braid_tangle, torus_link
+from skeinscan.construct import braid_closure, braid_tangle, pretzel, torus_link
 from skeinscan.cutorder import (
     SQRT_BOUND_CONST, Cutting, InvalidCutting, InvalidOrder, TooLarge, compile_order,
     exact_min_girth, greedy_cutting, improve_cutting, sqrt_bound_check,
@@ -300,8 +300,8 @@ def test_every_order_of_a_split_tangle_compiles(pd, scan_count):
 # SHA-256 over the sorted corpus of each order's cutting JSON: a change to
 # the searches that alters any corpus cutting fails here
 CORPUS_CUTTING_DIGESTS = {
-    "greedy": "2d4f06041c3c3c24c9804e3c5741d42dec91dbaa93327bd73277d62d26efe156",
-    "anneal": "9a4dbc974daf0fcceef5137aceedca19b20e23739c051a6c8d2f8553e084b1f3",
+    "greedy": "8630fc9051d8a2b9bbbe41eae691fc4125105bb35eeff8fff607e98b51e3a309",
+    "anneal": "b9d8dac7ba77cd169cc0ad5e571b1131269d9bb8efae0509a8796c96a271b77a",
     "exact": "9d221e26c901dd7240f9107f7e55339110901c17dfad25b03e2885fba09de3e5",
 }
 
@@ -342,14 +342,83 @@ def _braid_closures(count, seed=13):
     return out
 
 
+def _pretzels(count, seed=27):
+    """Seeded pretzel links of 2-5 twist regions with 1-5 crossings each."""
+    rng = random.Random(seed)
+    return [pretzel([rng.choice([1, -1]) * rng.randint(1, 5) for _ in range(rng.randint(2, 5))])
+            for _ in range(count)]
+
+
+def _pinned_sets(corpus):
+    tangles = [d for seed in range(4) for _, d in sorted(tangle_fixtures(seed).items())]
+    return {"corpus": [corpus[name] for name in sorted(corpus)], "closures": _braid_closures(60),
+            "tangles": tangles, "pretzels": _pretzels(40)}
+
+
+# greedy's girth per diagram of each pinned set, in set order
+GREEDY_GIRTHS = {
+    "corpus": [4, 4, 4, 4, 6, 6, 4, 6, 6, 6, 4, 6, 6, 6, 4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6,
+               6, 6, 6, 6, 6, 6, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 4, 6, 4, 4, 2, 2, 2],
+    "closures": [10, 8, 8, 6, 6, 8, 4, 6, 6, 8, 10, 6, 8, 8, 10, 10, 6, 10, 10, 8, 4, 8, 4, 8, 8, 12, 6, 6, 10, 12,
+                 8, 8, 6, 8, 10, 8, 10, 6, 6, 10, 8, 8, 10, 8, 8, 12, 4, 12, 10, 6, 4, 8, 10, 10, 6, 8, 10, 6, 10, 10],
+    "tangles": [4, 4, 6, 6, 6, 8, 8, 8, 0, 0, 0, 4, 4, 6, 6, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6,
+                0, 0, 0, 4, 4, 6, 6, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 8, 0, 0, 0, 4, 4, 6, 6,
+                4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 8, 6, 0, 0, 0, 4, 4, 6, 6, 4, 4, 4, 4, 4, 4, 4, 4],
+    "pretzels": [6, 4, 6, 6, 4, 4, 6, 6, 6, 6, 6, 4, 4, 6, 4, 4, 6, 6, 6, 4,
+                 6, 4, 6, 4, 6, 4, 6, 6, 4, 6, 6, 4, 6, 6, 6, 6, 6, 6, 6, 4],
+}
+
+
+def test_greedy_girths_are_pinned(corpus):
+    girths = {name: [greedy_cutting(d).girth for d in ds] for name, ds in _pinned_sets(corpus).items()}
+    assert girths == GREEDY_GIRTHS
+
+
+def test_twist_moves_are_legal_and_cuttings_replay(corpus, monkeypatch):
+    # every twist move greedy commits is one frontier_moves offers, and
+    # every greedy cutting of the pinned sets replays
+    real, twists = cutorder._Scan.twist_move, []
+
+    def checked(self, ci):
+        if (step := real(self, ci)) is not None:
+            assert step[1] in self.frontier_moves()[step[0]], (self.frontier, ci, step)
+            twists.append(step)
+        return step
+
+    monkeypatch.setattr(cutorder._Scan, "twist_move", checked)
+    for d in [d for ds in _pinned_sets(corpus).values() for d in ds] + [torus_link(60)]:
+        verify_cutting(d, greedy_cutting(d))
+    assert len(twists) > 500, len(twists)
+
+
+def test_greedy_scans_a_twist_region_without_ranking(monkeypatch):
+    counts = collections.Counter()
+    real_chains, real_ranked = cutorder._Scan.chains, cutorder._ranked
+
+    def chains(self):
+        counts["chains"] += 1
+        return real_chains(self)
+
+    def ranked(scan, sized):
+        counts["ranked"] += 1
+        return real_ranked(scan, sized)
+
+    monkeypatch.setattr(cutorder._Scan, "chains", chains)
+    monkeypatch.setattr(cutorder, "_ranked", ranked)
+    d = torus_link(1001)
+    cutting = greedy_cutting(d)
+    assert counts["chains"] <= 10 and counts["ranked"] <= 10, counts
+    verify_cutting(d, cutting)
+
+
 def test_braid_and_tangle_fixture_greedy_cuttings_are_unchanged():
     # SHA-256 over the greedy cutting JSON of 60 braid closures and of
-    # tangle_fixtures(0..3), taken before the one-pass frontier scan
+    # tangle_fixtures(0..3), taken with greedy's twist moves
     digest = hashlib.sha256()
     tangles = [d for seed in range(4) for _, d in sorted(tangle_fixtures(seed).items())]
     for d in _braid_closures(60) + tangles:
         digest.update(json.dumps(greedy_cutting(d).to_json(), sort_keys=True).encode())
-    assert digest.hexdigest() == "79a9454ec003e98c5e229d6360526069089eb5fc0bb12ee6291e69fad82ae830"
+    assert digest.hexdigest() == "34ef5cb73a621f57adca9df5d303f7a346cce54c5fccff6efd62aadc33a87e9c"
 
 
 def test_greedy_runs_on_one_scan_without_clones(corpus, monkeypatch):
@@ -553,14 +622,16 @@ def test_apply_cross_refuses_a_processed_crossing():
 
 
 # greedy's whole-frontier passes (``chains``) and applied moves, bounded
-# at the counts of the cut rollouts: per committed crossing 1.02 and 1.97
-# on T(2,60), 1.19 and 1.92 on the closure.  Rolling out every tied
+# at the counts of the cut rollouts and the twist moves: 2 and 60 on
+# T(2,60), 41 and 64 on the closure (61 and 118, 43 and 69 with every
+# crossing ranked, per committed crossing 1.02 and 1.97 on T(2,60), 1.19
+# and 1.92 on the closure).  Rolling out every tied
 # candidate in full, and applying the winner again, took 2.95 and 4.9, and
 # 3.8 and 5.2; scanning the frontier per crossing took 5.75 and 23.9
 # ``token_runs`` scans (plus as many ``run_moves`` scans)
 GREEDY_CALLS = [
-    (lambda: torus_link(60), 61, 118),
-    (lambda: braid_closure([1, -2, 3, 3, -1, 2, 4, -3, 2, 2, -1, 4, 3, -2, 1, 1, -4, 3] * 2, 5), 43, 69),
+    (lambda: torus_link(60), 2, 60),
+    (lambda: braid_closure([1, -2, 3, 3, -1, 2, 4, -3, 2, 2, -1, 4, 3, -2, 1, 1, -4, 3] * 2, 5), 41, 64),
 ]
 
 
