@@ -255,13 +255,14 @@ class _Scan:
 
     def twist_move(self, ci: int) -> tuple[int, tuple[int, int, int]] | None:
         """The lowest bigon partner of ci and its move, or None: an
-        unprocessed cj whose only frontier tokens are two stubs of arcs from
-        ci, neighbours as one chain (``chains``), which cj absorbs whole."""
-        other, n4, processed, f = self.d.other, 4 * self.d.n, self.processed, self.frontier
-        for cj in sorted({t >> 2 for t in other[4 * ci:4 * ci + 4] if t < n4 and t >> 2 not in processed}):
+        unprocessed cj joined to ci by two arcs, whose stubs are its only
+        frontier tokens, neighbours as one chain (``chains``) that cj absorbs."""
+        other, n, processed, f = self.d.other, self.d.n, self.processed, self.frontier
+        ends = [t >> 2 for t in other[4 * ci:4 * ci + 4]]
+        for cj in sorted({c for c in ends if c < n and ends.count(c) == 2} - processed):
             # a half-edge of cj is a frontier token when its arc comes from a processed crossing
-            tokens = [h for h in range(4 * cj, 4 * cj + 4) if other[h] < n4 and other[h] >> 2 in processed]
-            if len(tokens) != 2 or {other[h] >> 2 for h in tokens} != {ci} or tokens[1] - tokens[0] == 2:
+            tokens = [h for h in range(4 * cj, 4 * cj + 4) if other[h] < 4 * n and other[h] >> 2 in processed]
+            if len(tokens) != 2 or tokens[1] - tokens[0] == 2:
                 continue
             a = tokens[1] if tokens[1] - tokens[0] == 1 else tokens[0]  # slot s, the chain's first
             i, g = f.index(a), len(f)
@@ -434,10 +435,9 @@ def compile_order(d: Diagram, order: list[int]) -> Cutting:
 def greedy_cutting(d: Diagram) -> Cutting:
     """Deterministic greedy scan: every step applies ``_greedy_move`` with a
     lookahead of LOOKAHEAD steps (unless its rollout kept it), on one scan.
-    Committing ci keeps the sized candidates reached through ci.  A bigon
-    partner of the crossing just committed (``_Scan.twist_move``, the lowest
-    id first, as the tie-break) goes next, unranked and without a rollout:
-    it absorbs the 2 stubs left to it and emits 2, so the frontier never grows."""
+    Committing ci keeps the sized candidates reached through ci.  Its bigon
+    partner (``_Scan.twist_move``) goes next, unranked and without rollouts:
+    it absorbs 2 points and emits 2, so the frontier never grows."""
     scan = _Scan(d)
     order: list[int] = []
     sized: dict = {}
