@@ -1,12 +1,19 @@
 import hashlib
+import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from skeinscan.construct import braid_closure, torus_link
 from skeinscan.planar import (
-    ColoringError, Crossing, Diagram, NonPlanarError, ParseError, checkerboard, parse_pd, trace_faces,
+    ColoringError, Crossing, Diagram, NonPlanarError, ParseError, checkerboard, closed_strands, parse_pd,
+    trace_faces, writhe,
 )
 from skeinscan.verify import tangle_fixtures
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _mutants(d: Diagram, rng: random.Random) -> list[Diagram]:
@@ -62,6 +69,44 @@ def test_face_traces_are_unchanged(corpus):
         for m in [d, *_mutants(d, rng)]:
             digest.update(_face_summary(m).encode())
     assert digest.hexdigest() == FACE_DIGEST
+
+
+def _geometry(d: Diagram) -> str:
+    """Everything planar.py derives from a valid diagram: the arc index, the
+    pieces, each half-edge's face, the outer face, (e, w) and, for a closed
+    diagram, its strands and the writhe under every orientation."""
+    ft = trace_faces(d)
+    cb = checkerboard(d, trace=ft)
+    parts = [d.other, d.pieces, ft.face_of, ft.outer_face, (cb.e, cb.w)]
+    if d.is_closed:
+        strands = closed_strands(d)
+        signs = itertools.product((1, -1), repeat=len(strands))
+        parts += [strands, [writhe(d, list(s)) for s in signs]]
+    return repr(parts)
+
+
+# SHA-256 over _geometry of the corpus, the tangle fixtures of seeds 0-3,
+# braid_batch seed 0's 60 closures and T(2,1001): unlike FACE_DIGEST, it sees
+# face ids, pieces, strands and writhes, so a faster planar.py that changes
+# any of them fails here
+GEOMETRY_DIGEST = "47556f3f2e3f41132c205da343d2620eb06e9830a8054fac54f4f0c9a4b03f4a"
+
+
+def test_geometry_is_unchanged(corpus, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "inputs", raising=False)
+    import inputs
+
+    diagrams = [corpus[name] for name in sorted(corpus)]
+    for seed in range(4):
+        fixtures = tangle_fixtures(seed)
+        diagrams += [fixtures[name] for name in sorted(fixtures)]
+    diagrams += [braid_closure(word, strands) for word, strands in inputs.braid_batch(0)]
+    diagrams.append(torus_link(1001))
+    digest = hashlib.sha256()
+    for d in diagrams:
+        digest.update(_geometry(d).encode())
+    assert digest.hexdigest() == GEOMETRY_DIGEST
 
 
 @pytest.mark.parametrize("text", [

@@ -30,6 +30,8 @@ def test_parse_free_loop():
 def test_parse_over_flags_and_comments():
     d = parse_pd("# a kink\nX[1,1,2,2]o0  # inline comment\nO")
     assert d.crossings[0].over == 0 and d.free_loops == 1
+    # around a label, the whitespace int() strips
+    assert parse_pd("X[\u30001 ,1,\n2\xa0,2]O").crossings == (Crossing((1, 1, 2, 2), 1),)
 
 
 def test_parse_arity_error():
@@ -47,6 +49,43 @@ def test_arc_multiplicity_error():
         parse_pd("X[1,2,3,4]")
     with pytest.raises(ArcMultiplicityError):
         parse_pd("X[1,2,3,4] X[1,2,3,4] X[1,5,6,7]")
+
+
+_LONG = "9" * 5000  # over int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("Y[1,2,3,4]", ParseError, "unrecognized PD token starting at 'Y[1,2,3,4]'"),
+    ("X[1,1,2,2] OX[3,3,4,4]", ParseError, "unrecognized PD token starting at 'OX[3,3,4,4]'"),
+    ("X[1,1,2,2]o2", ParseError, "unrecognized PD token starting at 'o2'"),
+    ("X[1,1,2,2]\n  ] # comment", ParseError, "unrecognized PD token starting at ']'"),
+    ("X[1,2,3]", ParseError, "crossing needs 4 arc labels: 'X[1,2,3]'"),
+    ("X[1,2,3,4,5]o0", ParseError, "crossing needs 4 arc labels: 'X[1,2,3,4,5]o0'"),
+    ("X[1,2,3,²]", ParseError, "crossing needs 4 arc labels: 'X[1,2,3,²]'"),
+    ("X[1,2,3,٣]", ParseError, "crossing needs 4 arc labels: 'X[1,2,3,٣]'"),
+    ("X[1,2,,4]", ParseError, "crossing needs 4 arc labels: 'X[1,2,,4]'"),
+    ("X[\x1c1,1,2,2]", ParseError, "crossing needs 4 arc labels: 'X[\\x1c1,1,2,2]'"),
+    (f"X[1,2,3,{_LONG}]o1", ParseError, f"crossing needs 4 arc labels: 'X[1,2,3,{_LONG}]o1'"),
+    ("X[1,0,1,2]", ParseError, "arc labels must be positive: 'X[1,0,1,2]'"),
+    ("X[ 1 ,\n2,000 , 2]o0", ParseError, "arc labels must be positive: 'X[ 1 ,\\n2,000 , 2]o0'"),
+    ("X[1,2,3,4] B[1,2] B[3,4]", ParseError, "multiple B[...] boundary declarations"),
+    ("X[1,2,3,4] B[1,2,x,4]", ParseError, "bad boundary declaration: 'B[1,2,x,4]'"),
+    (f"X[1,2,3,4] B[1,2,3,{_LONG}]", ParseError, f"bad boundary declaration: 'B[1,2,3,{_LONG}]'"),
+    ("X[1,2,3,4]", ArcMultiplicityError, "arc 1 has 1 crossing ends and 0 boundary ends (need 2 total)"),
+    ("X[1,2,3,4] X[1,2,3,4] X[1,5,6,7]", ArcMultiplicityError,
+     "arc 1 has 3 crossing ends and 0 boundary ends (need 2 total)"),
+    ("X[9,3,9,3] X[3,3,5,5] X[2,1,2,1]", ArcMultiplicityError,
+     "arc 3 has 4 crossing ends and 0 boundary ends (need 2 total)"),
+    ("X[7,1,7,1] X[2,3,4,5] X[3,4,5,6]", ArcMultiplicityError,
+     "arc 2 has 1 crossing ends and 0 boundary ends (need 2 total)"),
+    ("X[1,2,3,4] B[4,3,2,1,4]", ArcMultiplicityError,
+     "arc 4 has 1 crossing ends and 2 boundary ends (need 2 total)"),
+    ("B[6,6,5,6]", ArcMultiplicityError, "arc 5 has 0 crossing ends and 1 boundary ends (need 2 total)"),
+], ids=lambda v: v[:30] if isinstance(v, str) else None)
+def test_input_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        parse_pd(text)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_render_roundtrip():
