@@ -16,9 +16,15 @@ The PD text grammar accepted by :func:`parse_pd`:
     B[a,b,...]     boundary arcs in counterclockwise order (tangles only)
     # ...          comment to end of line
 
+:func:`parse_pd` reads the text in one pass, one regex match per token: a
+crossing's match captures its four labels and its over flag.
+
 The half-edges of a diagram are numbered: 4*ci + s is slot s of crossing ci
 and 4*n + i is boundary position i.  ``Diagram.other`` maps each half-edge to
-the other end of its arc; every module reads arc incidences from it.  A face
+the other end of its arc; every module reads arc incidences from it.  It is
+built in one pass over the labels, pairing each half-edge with the first
+sighting of its label.  ``Diagram.pieces`` names each crossing's piece by
+its lowest crossing, from one walk over ``other`` per piece.  A face
 is a cycle of one successor: leave along a half-edge's arc, then at a
 crossing take the previous slot, and at a boundary point go on to the next
 boundary point.  The slot order is the unique embedding data a PD code
@@ -40,6 +46,7 @@ validated transitively by the mod-4 grading checks on the whole corpus.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -95,49 +102,49 @@ class Diagram:
 
     @cached_property
     def ends(self) -> dict[int, tuple[int, int]]:
-        """The arc-incidence index: each arc label -> its two half-edges,
-        lower first.  Raises ArcMultiplicityError unless every arc has
-        exactly two ends."""
-        seen: dict[int, list[int]] = {}
-        for h, a in enumerate([a for c in self.crossings for a in c.arcs] + list(self.boundary_arcs)):
-            seen.setdefault(a, []).append(h)
-        bad = [a for a, hs in seen.items() if len(hs) != 2]
-        if bad:
-            a = min(bad)
-            s = sum(h < 4 * self.n for h in seen[a])
-            raise ArcMultiplicityError(
-                f"arc {a} has {s} crossing ends and {len(seen[a]) - s} boundary ends (need 2 total)")
-        return {a: tuple(hs) for a, hs in seen.items()}
+        """Each arc label -> its two half-edges, lower first.  Raises
+        ArcMultiplicityError as ``other`` does."""
+        return {self.label(h): (h, k) for h, k in enumerate(self.other) if h < k}
 
     @cached_property
     def other(self) -> tuple[int, ...]:
-        """Each half-edge -> the half-edge at the other end of its arc."""
-        other = [0] * (4 * self.n + self.g)
-        for h, k in self.ends.values():
-            other[h], other[k] = k, h
+        """Each half-edge -> the half-edge at the other end of its arc.
+        Raises ArcMultiplicityError, naming the lowest arc that does not
+        have exactly two ends, unless every arc has two."""
+        labels = [a for c in self.crossings for a in c.arcs]
+        labels += self.boundary_arcs
+        first: dict[int, int] = {}
+        other = [-1] * len(labels)
+        for h, a in enumerate(labels):
+            k = first.setdefault(a, h)
+            if k != h:
+                other[h], other[k] = k, h
+        # each arc seen at least once; twice each exactly when none is single
+        if 2 * len(first) != len(labels) or -1 in other:
+            count = Counter(labels)
+            a = min(a for a, c in count.items() if c != 2)
+            s = labels[:4 * self.n].count(a)
+            raise ArcMultiplicityError(
+                f"arc {a} has {s} crossing ends and {count[a] - s} boundary ends (need 2 total)")
         return tuple(other)
 
     @cached_property
     def pieces(self) -> tuple[int, ...]:
-        """Union-find over crossings joined by shared arcs: per crossing, the
-        lowest crossing of its piece."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        """Per crossing, the lowest crossing of its piece: one walk over
+        ``other`` from each crossing no earlier walk reached, in order."""
         n4, other = 4 * self.n, self.other
-        for h in range(n4):
-            if h < (k := other[h]) < n4:  # each arc between two crossings once
-                ra, rb = find(h >> 2), find(k >> 2)
-                if ra < rb:
-                    parent[rb] = ra
-                elif rb < ra:
-                    parent[ra] = rb
-        return tuple(find(ci) for ci in range(self.n))
+        piece = [-1] * self.n
+        for start in range(self.n):
+            if piece[start] < 0:
+                piece[start] = start
+                todo = [start]
+                while todo:
+                    h = 4 * todo.pop()
+                    for k in other[h:h + 4]:
+                        if k < n4 and piece[k >> 2] < 0:
+                            piece[k >> 2] = start
+                            todo.append(k >> 2)
+        return tuple(piece)
 
     def label(self, h: int) -> int:
         """The arc of half-edge h."""
@@ -152,13 +159,20 @@ class Diagram:
         )
 
 
+# A crossing's labels may carry only the whitespace int() strips (\s but the
+# separators \x1c-\x1f); any other X[...] falls to ``badcross``.  The empty
+# alternative matches at the end and before an unrecognized token.
+_LABEL = r"[^\S\x1c-\x1f]*([0-9]+)[^\S\x1c-\x1f]*"
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<cross>X\[(?P<slots>[^\]]*)\](?P<over>o[01])?)
-  | (?P<loop>O\b)
-  | (?P<boundary>B\[(?P<barcs>[^\]]*)\])
+    rf"""
+    \s*(?:
+      (?P<cross>X\[{_LABEL},{_LABEL},{_LABEL},{_LABEL}\](o[01])?)
+    | (?P<loop>O\b)
+    | (?P<comment>\#[^\n]*)
+    | (?P<badcross>X\[[^\]]*\](?:o[01])?)
+    | (?P<boundary>B\[(?P<barcs>[^\]]*)\])
+    |
+    )
     """,
     re.VERBOSE,
 )
@@ -168,9 +182,9 @@ _LABELS_RE = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
 
 
 def _labels(body: str) -> list[int] | None:
-    """The comma-separated arc labels of one token, or None unless each is
-    a run of ASCII digits that int() reads (by default it refuses over 4300
-    digits)."""
+    """The comma-separated arc labels of a boundary declaration, or None
+    unless each is a run of ASCII digits that int() reads (by default it
+    refuses over 4300 digits)."""
     if not _LABELS_RE.fullmatch(body):
         return None
     try:
@@ -183,38 +197,32 @@ def parse_pd(text: str) -> Diagram:
     """Parse PD text into a validated :class:`Diagram`."""
     crossings: list[Crossing] = []
     free_loops = 0
-    boundary: list[int] = []
-    saw_boundary = False
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            fragment = text[pos:pos + 24].split()
-            bad = fragment[0] if fragment else text[pos:pos + 8]
-            raise ParseError(f"unrecognized PD token starting at {bad!r}")
-        pos = m.end()
-        if m.group("ws") or m.group("comment"):
-            continue
-        if m.group("cross"):
-            arcs = _labels(m.group("slots"))
-            if arcs is None or len(arcs) != 4:
-                raise ParseError(f"crossing needs 4 arc labels: {m.group('cross')!r}")
-            if any(a <= 0 for a in arcs):
+    boundary: list[int] | None = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "cross":
+            a, b, c, d, over = m.group(2, 3, 4, 5, 6)
+            try:
+                arcs = (int(a), int(b), int(c), int(d))
+            except ValueError:  # a label over int()'s digit limit
+                raise ParseError(f"crossing needs 4 arc labels: {m.group('cross')!r}") from None
+            if 0 in arcs:
                 raise ParseError(f"arc labels must be positive: {m.group('cross')!r}")
-            over = 1 if m.group("over") is None else int(m.group("over")[1])
-            crossings.append(Crossing(tuple(arcs), over))
-        elif m.group("loop"):
+            crossings.append(Crossing(arcs, 0 if over == "o0" else 1))
+        elif kind == "loop":
             free_loops += 1
-        elif m.group("boundary"):
-            if saw_boundary:
+        elif kind == "badcross":
+            raise ParseError(f"crossing needs 4 arc labels: {m.group('badcross')!r}")
+        elif kind == "boundary":
+            if boundary is not None:
                 raise ParseError("multiple B[...] boundary declarations")
-            saw_boundary = True
             body = m.group("barcs").strip()
-            if body:
-                boundary = _labels(body)
-                if boundary is None:
-                    raise ParseError(f"bad boundary declaration: {m.group('boundary')!r}")
-    d = Diagram(tuple(crossings), free_loops, tuple(boundary))
+            boundary = _labels(body) if body else []
+            if boundary is None:
+                raise ParseError(f"bad boundary declaration: {m.group('boundary')!r}")
+        elif kind is None and m.end() < len(text):
+            raise ParseError(f"unrecognized PD token starting at {text[m.end():m.end() + 24].split()[0]!r}")
+    d = Diagram(tuple(crossings), free_loops, tuple(boundary or ()))
     validate(d)
     return d
 
@@ -233,7 +241,7 @@ def validate(d: Diagram) -> None:
     strand may instead appear twice on the boundary and in no slot).  That
     is, every arc has two ends, which building the arc-incidence index
     checks."""
-    d.ends
+    d.other
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +287,15 @@ def trace_faces(d: Diagram) -> FaceTrace:
     n4 = 4 * n
     cycle_of = [-1] * len(other)
     starts: list[int] = []      # one half-edge per cycle
-    touches: list[bool] = []    # whether the cycle runs along the boundary
     for start in range(len(other)):
-        if cycle_of[start] >= 0:
-            continue
-        h, along = start, False
-        while cycle_of[h] < 0:
-            cycle_of[h] = len(starts)
-            k = other[h]
-            if k < n4:
-                h = k & ~3 | (k - 1) & 3
-            else:
-                h, along = n4 + (k - n4 + 1) % g, True
-        starts.append(start)
-        touches.append(along)
+        if cycle_of[start] < 0:
+            cid, h = len(starts), start
+            starts.append(start)
+            while cycle_of[h] < 0:
+                cycle_of[h] = cid
+                k = other[h]
+                h = k & ~3 | (k - 1) & 3 if k < n4 else n4 + (k - n4 + 1) % g
+    along = set(cycle_of[n4:])  # the cycles that run along the boundary
 
     # Pieces: the crossing pieces, except that the boundary circle joins the
     # ones reaching it and the chords into one boundary piece, -1.
@@ -318,55 +321,44 @@ def trace_faces(d: Diagram) -> FaceTrace:
                 f"component has Euler characteristic {euler}; the rotation system is not planar"
             )
 
-    faces: list[Face] = []
-    face_of_cycle = [0] * len(starts)
-
-    def new_face(cids: list[int], touches_boundary: bool) -> Face:
-        for cid in cids:
-            face_of_cycle[cid] = len(faces)
-        faces.append(Face(len(faces), 1, cids, touches_boundary))
-        return faces[-1]
-
     # The host face holds the floating pieces and the free loops: the face
     # along the boundary segment from point g-1 to 0 in a tangle, else the
     # outer face of the piece of crossing 0.  A floating piece's outer cycle
     # runs through slot 0 of its lowest crossing (deterministic; which side
-    # faces out is embedding freedom a PD code cannot pin down).
+    # faces out is embedding freedom a PD code cannot pin down).  Every
+    # other cycle is a face of its own.
     host_piece = -1 if g else 0
-    for cid in piece_cycles.get(host_piece, []):
-        if g or cid != cycle_of[0]:
-            new_face([cid], touches[cid])
+    faces = [Face(0, 1, [cid], cid in along) for cid in piece_cycles.get(host_piece, []) if g or cid != 0]
     if g:
-        host = faces[face_of_cycle[cycle_of[n4]]]
+        host = faces[piece_cycles[-1].index(cycle_of[n4])]
     else:
-        host = new_face([cycle_of[0]] if n else [], True)
+        host = Face(0, 1, [0] if n else [], True)
+        faces.append(host)
     for p in sorted(piece_cycles):
         if p != host_piece:
             outer = cycle_of[4 * p]
-            for cid in piece_cycles[p]:
-                if cid != outer:
-                    new_face([cid], False)
+            faces += [Face(0, 1, [cid], False) for cid in piece_cycles[p] if cid != outer]
             host.cycles.append(outer)
-            face_of_cycle[outer] = host.ident
-
     # Free loops: one synthetic inner face each; outer side joins the host.
-    for _ in range(d.free_loops):
-        faces.append(Face(len(faces), 1, [], False, synthetic_loops=1))
-        host.synthetic_loops += 1
+    faces += [Face(0, 1, [], False, synthetic_loops=1) for _ in range(d.free_loops)]
+    host.synthetic_loops = d.free_loops
+    face_of_cycle = [0] * len(starts)
+    for fid, f in enumerate(faces):
+        f.ident = fid
+        for cid in f.cycles:
+            face_of_cycle[cid] = fid
 
     # Euler characteristics: a region with b boundary circles has chi = 2 - b,
     # and a closed diagram's host face is bounded by the disk boundary too.
-    for f in faces:
-        f.chi = 2 - len(f.cycles) - f.synthetic_loops
-    if not g:
-        host.chi -= 1
+    # Every face but the host has one cycle, or is a free loop's inner disk.
+    host.chi = 2 - len(host.cycles) - host.synthetic_loops - (not g)
 
     chi_sum = sum(f.chi for f in faces)
     if chi_sum != 1 + n + g // 2:
         raise NonPlanarError(
             f"face Euler characteristics sum to {chi_sum}, expected {1 + n + g // 2}"
         )
-    return FaceTrace(faces, host.ident, [face_of_cycle[cid] for cid in cycle_of])
+    return FaceTrace(faces, host.ident, list(map(face_of_cycle.__getitem__, cycle_of)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,42 +376,42 @@ def checkerboard(d: Diagram, trace: FaceTrace | None = None) -> Checkerboarding:
     outer face light; compute the dark-surface Euler number e and the signed
     crossing count w."""
     ft = trace or trace_faces(d)
-    colors: dict[int, str] = {ft.outer_face: LIGHT}
-    queue = [ft.outer_face]
-    adjacency: dict[int, set[int]] = {f.ident: set() for f in ft.faces}
-    for h, k in enumerate(d.other):  # the faces on the two sides of an arc
-        adjacency[ft.face_of[h]].add(ft.face_of[k])
+    face_of, outer = ft.face_of, ft.outer_face
+    adjacency: list[list[int]] = [[] for _ in ft.faces]
+    for f, g in zip(face_of, map(face_of.__getitem__, d.other)):  # the faces on the two sides of an arc
+        adjacency[f].append(g)
     # synthetic free-loop inner faces neighbor their host
     for f in ft.faces:
-        if f.synthetic_loops and not f.cycles and f.ident != ft.outer_face:
-            host = ft.outer_face
-            adjacency[f.ident].add(host)
-            adjacency[host].add(f.ident)
+        if f.synthetic_loops and not f.cycles and f.ident != outer:
+            adjacency[f.ident].append(outer)
+            adjacency[outer].append(f.ident)
+    dark = [-1] * len(ft.faces)  # 1 dark, 0 light, -1 not reached yet
+    dark[outer] = 0
+    queue = [outer]
     while queue:
         fid = queue.pop()
-        opposite = DARK if colors[fid] == LIGHT else LIGHT
+        opposite = 1 - dark[fid]
         for nb in adjacency[fid]:
-            if nb not in colors:
-                colors[nb] = opposite
+            if dark[nb] < 0:
+                dark[nb] = opposite
                 queue.append(nb)
-            elif colors[nb] == colors[fid]:
+            elif dark[nb] != opposite:
                 raise ColoringError("face adjacency graph is not bipartite")
-    if len(colors) != len(ft.faces):
+    if -1 in dark:
         raise ColoringError("face adjacency graph is disconnected")
 
-    e = sum(f.chi for f in ft.faces if colors[f.ident] == DARK) - d.n
+    e = sum(f.chi for f in ft.faces if dark[f.ident]) - d.n
 
-    w = 0
-    for ci, c in enumerate(d.crossings):
-        c0, c1, c2, c3 = (colors[ft.face_of[4 * ci + k]] for k in range(4))
-        if c0 != c2 or c1 != c3 or c0 == c1:
-            raise ColoringError(f"corners of crossing {ci} are not alternating")
-        parity = 0 if c0 == DARK else 1
-        # positive iff the dark corners are the ones swept by rotating the
-        # over strand counterclockwise (see module docstring diagram)
-        w += 1 if parity == c.over else -1
-
-    return Checkerboarding(e, w)
+    corner = list(map(dark.__getitem__, face_of[:4 * d.n]))
+    c0, c1 = corner[0::4], corner[1::4]
+    if c0 != corner[2::4] or c1 != corner[3::4] or any(map(operator.eq, c0, c1)):
+        ci = next(ci for ci in range(d.n) if corner[4 * ci:4 * ci + 4] not in ([0, 1, 0, 1], [1, 0, 1, 0]))
+        raise ColoringError(f"corners of crossing {ci} are not alternating")
+    # positive iff the dark corners are the ones swept by rotating the over
+    # strand counterclockwise (see module docstring diagram): iff corner 0
+    # is dark exactly when the over strand runs through slots 0 and 2
+    positive = sum(map(operator.ne, c0, (c.over for c in d.crossings)))
+    return Checkerboarding(e, 2 * positive - d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +426,14 @@ def closed_strands(d: Diagram) -> list[list[int]]:
     A strand leaving along half-edge h enters slot s of a crossing at
     k = d.other[h], passes through, and leaves along slot s + 2, half-edge
     k ^ 2.  Each strand starts along its lowest arc from that arc's lower
-    half-edge.
+    half-edge: the walk from the strand's lowest half-edge, turned to start
+    there and reversed if it enters by that half-edge.
     """
     other = d.other
+    labels = [a for c in d.crossings for a in c.arcs]
     done = [False] * len(other)
-    strands: list[list[int]] = []
-    for a in sorted(d.ends):
-        h = d.ends[a][0]
+    strands: list[tuple[int, list[int]]] = []
+    for h in range(len(other)):
         if done[h]:
             continue
         entries: list[int] = []
@@ -449,8 +442,15 @@ def closed_strands(d: Diagram) -> list[list[int]]:
             done[h] = done[k] = True
             entries.append(k)
             h = k ^ 2
-        strands.append(entries)
-    return strands
+        arcs = [labels[k] for k in entries]
+        low = min(arcs)
+        i = arcs.index(low)
+        if entries[i] < other[entries[i]]:  # walk the other way round
+            entries = [other[k] for k in entries[i::-1] + entries[:i:-1]]
+        else:
+            entries = entries[i:] + entries[:i]
+        strands.append((low, entries))
+    return [entries for _, entries in sorted(strands)]
 
 
 def writhe(d: Diagram, orientation: Sequence[int] | None = None) -> int:
