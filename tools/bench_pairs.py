@@ -20,7 +20,8 @@ both trees are deleted and the run gets PYTHONDONTWRITEBYTECODE=1: a run
 that finds compiled bytecode skips compiling the program, which lowers its
 ``setup_s`` and ``peak_rss_mb``.  ``--trace W`` adds one ``--trace 1`` run
 of W per side.  The result file holds every run's metrics, and per
-workload and metric the change's wins, both medians and both quartiles.
+workload and metric the change's wins, both medians and both quartiles;
+after each workload's pairs the console shows that verdict for ``wall_s``.
 Nothing under ``perfbench/`` is written.
 """
 
@@ -94,6 +95,16 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def verdict(workload: str, wall: dict) -> str:
+    """One console line from a workload's ``wall_s`` summary: the change's
+    wins, both medians with their quartiles, and the ratio of the medians."""
+    (p1, p3), (c1, c3) = wall["parent_quartiles"], wall["change_quartiles"]
+    return (f"{workload} wall_s: change lower in {wall['change_lower_in']} of {wall['pairs']} pairs; "
+            f"median parent {wall['parent_median']:.4f} s (quartiles {p1:.4f}-{p3:.4f}), "
+            f"change {wall['change_median']:.4f} s (quartiles {c1:.4f}-{c3:.4f}); "
+            f"ratio {wall['median_ratio']:.3f}")
+
+
 def quartiles(values: list[float]) -> list[float]:
     """The first and third quartile (inclusive method; one value is both)."""
     if len(values) < 2:
@@ -136,7 +147,9 @@ def main(argv=None) -> int:
             wall = {side: pair[side]["metrics"]["wall_s"]["value"] for side in order}
             print(f"{workload} pair {i}: parent {wall['parent']:.4f} s, change {wall['change']:.4f} s", flush=True)
             pairs.append(pair)
-        result["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+        summary = summarize(pairs)
+        print(verdict(workload, summary["wall_s"]), flush=True)
+        result["workloads"][workload] = {"summary": summary, "pairs": pairs}
     for workload in args.trace:
         result["trace"][workload] = {side: run_once(trees, side, workload, args.seed, seconds, 1)
                                      for side in ("parent", "change")}
