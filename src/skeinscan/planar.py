@@ -378,8 +378,8 @@ def checkerboard(d: Diagram, trace: FaceTrace | None = None) -> Checkerboarding:
     ft = trace or trace_faces(d)
     face_of, outer = ft.face_of, ft.outer_face
     adjacency: list[list[int]] = [[] for _ in ft.faces]
-    for f, g in zip(face_of, map(face_of.__getitem__, d.other)):  # the faces on the two sides of an arc
-        adjacency[f].append(g)
+    for side, across in zip(face_of, map(face_of.__getitem__, d.other)):  # the two sides of an arc
+        adjacency[side].append(across)
     # synthetic free-loop inner faces neighbor their host
     for f in ft.faces:
         if f.synthetic_loops and not f.cycles and f.ident != outer:
