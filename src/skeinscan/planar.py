@@ -101,12 +101,6 @@ class Diagram:
         return not self.boundary_arcs
 
     @cached_property
-    def ends(self) -> dict[int, tuple[int, int]]:
-        """Each arc label -> its two half-edges, lower first.  Raises
-        ArcMultiplicityError as ``other`` does."""
-        return {self.label(h): (h, k) for h, k in enumerate(self.other) if h < k}
-
-    @cached_property
     def other(self) -> tuple[int, ...]:
         """Each half-edge -> the half-edge at the other end of its arc.
         Raises ArcMultiplicityError, naming the lowest arc that does not
@@ -220,6 +214,8 @@ def parse_pd(text: str) -> Diagram:
             boundary = _labels(body) if body else []
             if boundary is None:
                 raise ParseError(f"bad boundary declaration: {m.group('boundary')!r}")
+            if 0 in boundary:
+                raise ParseError(f"arc labels must be positive: {m.group('boundary')!r}")
         elif kind is None and m.end() < len(text):
             raise ParseError(f"unrecognized PD token starting at {text[m.end():m.end() + 24].split()[0]!r}")
     d = Diagram(tuple(crossings), free_loops, tuple(boundary or ()))

@@ -56,8 +56,9 @@ copy of the state's dict and moves A^(+-1) into the state-wide ``offset``,
 which every reader adds to each r; it reads the table for the cup-cap only.
 
 A run of such crossings, each absorbing the 2 points the one before
-emitted (``engine.step_end``), weighs x + y e as e^2 = delta e
-(``_run_weight``): x a power of A, y packed like a coefficient.  The merge
+emitted (``engine.step_end``), weighs x + y e as e^2 = delta e: x a power
+of A, y packed like a coefficient.  ``_run_weight`` composes each weight,
+and each half, once per process and loop sign (``_RUNS``).  The merge
 copies the state for the identity, with x in the offset, and multiplies
 each P by y's packed Y for the cup-cap, which a y of 0 (an R2 bigon) skips.
 
@@ -254,6 +255,7 @@ def _window_rule(pairing: tuple[int, ...], inner: tuple[int, ...]) -> Rule:
 
 # Window rules by (pairing, inner), built on first use.
 _RULES: dict[tuple, Rule] = {}
+_RUNS: dict[bool, dict] = {False: {}, True: {}}  # run weights and halves by leaves, per loop sign
 
 
 @lru_cache(maxsize=None)
@@ -267,9 +269,10 @@ def _identity(smoothings, k: int) -> int | None:
 def _run_weight(leaves: tuple[tuple[int, int], ...], negative: bool, memo: dict) -> tuple[int, ...]:
     """The product of crossings A^x_i + A^y_i e, given as the pairs (x_i, y_i),
     e^2 the loop value (negative: its sign) times e, composed in halves, each
-    distinct part once (memo), so k equal crossings take about 2 log2 k
-    products: (x, r, Y, b, mass, mixed) for A^x + A^r Y(A^4) e, Y in slots
-    of b bits, mass its sum of |c_i|, mixed the terms left out for residues."""
+    distinct part once per memo (``_RUNS``: one per process and loop sign),
+    so k equal crossings take about 2 log2 k products: (x, r, Y, b, mass,
+    mixed) for A^x + A^r Y(A^4) e, Y in b-bit slots, mass its sum of |c_i|,
+    mixed the terms left out for residues."""
     if len(leaves) == 1:
         return (*leaves[0], 1, 64, 1, 0)
     w = memo.get(leaves)
@@ -505,7 +508,8 @@ class SkeinState:
         # per over flag: the exponents of A on the identity and on the cup-cap
         leaf = {f: (s[j][1], s[1 - j][1]) for f in set(flags)
                 for s in [_CROSSINGS[a_smoothing_class(2, f)]] for j in [_identity(s, 2)]}
-        weight = _run_weight(tuple(map(leaf.__getitem__, flags)), _loop_power(self.mode, 1)[1], {})
+        negative = _loop_power(self.mode, 1)[1]
+        weight = _run_weight(tuple(map(leaf.__getitem__, flags)), negative, _RUNS[negative])
         return self._glue(ev[0].at, 2, _CROSSINGS[a_smoothing_class(2, flags[0])], weight)
 
     def glued_at(self, at: int, k: int) -> int:

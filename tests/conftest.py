@@ -17,3 +17,17 @@ def fresh_cuttings():
     engine._CUTTINGS.clear()
     yield engine._CUTTINGS
     engine._CUTTINGS.clear()
+
+
+@pytest.fixture
+def fresh_runs():
+    """Empty run-weight memos (``skein._RUNS``, one per loop sign), so the
+    test composes every weight itself; emptied again afterwards, so nothing
+    it planted outlives it."""
+    from skeinscan import skein
+
+    for memo in skein._RUNS.values():
+        memo.clear()
+    yield skein._RUNS
+    for memo in skein._RUNS.values():
+        memo.clear()

@@ -68,6 +68,8 @@ _LONG = "9" * 5000  # over int()'s default limit of 4300 digits
     (f"X[1,2,3,{_LONG}]o1", ParseError, f"crossing needs 4 arc labels: 'X[1,2,3,{_LONG}]o1'"),
     ("X[1,0,1,2]", ParseError, "arc labels must be positive: 'X[1,0,1,2]'"),
     ("X[ 1 ,\n2,000 , 2]o0", ParseError, "arc labels must be positive: 'X[ 1 ,\\n2,000 , 2]o0'"),
+    ("X[1,2,3,4] B[1,2,3,4,0,0]", ParseError, "arc labels must be positive: 'B[1,2,3,4,0,0]'"),
+    ("B[ 00 ,00]", ParseError, "arc labels must be positive: 'B[ 00 ,00]'"),
     ("X[1,2,3,4] B[1,2] B[3,4]", ParseError, "multiple B[...] boundary declarations"),
     ("X[1,2,3,4] B[1,2,x,4]", ParseError, "bad boundary declaration: 'B[1,2,x,4]'"),
     (f"X[1,2,3,4] B[1,2,3,{_LONG}]", ParseError, f"bad boundary declaration: 'B[1,2,3,{_LONG}]'"),

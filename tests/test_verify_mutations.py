@@ -164,11 +164,12 @@ def test_undersized_slots_detected(monkeypatch):
     assert report["positivity"]["violations"][0].startswith("nonpositive coefficient at n=49,")
 
 
-def test_corrupted_run_weight_detected(monkeypatch):
+def test_corrupted_run_weight_detected(monkeypatch, fresh_runs):
     # adding 1 to the lowest slot of every run's cup-cap weight, and of
     # every part it is composed from, keeps its residues, so only the values
     # can tell; torus_2_5, torus_2_6, knot_5_2 and other corpus diagrams
-    # with n <= 6 fold runs
+    # with n <= 6 fold runs.  The composed parts land in the process-wide
+    # memo, which fresh_runs empties again afterwards
     original = skein._run_weight
 
     def corrupted(leaves, negative, memo):
@@ -176,6 +177,19 @@ def test_corrupted_run_weight_detected(monkeypatch):
         return x, r, Y + 1, b, mass + 1, mixed
 
     monkeypatch.setattr(skein, "_run_weight", corrupted)
+    report = run_verify(max_n=6)
+    assert not report["ok"]
+    assert not report["suites"]["oracle_equivalence"]["ok"]
+
+
+def test_corrupted_memo_entry_detected(fresh_runs):
+    # one planted entry of the process-wide run-weight memo: sigma^2's
+    # bracket weight with 1 added to its lowest slot, which keeps its
+    # residues; every later run of two such crossings, and every longer run
+    # composed from that half, reads it instead of composing its own
+    leaves = ((1, -1), (1, -1))
+    x, r, Y, b, mass, mixed = skein._run_weight(leaves, True, {})
+    fresh_runs[True][leaves] = x, r, Y + 1, b, mass + 1, mixed
     report = run_verify(max_n=6)
     assert not report["ok"]
     assert not report["suites"]["oracle_equivalence"]["ok"]

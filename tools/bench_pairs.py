@@ -21,8 +21,10 @@ that finds compiled bytecode skips compiling the program, which lowers its
 ``setup_s`` and ``peak_rss_mb``.  ``--trace W`` adds one ``--trace 1`` run
 of W per side.  The result file holds every run's metrics, and per
 workload and metric the change's wins, both medians and both quartiles;
-after each workload's pairs the console shows that verdict for ``wall_s``.
-Nothing under ``perfbench/`` is written.
+after each workload's pairs the console shows that verdict for every
+end-to-end metric of ``BENCHMARK.json``, marked ABOVE PARENT Q3 where the
+change's median lies above the parent's third quartile.  Nothing under
+``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -95,14 +97,17 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
-def verdict(workload: str, wall: dict) -> str:
-    """One console line from a workload's ``wall_s`` summary: the change's
-    wins, both medians with their quartiles, and the ratio of the medians."""
-    (p1, p3), (c1, c3) = wall["parent_quartiles"], wall["change_quartiles"]
-    return (f"{workload} wall_s: change lower in {wall['change_lower_in']} of {wall['pairs']} pairs; "
-            f"median parent {wall['parent_median']:.4f} s (quartiles {p1:.4f}-{p3:.4f}), "
-            f"change {wall['change_median']:.4f} s (quartiles {c1:.4f}-{c3:.4f}); "
-            f"ratio {wall['median_ratio']:.3f}")
+def verdict(workload: str, name: str, unit: str, metric: dict) -> str:
+    """One console line from a workload's summary of one metric: the
+    change's wins, both medians with their quartiles, the ratio of the
+    medians, and a mark when the change's median lies above the parent's
+    third quartile."""
+    (p1, p3), (c1, c3) = metric["parent_quartiles"], metric["change_quartiles"]
+    ratio = "n/a" if metric["median_ratio"] is None else f"{metric['median_ratio']:.3f}"
+    mark = "; ABOVE PARENT Q3" if metric["change_median"] > p3 else ""
+    return (f"{workload} {name}: change lower in {metric['change_lower_in']} of {metric['pairs']} pairs; "
+            f"median parent {metric['parent_median']:.4f} {unit} (quartiles {p1:.4f}-{p3:.4f}), "
+            f"change {metric['change_median']:.4f} {unit} (quartiles {c1:.4f}-{c3:.4f}); ratio {ratio}{mark}")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -122,7 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT, check=True,
                            capture_output=True, text=True).stdout.strip()
     if dirty:
@@ -148,7 +154,8 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i}: parent {wall['parent']:.4f} s, change {wall['change']:.4f} s", flush=True)
             pairs.append(pair)
         summary = summarize(pairs)
-        print(verdict(workload, summary["wall_s"]), flush=True)
+        for metric in bench["end_to_end"]:
+            print(verdict(workload, metric["name"], metric["unit"], summary[metric["name"]]), flush=True)
         result["workloads"][workload] = {"summary": summary, "pairs": pairs}
     for workload in args.trace:
         result["trace"][workload] = {side: run_once(trees, side, workload, args.seed, seconds, 1)
