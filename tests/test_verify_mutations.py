@@ -168,8 +168,7 @@ def test_corrupted_run_weight_detected(monkeypatch, fresh_runs):
     # adding 1 to the lowest slot of every run's cup-cap weight, and of
     # every part it is composed from, keeps its residues, so only the values
     # can tell; torus_2_5, torus_2_6, knot_5_2 and other corpus diagrams
-    # with n <= 6 fold runs.  The composed parts land in the process-wide
-    # memo, which fresh_runs empties again afterwards
+    # with n <= 6 fold runs
     original = skein._run_weight
 
     def corrupted(leaves, negative, memo):
@@ -183,10 +182,10 @@ def test_corrupted_run_weight_detected(monkeypatch, fresh_runs):
 
 
 def test_corrupted_memo_entry_detected(fresh_runs):
-    # one planted entry of the process-wide run-weight memo: sigma^2's
-    # bracket weight with 1 added to its lowest slot, which keeps its
-    # residues; every later run of two such crossings, and every longer run
-    # composed from that half, reads it instead of composing its own
+    # one planted entry of the process-wide run-weight memo: the bracket
+    # weight of (A + A^-1 e)^2 with 1 added to its lowest slot, which keeps
+    # its residues; every later run of two such crossings, and every longer
+    # run composed from that half, reads it instead of composing its own
     leaves = ((1, -1), (1, -1))
     x, r, Y, b, mass, mixed = skein._run_weight(leaves, True, {})
     fresh_runs[True][leaves] = x, r, Y + 1, b, mass + 1, mixed

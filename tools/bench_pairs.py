@@ -106,8 +106,8 @@ def verdict(workload: str, name: str, unit: str, metric: dict) -> str:
     ratio = "n/a" if metric["median_ratio"] is None else f"{metric['median_ratio']:.3f}"
     mark = "; ABOVE PARENT Q3" if metric["change_median"] > p3 else ""
     return (f"{workload} {name}: change lower in {metric['change_lower_in']} of {metric['pairs']} pairs; "
-            f"median parent {metric['parent_median']:.4f} {unit} (quartiles {p1:.4f}-{p3:.4f}), "
-            f"change {metric['change_median']:.4f} {unit} (quartiles {c1:.4f}-{c3:.4f}); ratio {ratio}{mark}")
+            f"median parent {metric['parent_median']:.4g} {unit} (quartiles {p1:.4g}-{p3:.4g}), "
+            f"change {metric['change_median']:.4g} {unit} (quartiles {c1:.4g}-{c3:.4g}); ratio {ratio}{mark}")
 
 
 def quartiles(values: list[float]) -> list[float]:
