@@ -23,10 +23,12 @@ walk skips crossingless chords, which the scan leaves out.
 
 The frontier is a circular list of distinct tokens, each the half-edge at
 the unscanned end of its arc; neighbours h, k are the two stubs of one
-completed arc, to be capped, when ``Diagram.other[h] == k``.  Events that
-would wrap the seam between positions g-1 and 0 first rotate the labelling
-so their run starts at 0; the state machine applies the same rule, keeping
-both sides aligned.
+completed arc, to be capped, when ``Diagram.other[h] == k``.  ``_Scan`` is
+the one simulation of the frontier: the cutting loader checks only types,
+and ``verify_cutting`` replays a loaded cutting on a scan.  Events that would
+wrap the seam between positions g-1 and 0 first rotate the labelling so
+their run starts at 0, by ``skein.glued_at``, the rule the state machine
+and ``engine.step_end`` apply too, keeping every side aligned.
 
 Greedy scans a twist region end to end: once it commits ci, a bigon partner
 cj whose only frontier tokens are two neighbouring stubs of arcs from ci is
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .planar import Diagram, crossing_pieces
-from .skein import Birth, Cap, Cross, Event, InvariantViolation
+from .skein import Birth, Cap, Cross, Event, InvariantViolation, glued_at
 
 # Cutwidth of a 4-valent planar graph is at most this constant times sqrt(n).
 SQRT_BOUND_CONST = 6 * math.sqrt(2) + 5 * math.sqrt(3)
@@ -85,30 +87,17 @@ class Cutting:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cutting":
-        """Load a cutting, rejecting events that do not fit the frontier
-        they meet (frontier sizes follow from the events alone) and fields
-        of the wrong type."""
+        """Load a cutting, rejecting a malformed one and fields of the wrong
+        type; ``verify_cutting`` replays what it holds."""
         events: list[Event] = []
-        g = 0
         try:
             for ev in data["events"]:
                 if ev["type"] == "birth":
-                    if not 0 <= ev["at"] <= g:
-                        raise InvalidCutting(f"birth at {ev['at']} on a frontier of {g}")
                     events.append(Birth(ev["at"]))
-                    g += 2
                 elif ev["type"] == "cap":
-                    if g < 2:
-                        raise InvalidCutting(f"cap on a frontier of {g}")
                     events.append(Cap(ev["at"]))
-                    g -= 2
                 elif ev["type"] == "cross":
-                    k = ev["absorb"]
-                    if not 0 <= k <= min(4, g):
-                        raise InvalidCutting(f"crossing absorbs {k} points of a frontier of {g}")
-                    events.append(Cross(ev["at"], k, ev["over_first"],
-                                        ev.get("crossing"), ev.get("rot")))
-                    g += 4 - 2 * k
+                    events.append(Cross(ev["at"], ev["absorb"], ev["over_first"], ev.get("crossing"), ev.get("rot")))
                 else:
                     raise InvalidCutting(f"unknown event type {ev['type']!r}")
                 for name, kind in _FIELD_TYPES.items():
@@ -186,10 +175,10 @@ class _Scan:
 
     def _splice(self, at: int, k: int, tokens: list[int]) -> int:
         """Replace the k tokens from position `at` on by `tokens`; return
-        where they start.  A run that wraps the seam is first rotated to
-        start at 0, the rule SkeinState._glue applies to the matchings."""
+        where they start, ``glued_at``: a run that wraps the seam is first
+        rotated to start at 0, as the state machine rotates its matchings."""
         f = self.frontier
-        if k and at + k > len(f):
+        if k and glued_at(at, k, len(f)) != at:
             self.frontier, at = tokens + f[at + k - len(f):at], 0
         else:
             self.frontier = f[:at] + tokens + f[at + k:]
@@ -237,8 +226,8 @@ class _Scan:
         chains = {}
         for ci in sorted(found):
             # the first m chains, which run on from position 0, go last
-            if len(cs := found[ci]) > 1 and cs[0][0] == 0 and (
-                    m := next((j for j in range(1, len(cs)) if cs[j][0] != sum(cs[j - 1])), 0)):
+            if len(cs := found[ci]) > 1 and cs[0][0] == 0:
+                m = next((j for j in range(1, len(cs)) if cs[j][0] != sum(cs[j - 1])), len(cs))
                 if sum(cs[-1]) == len(f) and (f[-1] - f[0]) & 3 == 1:
                     cs[-1][1] += cs.pop(0)[1]
                     m -= 1
@@ -266,8 +255,7 @@ class _Scan:
                 continue
             a = tokens[1] if tokens[1] - tokens[0] == 1 else tokens[0]  # slot s, the chain's first
             i, g = f.index(a), len(f)
-            # the next token holds slot s - 1; ``chains`` joins no pair across the seam of a 2-frontier
-            if f[(i + 1) % g] == a & ~3 | (a - 1) & 3 and (i + 1 < g or g > 2):
+            if f[(i + 1) % g] == a & ~3 | (a - 1) & 3:  # the next token holds slot s - 1
                 return cj, (i, 2, a & 3)
         return None
 
@@ -442,7 +430,7 @@ def greedy_cutting(d: Diagram) -> Cutting:
     order: list[int] = []
     sized: dict = {}
     while (done := len(scan.processed)) < d.n:
-        step = order and scan.twist_move(order[-1]) or _greedy_move(scan, LOOKAHEAD, sized)
+        step = order and scan.twist_move(order[-1]) or _greedy_move(scan, sized)
         if step is None:
             raise InvariantViolation("greedy scan has no glueable crossing (unexpected)")
         ci, mv = step
@@ -467,13 +455,12 @@ def _ranked(scan: _Scan, sized: dict) -> list[tuple[int, int, tuple[int, int, in
     return ranked
 
 
-def _greedy_move(scan: _Scan, lookahead: int, sized: dict) -> tuple[int, tuple[int, int, int]] | None:
+def _greedy_move(scan: _Scan, sized: dict) -> tuple[int, tuple[int, int, int]] | None:
     """The greedy rule: among the ``_ranked`` candidates, take the one
-    leaving the smallest frontier, then the lowest crossing id.  With a
-    lookahead, candidates tied at the smallest frontier are ranked first by
-    the peak girth after that many further greedy steps without lookahead
-    (fewer when the scan runs out of candidates).  None when there is no
-    candidate.
+    leaving the smallest frontier, then the lowest crossing id.  Candidates
+    tied at the smallest frontier are ranked first by the peak girth after
+    LOOKAHEAD further greedy steps without lookahead (fewer when the scan
+    runs out of candidates).  None when there is no candidate.
 
     Tied candidates roll out in id order on ``scan``, applying their moves
     but sizing the last.  No peak is below the floor, the larger of the
@@ -486,12 +473,12 @@ def _greedy_move(scan: _Scan, lookahead: int, sized: dict) -> tuple[int, tuple[i
         return None
     least = min(ranked)[0]
     tied = sorted(t for t in ranked if t[0] == least)  # crossing ids are unique, so no move is compared
-    if not lookahead or len(tied) == 1:
+    if len(tied) == 1:
         return tied[0][1:]
     mark, floor, best = scan.mark(), max(scan.girth, least), (1 << 30,)
     for i, (_, ci, mv) in enumerate(tied):
         step, node = (ci, mv), sized
-        for depth in range(lookahead):
+        for depth in range(LOOKAHEAD):
             scan.apply_cross(step[0], *step[1])
             first = scan.mark() if not depth else first
             node = node.setdefault(step[0], {})
@@ -519,12 +506,13 @@ def exact_min_girth(d: Diagram) -> Cutting:
         raise TooLarge(f"{d.n} crossings exceeds the exact-search cap {DEFAULT_EXACT_CAP}")
     base = _Scan(d)
     tick = itertools.count()  # unique, so entries never compare their scans
-    # (peak, tick, scan, order, final rotation once the scan is complete)
-    heap: list[tuple] = [(base.girth, next(tick), base, [], None)]
+    # (peak, tick, scan, final rotation once the scan is complete)
+    heap: list[tuple] = [(base.girth, next(tick), base, None)]
     settled: dict[tuple, int] = {}
     while heap:
-        peak, _, scan, order, rot = heapq.heappop(heap)
+        peak, _, scan, rot = heapq.heappop(heap)
         if rot is not None:
+            order = [ev.crossing for ev in scan.events if isinstance(ev, Cross)]
             return Cutting(scan.events, scan.girth, order, rot)
         key = scan.state_key()
         if settled.get(key, 1 << 30) <= peak:
@@ -537,7 +525,7 @@ def exact_min_girth(d: Diagram) -> Cutting:
                 continue  # complete, but not onto the declared boundary
             # queued rather than returned, so entries of equal peak pushed
             # earlier keep their turn
-            heapq.heappush(heap, (peak, next(tick), scan, order, rot))
+            heapq.heappush(heap, (peak, next(tick), scan, rot))
             continue
         moves = [(ci, mv) for ci, mvs in scan.frontier_moves().items() for mv in mvs]
         for ci, mv in moves + _fresh_moves(scan, first_only=False):
@@ -547,7 +535,7 @@ def exact_min_girth(d: Diagram) -> Cutting:
             ckey = child.state_key()
             if settled.get(ckey, 1 << 30) <= child_peak:
                 continue
-            heapq.heappush(heap, (child_peak, next(tick), child, order + [ci], None))
+            heapq.heappush(heap, (child_peak, next(tick), child, None))
     raise InvalidOrder("search exhausted without completing the scan")
 
 
@@ -596,9 +584,11 @@ def sqrt_bound_check(d: Diagram, cutting: Cutting) -> dict:
 
 def verify_cutting(d: Diagram, cutting: Cutting) -> None:
     """Replay an explicit cutting against the diagram, applying each
-    recorded move as recorded: a crossing event is legal when its rot is a
-    slot 0..3 and, if it absorbs tokens, ``_Scan.frontier_moves`` offers its
-    (at, absorb, rot).  The replay must then reproduce every recorded event
+    recorded move as recorded: an event must fit the frontier it meets (it
+    absorbs at most what the frontier holds, and an insertion lands in a
+    gap 0..g), and a crossing event is legal when its rot is a slot 0..3
+    and, if it absorbs tokens, ``_Scan.frontier_moves`` offers its (at,
+    absorb, rot).  The replay must then reproduce every recorded event
     (over_first included), the final rotation and the girth exactly, and
     ``source_order`` must list the crossings of the Cross events in order.
     Like the searches, it starts each piece of the diagram (a connected
@@ -611,7 +601,10 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
         raise InvalidCutting(
             "cutting must open with the canonical free-loop events")
     while pos < len(events):
-        ev = events[pos]
+        ev, g = events[pos], len(scan.frontier)
+        k = ev.absorb if isinstance(ev, Cross) else 2 * isinstance(ev, Cap)
+        if not 0 <= k <= min(4, g) or not k and not 0 <= ev.at <= g:
+            raise InvalidCutting(f"{ev} does not fit a frontier of {g} points")
         if not isinstance(ev, Cross):
             raise InvalidCutting(f"replay emits no {ev} here: births and caps follow from the free loops and crossings")
         ci = ev.crossing
@@ -620,17 +613,15 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
         if ev.rot not in range(4):
             raise InvalidCutting(f"{ev} glues no crossing slot 0..3")
         moves = scan.frontier_moves().get(ci, [])
-        if ev.absorb == 0:
+        if not k:
             if moves:
                 raise InvalidCutting(f"{ev} ignores frontier arcs of crossing {ci}")
             if scan.piece[ci] in scan.started_pieces:
                 raise InvalidCutting(f"{ev} starts crossing {ci}'s piece a second time")
-            if not 0 <= ev.at <= len(scan.frontier):
-                raise InvalidCutting(f"{ev} inserts outside the frontier")
         elif (ev.at, ev.absorb, ev.rot) not in moves:
             raise InvalidCutting(f"{ev} is not a legal gluing here")
         scan.apply_cross(ci, ev.at, ev.absorb, ev.rot)
-        # the prefix before this crossing already matched
+        # events[:start] already matched, so a finished loop has matched them all
         start, pos = pos, len(scan.events)
         if events[start:pos] != scan.events[start:pos]:
             raise InvalidCutting("recorded events diverge from the replay")
@@ -638,8 +629,6 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
         rot = scan.finish()
     except InvalidOrder as exc:
         raise InvalidCutting(str(exc)) from exc
-    if scan.events != events:
-        raise InvalidCutting("recorded events diverge from the replay")
     if rot != cutting.final_rotation:
         raise InvalidCutting("final rotation does not match")
     if scan.girth != cutting.girth:

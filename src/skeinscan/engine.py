@@ -56,7 +56,7 @@ from .cutorder import Cutting, exact_min_girth, greedy_cutting, sqrt_bound_check
 from .laurent import LaurentPoly
 from .matchings import Matching, catalan
 from .planar import LIGHT, Diagram, FaceTrace, checkerboard, crossing_pieces, trace_faces, writhe
-from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, Event, InvariantViolation, SkeinState
+from .skein import BRACKET, LOOP_VALUES, PKBP, Birth, Cross, Event, InvariantViolation, SkeinState, glued_at
 
 
 class NotClosed(ValueError):
@@ -159,7 +159,7 @@ def step_end(state: SkeinState, events: list[Event], i: int) -> int:
     events that each absorb 2 points where the first is glued (they keep g)."""
     j, ev = i + 1, events[i]
     if isinstance(ev, Cross) and ev.absorb == 2 and state.g >= 2:
-        at = state.glued_at(ev.at, 2)
+        at = glued_at(ev.at, 2, state.g)
         while j < len(events) and isinstance(e := events[j], Cross) and e.absorb == 2 and e.at % state.g == at:
             j += 1
     return j

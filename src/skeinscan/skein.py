@@ -26,9 +26,10 @@ with weight A^-1.  ``SkeinState._glue`` does this for every event.
 Positions are circular.  A piece that absorbs nothing is inserted at one of
 the g + 1 gaps 0..g.  A piece that absorbs k > 0 points takes its position
 mod g, and a run that would cross the seam between position g-1 and 0 first
-rotates the labelling so it starts at 0; the rotation is part of the event's
-defined semantics, so any replayer tracking frontier tokens stays aligned by
-applying the same rule.
+rotates the labelling so it starts at 0.  The rotation is part of the event's
+defined semantics, and ``glued_at`` is its one statement: ``_glue``,
+``engine.step_end`` and the cutting scan (``cutorder._Scan._splice``) all
+call it, so every replayer of frontier tokens stays aligned.
 
 Surgery is compiled into transition tables.  What a piece does to one
 matching depends only on the event signature (g, at, k, smoothings) and the
@@ -151,6 +152,12 @@ class Cross:
 
 
 Event = Birth | Cap | Cross
+
+
+def glued_at(at: int, k: int, g: int) -> int:
+    """Where a piece absorbing k > 0 of g points from `at` on emits its
+    ends: at mod g, or 0 when its run wraps the seam (and is rotated to 0)."""
+    return at % g if at % g + k <= g else 0
 
 
 @lru_cache(maxsize=None)
@@ -512,11 +519,6 @@ class SkeinState:
         weight = _run_weight(tuple(map(leaf.__getitem__, flags)), negative, _RUNS[negative])
         return self._glue(ev[0].at, 2, _CROSSINGS[a_smoothing_class(2, flags[0])], weight)
 
-    def glued_at(self, at: int, k: int) -> int:
-        """Where a piece absorbing k > 0 points from `at` on emits its ends:
-        at mod g, or 0 if they wrap the seam (``_glue`` rotates them to 0)."""
-        return at % self.g if at % self.g + k <= self.g else 0
-
     def _glue(self, at: int, k: int, smoothings, run=None) -> "SkeinState":
         """Glue a piece absorbing the k points from `at` on, and expand the
         result over its smoothings, or a run's weight (``_run_weight``)."""
@@ -527,7 +529,7 @@ class SkeinState:
             raise FrontierTooSmall(f"insertion at {at} on frontier of {g}")
         if k:
             at %= g
-            if self.glued_at(at, k) != at:  # run wraps the seam: rotate it to 0
+            if glued_at(at, k, g) != at:  # run wraps the seam: rotate it to 0
                 return self.rotated(at)._glue(0, k, smoothings, run)
 
         growth = width << k // 2 if run is None else 1 + 2 * run[4]

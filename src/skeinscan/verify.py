@@ -64,8 +64,8 @@ def tangle_fixtures(seed: int = 0) -> dict[str, Diagram]:
     return out
 
 
-def _suite(ok: bool, cases: int, failures: list[str]) -> dict:
-    return {"ok": ok and not failures, "cases": cases, "failures": failures}
+def _suite(cases: int, failures: list[str]) -> dict:
+    return {"ok": not failures, "cases": cases, "failures": failures}
 
 
 def run_verify(max_n: int = 12, seed: int = 0) -> dict:
@@ -98,7 +98,7 @@ def run_verify(max_n: int = 12, seed: int = 0) -> dict:
         pk_oracle = brute_force_bracket(d, PKBP)
         if pk.polynomial != pk_oracle:
             failures.append(f"{name}: positive-mode engine differs from oracle")
-    report["suites"]["oracle_equivalence"] = _suite(True, checked, failures)
+    report["suites"]["oracle_equivalence"] = _suite(checked, failures)
     timings["oracle_equivalence_s"] = time.perf_counter() - t0
 
     # -- tangle expansions -------------------------------------------------
@@ -112,7 +112,7 @@ def run_verify(max_n: int = 12, seed: int = 0) -> dict:
         exp_oracle = brute_force_tangle_expansion(d)
         if exp_engine.coeffs != exp_oracle:
             failures.append(f"tangle {name}: engine expansion differs from oracle")
-    report["suites"]["tangle_equivalence"] = _suite(True, len(tangles), failures)
+    report["suites"]["tangle_equivalence"] = _suite(len(tangles), failures)
     timings["tangle_equivalence_s"] = time.perf_counter() - t0
 
     # -- structural invariants held during every fold ----------------------
@@ -121,7 +121,7 @@ def run_verify(max_n: int = 12, seed: int = 0) -> dict:
     for name, res in folds:
         for key, info in failed_checks(res.diagnostics).items():
             failures.append(f"{name}/{res.mode}/{key}: {info['violations'][:2] if 'violations' in info else info}")
-    report["suites"]["invariants"] = _suite(True, len(results), failures)
+    report["suites"]["invariants"] = _suite(len(results), failures)
     timings["invariants_s"] = time.perf_counter() - t0
 
     # -- girth: exact search agrees on small diagrams (the fold holds the
@@ -134,7 +134,7 @@ def run_verify(max_n: int = 12, seed: int = 0) -> dict:
             gr = greedy_cutting(d)
             if ex.girth > gr.girth:
                 failures.append(f"{name}: exact girth {ex.girth} worse than greedy {gr.girth}")
-    report["suites"]["girth"] = _suite(True, len(results), failures)
+    report["suites"]["girth"] = _suite(len(results), failures)
     timings["girth_s"] = time.perf_counter() - t0
 
     # -- order independence -------------------------------------------------
@@ -156,7 +156,7 @@ def run_verify(max_n: int = 12, seed: int = 0) -> dict:
         alt = compute_bracket(d, order=roundtrip)
         if alt.polynomial != base:
             failures.append(f"{name}: explicit cutting changed the polynomial")
-    report["suites"]["order_independence"] = _suite(True, cases, failures)
+    report["suites"]["order_independence"] = _suite(cases, failures)
     timings["order_independence_s"] = time.perf_counter() - t0
 
     # -- invariance: R-moves, mirror, split unknot --------------------------
@@ -183,7 +183,7 @@ def run_verify(max_n: int = 12, seed: int = 0) -> dict:
         with_unknot = Diagram(d.crossings, d.free_loops + 1, d.boundary_arcs)
         if compute_bracket(with_unknot).polynomial != res.polynomial * DELTA:
             failures.append(f"{name}: split unknot did not multiply by the loop value")
-    report["suites"]["invariance"] = _suite(True, len(trios) + len(results), failures)
+    report["suites"]["invariance"] = _suite(len(trios) + len(results), failures)
     timings["invariance_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - t_start

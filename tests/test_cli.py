@@ -280,11 +280,11 @@ def test_greedy_fault_exits_three(monkeypatch, capsys, fresh_cuttings, fault):
     # an engine fault, not an input error
     greedy_move, first = cutorder._greedy_move, []
 
-    def faulty_move(scan, lookahead, sized):
+    def faulty_move(scan, sized):
         if fault == "no crossing":
             return None
         if not first:  # offered again at every step
-            first.append(greedy_move(scan, 0, sized))
+            first.append(greedy_move(scan, sized))
         return first[0]
 
     monkeypatch.setattr(cutorder, "_greedy_move", faulty_move)

@@ -300,9 +300,9 @@ def test_every_order_of_a_split_tangle_compiles(pd, scan_count):
 # SHA-256 over the sorted corpus of each order's cutting JSON: a change to
 # the searches that alters any corpus cutting fails here
 CORPUS_CUTTING_DIGESTS = {
-    "greedy": "8630fc9051d8a2b9bbbe41eae691fc4125105bb35eeff8fff607e98b51e3a309",
-    "anneal": "b9d8dac7ba77cd169cc0ad5e571b1131269d9bb8efae0509a8796c96a271b77a",
-    "exact": "9d221e26c901dd7240f9107f7e55339110901c17dfad25b03e2885fba09de3e5",
+    "greedy": "f6ca283355f45ce5e00d7bf0a5594140b8502d19c8cc46254de976fc1737e048",
+    "anneal": "8298b3dc4714176a3d9f22faa85812667f74341c096a5e648444c96d2cb49710",
+    "exact": "372a6cfc08c718c579acbc554ec2100d626cc83bbbd7cdb1b0610432df1aa116",
 }
 
 
@@ -411,6 +411,17 @@ def test_greedy_scans_a_twist_region_without_ranking(monkeypatch):
     verify_cutting(d, cutting)
 
 
+def test_a_crossing_filling_the_frontier_chains_across_the_seam(corpus):
+    # braid_4s_11 after crossings 0-2: the frontier [15, 12] is slots 3 and
+    # 0 of crossing 3, one chain from position 1 on across the seam
+    scan = cutorder._Scan(corpus["braid_4s_11"])
+    for ci, mv in [(0, (0, 0, 3)), (1, (2, 2, 1)), (2, (3, 1, 1))]:
+        scan.apply_cross(ci, *mv)
+    assert scan.frontier == [15, 12]
+    assert scan.chains() == {3: [(1, 2, 0)]}
+    assert (1, 2, 0) in scan.frontier_moves()[3]
+
+
 def test_braid_and_tangle_fixture_greedy_cuttings_are_unchanged():
     # SHA-256 over the greedy cutting JSON of 60 braid closures and of
     # tangle_fixtures(0..3), taken with greedy's twist moves
@@ -418,7 +429,7 @@ def test_braid_and_tangle_fixture_greedy_cuttings_are_unchanged():
     tangles = [d for seed in range(4) for _, d in sorted(tangle_fixtures(seed).items())]
     for d in _braid_closures(60) + tangles:
         digest.update(json.dumps(greedy_cutting(d).to_json(), sort_keys=True).encode())
-    assert digest.hexdigest() == "34ef5cb73a621f57adca9df5d303f7a346cce54c5fccff6efd62aadc33a87e9c"
+    assert digest.hexdigest() == "51279b4dc458c112089cded3ab444162e1612544ffaf66a5681eae589d9e1465"
 
 
 def test_greedy_runs_on_one_scan_without_clones(corpus, monkeypatch):
@@ -439,16 +450,19 @@ def _legal_moves(scan):
 def reference_token_runs(scan, ci):
     """Maximal circular runs of frontier positions holding arcs of ci,
     read by a full scan of the frontier per crossing."""
-    g = len(scan.frontier)
-    flags = [h >> 2 == ci for h in scan.frontier]
+    f = scan.frontier
+    g = len(f)
+    flags = [h >> 2 == ci for h in f]
     if not any(flags):
         return []
-    if all(flags):
-        return [list(range(g))]
+    # a run starts just after the first gap or, on a frontier of ci's tokens
+    # alone, just after a break in their slots (at 0 if they all run on)
+    gaps = [i + 1 for i, flag in enumerate(flags) if not flag]
+    breaks = [i for i in range(g) if (f[i - 1] - f[i]) & 3 != 1]
+    start = (gaps or breaks or [0])[0]
     runs = []
-    start = flags.index(False) + 1  # just after a gap
     for i in (j % g for j in range(start, start + g)):
-        if flags[i] and flags[i - 1]:
+        if flags[i] and flags[i - 1] and runs:
             runs[-1].append(i)
         elif flags[i]:
             runs.append([i])
@@ -704,7 +718,7 @@ def test_cut_rollouts_choose_what_full_rollouts_choose(corpus, monkeypatch):
             mark, before, base[0] = scan.mark(), scan.clone(), len(scan.processed)
             calls.clear()
             root.clear()
-            step = cutorder._greedy_move(scan, cutorder.LOOKAHEAD, root)
+            step = cutorder._greedy_move(scan, root)
             assert step == expected, (scan.frontier, step, expected)
             states += 1
             if len(tied) > 1:

@@ -23,13 +23,16 @@ of W per side.  The result file holds every run's metrics, and per
 workload and metric the change's wins, both medians and both quartiles;
 after each workload's pairs the console shows that verdict for every
 end-to-end metric of ``BENCHMARK.json``, marked ABOVE PARENT Q3 where the
-change's median lies above the parent's third quartile.  Nothing under
-``perfbench/`` is written.
+change's median lies above the parent's third quartile.  The result also
+records each side's source size (``source_size``): the line count of
+``src/`` and, per module, its lines, its syntax-tree nodes and the peak
+memory of compiling it.  Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -37,6 +40,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +78,22 @@ def run_once(trees: dict, side: str, workload: str, seed: int, seconds: float, t
     if done.returncode:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def source_size(tree: Path) -> dict:
+    """The lines of the tree's ``src/``, and per module its lines, its
+    ``ast.walk`` nodes and the peak of compiling it, by tracemalloc, in MB."""
+    modules = {}
+    for path in sorted((tree / "src").rglob("*.py")):
+        text = path.read_text()
+        tracemalloc.start()
+        compile(text, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        modules[str(path.relative_to(tree / "src"))] = {
+            "lines": text.count("\n"), "nodes": sum(1 for _ in ast.walk(ast.parse(text))),
+            "compile_peak_mb": round(peak / 1e6, 3)}
+    return {"src_lines": sum(m["lines"] for m in modules.values()), "modules": modules}
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -141,7 +161,12 @@ def main(argv=None) -> int:
         "host": f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}",
         "parent": commit, "change": head,
         "seed": args.seed, "seconds": seconds, "workloads": {}, "trace": {},
+        "source": {side: source_size(tree) for side, tree in trees.items()},
     }
+    for side, size in result["source"].items():
+        name, largest = max(size["modules"].items(), key=lambda item: item[1]["compile_peak_mb"])
+        print(f"{side} src/: {size['src_lines']} lines; largest compile peak {name}: {largest['lines']} lines, "
+              f"{largest['nodes']} nodes, {largest['compile_peak_mb']} MB", flush=True)
     for spec in args.pairs:
         workload, count = spec.split("=")
         pairs = []
