@@ -602,7 +602,7 @@ def verify_cutting(d: Diagram, cutting: Cutting) -> None:
             "cutting must open with the canonical free-loop events")
     while pos < len(events):
         ev, g = events[pos], len(scan.frontier)
-        k = ev.absorb if isinstance(ev, Cross) else 2 * isinstance(ev, Cap)
+        k = ev.absorb if isinstance(ev, Cross) else 2 if isinstance(ev, Cap) else 0
         if not 0 <= k <= min(4, g) or not k and not 0 <= ev.at <= g:
             raise InvalidCutting(f"{ev} does not fit a frontier of {g} points")
         if not isinstance(ev, Cross):
