@@ -138,14 +138,13 @@ class _Scan:
         for ci, p in enumerate(self.piece):
             self.piece_members.setdefault(p, []).append(ci)
         self.started_pieces: frozenset[int] = frozenset()
-        self.redo = None  # a move undone by ``undo(mark, keep=True)``, with its result
 
     # -- bookkeeping --------------------------------------------------------
 
     def clone(self) -> "_Scan":
         """A copy that shares what no step changes in place."""
         other = _Scan.__new__(_Scan)
-        other.__dict__.update(self.__dict__, events=list(self.events), processed=set(self.processed), redo=None)
+        other.__dict__.update(self.__dict__, events=list(self.events), processed=set(self.processed))
         return other
 
     def mark(self) -> tuple:
@@ -153,15 +152,10 @@ class _Scan:
         started pieces are replaced, never changed in place."""
         return self.frontier, len(self.events), self.girth, self.started_pieces
 
-    def undo(self, mark: tuple, keep: bool = False) -> None:
-        """Go back to ``mark``, unprocessing the crossings applied since.
-        With keep, one undone move is saved with its events and the mark it
-        left, and ``apply_cross`` replays it if it comes next."""
-        evs = self.events[mark[1]:]
-        crossings = [ev.crossing for ev in evs if isinstance(ev, Cross)]
-        self.redo = keep and len(crossings) == 1 and (evs, self.mark())
+    def undo(self, mark: tuple) -> None:
+        """Go back to ``mark``, unprocessing the crossings applied since."""
         self.frontier, n_events, self.girth, self.started_pieces = mark
-        self.processed.difference_update(crossings)
+        self.processed.difference_update(ev.crossing for ev in self.events[n_events:] if isinstance(ev, Cross))
         del self.events[n_events:]
 
     def state_key(self) -> tuple:
@@ -344,12 +338,6 @@ class _Scan:
     def apply_cross(self, ci: int, at: int, k: int, rot: int) -> None:
         if ci in self.processed:
             raise InvariantViolation(f"crossing {ci} is already processed")
-        redo, self.redo = self.redo, None
-        if redo and (ev := redo[0][0]).crossing == ci and (ev.at, ev.absorb, ev.rot) == (at, k, rot):
-            self.events += redo[0]  # the saved move, from the state it was undone to
-            self.frontier, _, self.girth, self.started_pieces = redo[1]
-            self.processed.add(ci)
-            return
         over_first = (rot if k else rot + 1) % 2 == self.d.crossings[ci].over
         self.events.append(Cross(at, k, over_first, ci, rot))
         # after absorbing k tokens at slot rot, ci emits its next 4 - k slots' arcs
@@ -467,8 +455,8 @@ def _greedy_move(scan: _Scan, sized: dict) -> tuple[int, tuple[int, int, int]] |
     girth and the least frontier, and ties go to the lower id: so the
     rollouts stop at one that reaches the floor, and a rollout stops once
     its girth reaches the best peak.  A winner that ran last keeps its
-    first move applied (the caller sees ``scan.processed`` grow), and the
-    scan keeps its next move to replay; other rollouts are undone."""
+    first move applied (the caller sees ``scan.processed`` grow); other
+    rollouts are undone."""
     if not (ranked := _ranked(scan, sized)):
         return None
     least = min(ranked)[0]
@@ -491,7 +479,7 @@ def _greedy_move(scan: _Scan, sized: dict) -> tuple[int, tuple[int, int, int]] |
         if peak < best[0]:
             best = (peak, ci, mv)
             if peak == floor or i == len(tied) - 1:
-                scan.undo(first, keep=True)  # the winner keeps its first move, and its next
+                scan.undo(first)  # the winner keeps its first move
                 return ci, mv
         scan.undo(mark)
     return best[1:]

@@ -212,9 +212,9 @@ def fold_cutting(d: Diagram, cutting: Cutting, mode: str, trace_fn=None) -> tupl
 
 # The last search's cutting, shared by every mode and every call in the
 # process: a cutting depends on the diagram alone, never on the loop value.
-# Keyed by the strategy and the diagram's value (crossings with their over
-# flags, free loops, boundary), so equal diagrams share one however they were
-# built.  One entry: callers compute the modes of a diagram back to back.
+# Keyed by the strategy and the diagram, a value, so equal diagrams share one
+# however they were built.  One entry: callers compute the modes of a
+# diagram back to back.
 _CUTTINGS: dict[tuple, Cutting] = {}
 
 
@@ -227,12 +227,10 @@ def make_cutting(d: Diagram, order="greedy") -> Cutting:
         return order
     if order not in ("greedy", "exact"):
         raise ValueError(f"unknown order strategy {order!r}")
-    key = (order, d.free_loops, tuple(d.boundary_arcs), *((tuple(c.arcs), c.over) for c in d.crossings))
-    cutting = _CUTTINGS.get(key)
-    if cutting is None:
+    if (cutting := _CUTTINGS.get((order, d))) is None:
         cutting = greedy_cutting(d) if order == "greedy" else exact_min_girth(d)
         _CUTTINGS.clear()
-        _CUTTINGS[key] = cutting
+        _CUTTINGS[order, d] = cutting
     return Cutting(list(cutting.events), cutting.girth, list(cutting.source_order), cutting.final_rotation)
 
 

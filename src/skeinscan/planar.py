@@ -88,6 +88,14 @@ class Diagram:
     free_loops: int = 0
     boundary_arcs: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        # list fields become tuples, so a diagram is a value: equal diagrams
+        # compare equal and hash alike however they were built
+        if type(self.crossings) is not tuple or any(type(c.arcs) is not tuple for c in self.crossings):
+            object.__setattr__(self, "crossings", tuple(Crossing(tuple(c.arcs), c.over) for c in self.crossings))
+        if type(self.boundary_arcs) is not tuple:
+            object.__setattr__(self, "boundary_arcs", tuple(self.boundary_arcs))
+
     @property
     def n(self) -> int:
         return len(self.crossings)

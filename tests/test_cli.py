@@ -266,6 +266,18 @@ def test_cutting_restarting_a_started_piece_exits_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cutting_starting_a_braid_closure_twice_exits_one(tmp_path):
+    # after greedy's first event, crossing 2 starts crossing 0's piece again
+    closure = "X[1,2,5,4]o0 X[4,5,7,6]o0 X[7,3,9,8]o0 X[6,8,11,10]o1 X[11,9,13,12]o0 X[12,13,15,14]o0 " \
+              "X[10,14,17,1]o0 X[17,15,3,2]o1"
+    events = [{"type": "cross", "at": 0, "absorb": 0, "over_first": True, "crossing": ci, "rot": 3} for ci in (0, 2)]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"girth": 4, "source_order": [0, 2], "events": events}))
+    proc = run_cli("compute", "--pd", closure, "--order", f"@{path}", expect=1)
+    assert "second time" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_engine_frontier_fault_exits_three(monkeypatch, capsys):
     # an engine-made cutting skips load-time validation, so a cap on an
     # empty frontier is an engine fault, not an input error

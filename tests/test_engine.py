@@ -414,9 +414,11 @@ def test_a_failed_search_raises_again(monkeypatch, fresh_cuttings, d, order, err
 def test_a_diagram_with_list_fields_computes(monkeypatch, fresh_cuttings):
     calls = _counted(monkeypatch, "greedy_cutting")
     listed = Diagram([Crossing(list(c.arcs), c.over) for c in FIG8.crossings], 1, [])
+    assert listed == Diagram(FIG8.crossings, 1) and hash(listed) == hash(Diagram(FIG8.crossings, 1))
     assert compute_bracket(listed).polynomial == compute_bracket(Diagram(FIG8.crossings, 1)).polynomial
     assert len(calls) == 1  # equal values, one search
     tangle = parse_pd("X[1,2,3,4]o1 B[1,2,3,4]")
     listed = Diagram(list(tangle.crossings), 0, list(tangle.boundary_arcs))
+    assert listed == tangle and hash(listed) == hash(tangle)
     assert expand_tangle(listed).coeffs == expand_tangle(tangle).coeffs
 
